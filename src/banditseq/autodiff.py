@@ -42,13 +42,11 @@ __all__ = [
     "concat",
     "stack",
     "stack_rows",
-    "vecmat",
     "embedding_lookup",
     "gru_cell",
     "attention_weights",
     "weighted_rows",
     "token_log_prob",
-    "ELEMENTWISE_OPS",
     "finite_difference_check",
     "FiniteDifferenceReport",
 ]
@@ -81,9 +79,6 @@ class Tensor:
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape})"
-
-    def item(self):
-        return float(self.data)
 
     # Operator sugar; subtraction is add(neg(..)) so the op set stays minimal.
     def __add__(self, other):
@@ -121,10 +116,6 @@ class Tape:
         _state.tape = self._outer
         return False
 
-    def zero_grads(self):
-        for node in self.nodes:
-            node.grad = None
-
     def backward(self, root, params):
         """Backpropagate from a scalar ``root``; return a gradient map.
 
@@ -137,7 +128,8 @@ class Tape:
             raise ValueError(
                 f"backward root must be a scalar, got shape {root.data.shape}"
             )
-        self.zero_grads()
+        for node in self.nodes:
+            node.grad = None
         for p in params.values():
             p.grad = None
         root.grad = np.ones(())
@@ -436,18 +428,6 @@ def embedding_lookup(table, index):
     return _make(table.data[index].copy(), backward)
 
 
-# Registry used by property tests to sweep the elementwise kinds.
-ELEMENTWISE_OPS = {
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "exp": exp,
-    "log": log,
-    "neg": neg,
-    "add": add,
-    "mul": mul,
-}
-
-
 # ---------------------------------------------------------------------------
 # Fused operations. Recurrent models spend their time in a handful of fixed
 # patterns; recording those as single nodes with hand-written reverse rules
@@ -468,19 +448,6 @@ def stack_rows(vectors):
             _accum(v, g[i])
 
     return _make(np.stack([v.data for v in vectors]), backward)
-
-
-def vecmat(v, m):
-    """Vector [n] times matrix [n,k] -> vector [k]."""
-    v, m = _as_tensor(v), _as_tensor(m)
-    if v.data.ndim != 1 or m.data.ndim != 2 or v.shape[0] != m.shape[0]:
-        raise ShapeError(f"vecmat: incompatible shapes {v.shape} and {m.shape}")
-
-    def backward(g):
-        _accum(v, m.data @ g)
-        _accum(m, _outer(v.data, g))
-
-    return _make(v.data @ m.data, backward)
 
 
 def gru_cell(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):

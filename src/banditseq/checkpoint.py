@@ -17,13 +17,17 @@ Layout (all integers little-endian):
     optimizer block  tensor block with the same encoding, present iff flag=1
 
 Tensors are written in sorted-name order so save -> load -> save is byte
-identical. Loading validates the magic, the version, structural
+identical. Saving writes a temporary file next to the target and renames it
+over the target only once it is complete, so an interrupted save leaves the
+previous file as it was. Loading validates the magic, the version, structural
 completeness (truncation is reported with the failing byte offset), and
 that embedding and output shapes agree with the stored vocabulary.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -32,7 +36,7 @@ import numpy as np
 from .model import Vocabulary
 
 __all__ = ["Checkpoint", "CheckpointFormatError", "save_checkpoint",
-           "load_checkpoint", "MAGIC", "VERSION"]
+           "load_checkpoint", "atomic_open", "MAGIC", "VERSION"]
 
 MAGIC = b"BNSQ"
 VERSION = 1
@@ -60,39 +64,51 @@ class Checkpoint:
         return ModelParams.from_tensors(len(self.vocab), self.tensors)
 
 
-def _write_string(out, text):
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a temporary file next to ``path`` for writing. A clean exit
+    renames it over ``path``; an exception removes it, so ``path`` keeps
+    either its previous or its complete new contents."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_string(fh, text):
     data = text.encode("utf-8")
-    out.append(struct.pack("<I", len(data)))
-    out.append(data)
+    fh.write(struct.pack("<I", len(data)))
+    fh.write(data)
 
 
-def _write_tensor_block(out, tensors):
-    out.append(struct.pack("<I", len(tensors)))
+def _write_tensor_block(fh, tensors):
+    fh.write(struct.pack("<I", len(tensors)))
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-        _write_string(out, name)
-        out.append(struct.pack("<I", arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        out.append(arr.astype("<f8").tobytes())
+        _write_string(fh, name)
+        fh.write(struct.pack("<I", arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        fh.write(arr.astype("<f8").tobytes())
 
 
 def save_checkpoint(path, ckpt):
-    out = [MAGIC, struct.pack("<I", ckpt.version)]
-    out.append(struct.pack("<Q", ckpt.iteration))
-    out.append(struct.pack("<Q", ckpt.seed))
-    _write_string(out, ckpt.config_hash)
-    tokens = ckpt.vocab.tokens
-    out.append(struct.pack("<I", len(tokens)))
-    for tok in tokens:
-        _write_string(out, tok)
-    _write_tensor_block(out, ckpt.tensors)
-    if ckpt.optimizer is None:
-        out.append(struct.pack("<B", 0))
-    else:
-        out.append(struct.pack("<B", 1))
-        _write_tensor_block(out, ckpt.optimizer)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+    with atomic_open(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<IQQ", ckpt.version, ckpt.iteration, ckpt.seed))
+        _write_string(fh, ckpt.config_hash)
+        tokens = ckpt.vocab.tokens
+        fh.write(struct.pack("<I", len(tokens)))
+        for tok in tokens:
+            _write_string(fh, tok)
+        _write_tensor_block(fh, ckpt.tensors)
+        fh.write(struct.pack("<B", ckpt.optimizer is not None))
+        if ckpt.optimizer is not None:
+            _write_tensor_block(fh, ckpt.optimizer)
     return path
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .checkpoint import CheckpointFormatError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .data import read_parallel
-from .model import ModelParams, START, sample_pair, sample_sequence, \
+from .model import ModelParams, sample_pair, sample_sequence, \
     sequence_log_prob
 from .objectives import TrainingDiverged
 from .autodiff import finite_difference_check

@@ -24,7 +24,6 @@ __all__ = [
     "corpus_bleu",
     "clean_hypothesis",
     "FeedbackOracle",
-    "make_feedback",
 ]
 
 
@@ -178,7 +177,3 @@ class FeedbackOracle:
         tokens_pos, tokens_neg = samples
         return self.pair_loss(sentence_id, tokens_pos, tokens_neg)
 
-
-def make_feedback(kind, references, max_n=4, clean=False):
-    """Build a feedback evaluator over an id-indexed reference store."""
-    return FeedbackOracle(kind, references, max_n=max_n, clean=clean)

@@ -16,17 +16,20 @@ Conventions, fixed once here:
 
 Two output distributions share the decoder logits ``o``: the positive one is
 ``softmax(o)`` and the negative one ``softmax(-o)``, which orders candidate
-tokens exactly in reverse. Sampling draws one sequence token by token from
-the positive distribution; pair sampling additionally rolls a greedy
-sequence, conditions *both* pair members on that greedy prefix, and swaps in
-the negative distribution at a single uniformly chosen position.
+tokens exactly in reverse. Greedy decoding, sampling and pair sampling are
+policies over one graph-free decoder roll-out (:func:`rollout`). Sampling
+draws one sequence token by token from the positive distribution; pair
+sampling additionally rolls a greedy sequence, conditions *both* pair
+members on that greedy prefix, and swaps in the negative distribution at a
+single uniformly chosen position. Scoring a sample for a gradient replays it
+teacher-forced with a graph (:func:`forced_logits`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +40,11 @@ from .autodiff import (
     constant,
     embedding_lookup,
     gru_cell,
-    logsumexp,
     matmul,
     matvec,
     mul,
-    neg,
     no_grad,
     parameter,
-    pick,
-    softmax,
     stack_rows,
     tanh,
     token_log_prob,
@@ -63,20 +62,17 @@ __all__ = [
     "EncodedSource",
     "SampledSequence",
     "SampledPair",
-    "encode",
     "encode_full",
     "attention_context",
     "decoder_step",
-    "output_distribution",
     "forced_logits",
     "sequence_log_prob",
     "pair_log_prob",
+    "output_log_probs",
+    "rollout",
     "greedy_decode",
     "sample_sequence",
     "sample_pair",
-    "enumerate_sequences",
-    "enumerate_log_prob_nodes",
-    "count_sequences",
 ]
 
 
@@ -111,14 +107,8 @@ class Vocabulary:
     def __len__(self):
         return len(self._tokens)
 
-    def __contains__(self, token):
-        return token in self._ids
-
     def id_of(self, token):
         return self._ids.get(token, self.UNK_ID)
-
-    def token_of(self, idx):
-        return self._tokens[idx]
 
     def encode(self, tokens):
         return [self.id_of(t) for t in tokens]
@@ -235,17 +225,9 @@ class EncodedSource:
     """Encoder output plus quantities reused across decoder steps."""
 
     states: list          # per position, concat of fwd and bwd (size 2H)
-    fwd: list
-    bwd: list
     matrix: Tensor        # the same states stacked into [Tx, 2H]
     att_proj: Tensor      # matrix @ att.U, precomputed, [Tx, A]
     init_state: Tensor
-
-    @classmethod
-    def from_states(cls, states, params):
-        matrix = stack_rows(states)
-        return cls(states=list(states), fwd=[], bwd=[], matrix=matrix,
-                   att_proj=matmul(matrix, params["att.U"]), init_state=None)
 
 
 def _mask(size, dropout):
@@ -300,39 +282,25 @@ def encode_full(source, params, dropout=None):
     att_proj = matmul(matrix, params["att.U"])
     init = tanh(matvec(params["dec_init.W"], bwd[0]) + params["dec_init.b"])
     init = _maybe_mask(init, _mask(h_dim, dropout))
-    return EncodedSource(states=states, fwd=fwd, bwd=bwd, matrix=matrix,
-                         att_proj=att_proj, init_state=init)
+    return EncodedSource(states=states, matrix=matrix, att_proj=att_proj,
+                         init_state=init)
 
 
-def encode(source, params):
-    """Encoder states h_1..h_Tx, each the concat of both GRU directions."""
-    return encode_full(source, params).states
-
-
-def _as_encoded(enc_states, params):
-    if isinstance(enc_states, EncodedSource):
-        return enc_states
-    return EncodedSource.from_states(enc_states, params)
-
-
-def attention_context(state, enc_states, params):
-    """Attention weights over encoder states and the resulting context.
+def attention_context(state, enc, params):
+    """Attention weights over the states of an :class:`EncodedSource` and
+    the resulting context.
 
     Returns ``(context, alpha)`` where alpha is a softmax over the
     alignment energies ``v . tanh(W state + U h_t)``.
     """
-    enc = _as_encoded(enc_states, params)
-    if not enc.states:
-        raise ValueError("attention_context: no encoder states")
     alpha = attention_weights(state, enc.att_proj, params["att.W"],
                               params["att.v"])
     context = weighted_rows(alpha, enc.matrix)
     return context, alpha
 
 
-def decoder_step(prev_id, prev_state, enc_states, params, dropout=None):
+def decoder_step(prev_id, prev_state, enc, params, dropout=None):
     """One decoder transition: returns (logits over V, new state, alpha)."""
-    enc = _as_encoded(enc_states, params)
     context, alpha = attention_context(prev_state, enc, params)
     emb = embedding_lookup(params["tgt_emb"], prev_id)
     emb = _maybe_mask(emb, _mask(params.embed_size, dropout))
@@ -343,39 +311,20 @@ def decoder_step(prev_id, prev_state, enc_states, params, dropout=None):
     return logits, state, alpha
 
 
-def output_distribution(logits, mode="positive"):
-    """Token distribution from logits: softmax(o) or softmax(-o).
-
-    The negative mode ranks candidates in exactly the opposite order of the
-    positive mode, which is what makes it a source of perturbations.
-    """
-    if mode == "positive":
-        return softmax(logits)
-    if mode == "negative":
-        return softmax(neg(logits))
-    raise ValueError(f"unknown output distribution mode {mode!r}")
-
-
-def _log_prob_node(logits, token, negated):
-    return token_log_prob(logits, token, negated)
-
-
 def forced_logits(source, inputs, params, dropout=None):
     """Roll the decoder over a fixed input-token sequence.
 
     ``inputs[t]`` is the token fed at step t (so ``inputs[0]`` is START);
-    returns one logits tensor per step, plus the attention weights.
+    returns one logits tensor per step.
     """
     enc = encode_full(source, params, dropout=dropout)
     state = enc.init_state
     logits_per_step = []
-    alphas = []
     for tok in inputs:
-        logits, state, alpha = decoder_step(tok, state, enc, params,
-                                            dropout=dropout)
+        logits, state, _ = decoder_step(tok, state, enc, params,
+                                        dropout=dropout)
         logits_per_step.append(logits)
-        alphas.append(alpha)
-    return logits_per_step, alphas
+    return logits_per_step
 
 
 def sequence_log_prob(source, target, params, mode="positive", dropout=None):
@@ -387,10 +336,10 @@ def sequence_log_prob(source, target, params, mode="positive", dropout=None):
     if mode not in ("positive", "negative"):
         raise ValueError(f"unknown mode {mode!r}")
     inputs = [START] + list(target[:-1])
-    logits_per_step, _ = forced_logits(source, inputs, params, dropout=dropout)
-    total = _log_prob_node(logits_per_step[0], target[0], negated)
+    logits_per_step = forced_logits(source, inputs, params, dropout=dropout)
+    total = token_log_prob(logits_per_step[0], target[0], negated)
     for t in range(1, len(target)):
-        total = total + _log_prob_node(logits_per_step[t], target[t], negated)
+        total = total + token_log_prob(logits_per_step[t], target[t], negated)
     return total
 
 
@@ -404,14 +353,14 @@ def pair_log_prob(source, pair, params):
     """
     n = len(pair.tokens_pos)
     inputs = [START] + list(pair.greedy[: n - 1])
-    logits_per_step, _ = forced_logits(source, inputs, params)
-    lp_pos = _log_prob_node(logits_per_step[0], pair.tokens_pos[0], False)
-    lp_neg = _log_prob_node(logits_per_step[0], pair.tokens_neg[0],
+    logits_per_step = forced_logits(source, inputs, params)
+    lp_pos = token_log_prob(logits_per_step[0], pair.tokens_pos[0], False)
+    lp_neg = token_log_prob(logits_per_step[0], pair.tokens_neg[0],
                             pair.position == 1)
     for t in range(1, n):
-        lp_pos = lp_pos + _log_prob_node(logits_per_step[t], pair.tokens_pos[t],
+        lp_pos = lp_pos + token_log_prob(logits_per_step[t], pair.tokens_pos[t],
                                          False)
-        lp_neg = lp_neg + _log_prob_node(logits_per_step[t], pair.tokens_neg[t],
+        lp_neg = lp_neg + token_log_prob(logits_per_step[t], pair.tokens_neg[t],
                                          pair.position == t + 1)
     return lp_pos, lp_neg
 
@@ -422,10 +371,6 @@ class SampledSequence:
 
     tokens: list
     log_prob: float
-
-    @property
-    def length(self):
-        return len(self.tokens)
 
 
 @dataclass
@@ -440,22 +385,38 @@ class SampledPair:
     log_prob: float
 
 
-def _log_softmax_values(logits):
-    m = logits.max()
-    e = np.exp(logits - m)
-    return logits - (m + np.log(e.sum()))
-
-
-def _softmax_values(logits):
-    m = logits.max()
-    e = np.exp(logits - m)
-    return e / e.sum()
+def output_log_probs(logits, negated=False):
+    """Log-probabilities of the positive distribution ``softmax(o)`` or,
+    ``negated``, the negative one ``softmax(-o)``, from logit values. The
+    negative distribution ranks candidates in exactly the reverse order."""
+    x = -logits if negated else logits
+    m = x.max()
+    return x - (m + np.log(np.exp(x - m).sum()))
 
 
 def _draw(probs, rng):
     u = rng.random()
     idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     return min(idx, len(probs) - 1)
+
+
+def rollout(source, params, max_len, policy):
+    """Run the decoder for up to ``max_len`` steps without recording a graph.
+
+    Each step passes its logit values and attention weights to
+    ``policy(logits, alpha)``, which returns the token fed to the next step,
+    or None to stop. Greedy decoding, sampling and pair sampling are
+    policies over this one loop.
+    """
+    with no_grad():
+        enc = encode_full(source, params)
+        state = enc.init_state
+        prev = START
+        for _ in range(max_len):
+            logits, state, alpha = decoder_step(prev, state, enc, params)
+            prev = policy(logits.data, alpha.data)
+            if prev is None:
+                break
 
 
 def greedy_decode(source, params, max_len, return_attention=False):
@@ -466,18 +427,14 @@ def greedy_decode(source, params, max_len, return_attention=False):
         raise ValueError("greedy_decode: max_len must be >= 1")
     tokens = []
     attention = []
-    with no_grad():
-        enc = encode_full(source, params)
-        state = enc.init_state
-        prev = START
-        for _ in range(max_len):
-            logits, state, alpha = decoder_step(prev, state, enc, params)
-            tok = int(np.argmax(logits.data))
-            tokens.append(tok)
-            attention.append(alpha.data.copy())
-            if tok == END:
-                break
-            prev = tok
+
+    def argmax(logits, alpha):
+        tok = int(np.argmax(logits))
+        tokens.append(tok)
+        attention.append(alpha)
+        return None if tok == END else tok
+
+    rollout(source, params, max_len, argmax)
     if return_attention:
         return tokens, attention
     return tokens
@@ -489,19 +446,16 @@ def sample_sequence(source, params, max_len, rng):
     stops after END or ``max_len`` tokens."""
     tokens = []
     log_prob = 0.0
-    with no_grad():
-        enc = encode_full(source, params)
-        state = enc.init_state
-        prev = START
-        for _ in range(max_len):
-            logits, state, _ = decoder_step(prev, state, enc, params)
-            log_p = _log_softmax_values(logits.data)
-            tok = _draw(np.exp(log_p), rng)
-            log_prob += float(log_p[tok])
-            tokens.append(tok)
-            if tok == END:
-                break
-            prev = tok
+
+    def draw(logits, _):
+        nonlocal log_prob
+        log_p = output_log_probs(logits)
+        tok = _draw(np.exp(log_p), rng)
+        log_prob += float(log_p[tok])
+        tokens.append(tok)
+        return None if tok == END else tok
+
+    rollout(source, params, max_len, draw)
     return SampledSequence(tokens=tokens, log_prob=log_prob)
 
 
@@ -509,12 +463,12 @@ def sample_pair(source, params, max_len, rng):
     """Draw a (positive, perturbed) pair conditioned on the greedy roll-out.
 
     A perturbation position i is drawn uniformly from 1..max_len first.
-    Each step then computes the greedy token (which extends the shared
-    conditioning prefix), draws the positive member's token, and draws the
-    perturbed member's token — from the negative distribution at step i,
-    from the positive one elsewhere. All ``max_len`` steps are taken; END
-    does not stop the roll-out here, feedback simply ignores anything an
-    END precedes. The joint log-probability accumulates every factor.
+    Each step then draws the positive member's token, draws the perturbed
+    member's token — from the negative distribution at step i, from the
+    positive one elsewhere — and feeds the greedy token, which extends the
+    shared conditioning prefix. All ``max_len`` steps are taken; END does
+    not stop the roll-out here, feedback simply ignores anything an END
+    precedes. The joint log-probability accumulates every factor.
     """
     if max_len < 1:
         raise ValueError("sample_pair: max_len must be >= 1")
@@ -523,86 +477,25 @@ def sample_pair(source, params, max_len, rng):
     tokens_neg = []
     greedy = []
     log_prob = 0.0
-    with no_grad():
-        enc = encode_full(source, params)
-        state = enc.init_state
-        prev = START
-        for t in range(1, max_len + 1):
-            logits, state, _ = decoder_step(prev, state, enc, params)
-            log_p_pos = _log_softmax_values(logits.data)
-            greedy_tok = int(np.argmax(logits.data))
-            w = _draw(np.exp(log_p_pos), rng)
-            log_prob += float(log_p_pos[w])
-            if t == position:
-                log_p_neg = _log_softmax_values(-logits.data)
-                w_prime = _draw(np.exp(log_p_neg), rng)
-                log_prob += float(log_p_neg[w_prime])
-            else:
-                w_prime = _draw(np.exp(log_p_pos), rng)
-                log_prob += float(log_p_pos[w_prime])
-            tokens_pos.append(w)
-            tokens_neg.append(w_prime)
-            greedy.append(greedy_tok)
-            prev = greedy_tok
+
+    def draw_pair(logits, _):
+        nonlocal log_prob
+        log_p_pos = output_log_probs(logits)
+        p_pos = np.exp(log_p_pos)
+        w = _draw(p_pos, rng)
+        log_prob += float(log_p_pos[w])
+        if len(greedy) + 1 == position:
+            log_p_neg = output_log_probs(logits, negated=True)
+            w_prime = _draw(np.exp(log_p_neg), rng)
+            log_prob += float(log_p_neg[w_prime])
+        else:
+            w_prime = _draw(p_pos, rng)
+            log_prob += float(log_p_pos[w_prime])
+        tokens_pos.append(w)
+        tokens_neg.append(w_prime)
+        greedy.append(int(np.argmax(logits)))
+        return greedy[-1]
+
+    rollout(source, params, max_len, draw_pair)
     return SampledPair(tokens_pos=tokens_pos, tokens_neg=tokens_neg,
                        greedy=greedy, position=position, log_prob=log_prob)
-
-
-def count_sequences(vocab_size, max_len):
-    """Number of distinct outcomes of the sampling process up to max_len."""
-    non_end = vocab_size - 1
-    total = 0
-    for k in range(1, max_len + 1):
-        total += non_end ** (k - 1)
-    return total + non_end ** max_len
-
-
-def enumerate_sequences(source, params, max_len):
-    """All sampling outcomes with their log-probabilities.
-
-    Covers every END-terminated sequence of length <= max_len plus every
-    END-free sequence of exactly max_len (the truncation cases); together
-    their probabilities sum to one.
-    """
-    vocab = params.vocab_size
-    results = []
-    with no_grad():
-        enc = encode_full(source, params)
-
-        def walk(prev, state, prefix, lp):
-            logits, new_state, _ = decoder_step(prev, state, enc, params)
-            log_p = _log_softmax_values(logits.data)
-            for tok in range(vocab):
-                seq = prefix + (tok,)
-                seq_lp = lp + float(log_p[tok])
-                if tok == END or len(seq) == max_len:
-                    results.append((seq, seq_lp))
-                else:
-                    walk(tok, new_state, seq, seq_lp)
-
-        walk(START, enc.init_state, (), 0.0)
-    return results
-
-
-def enumerate_log_prob_nodes(source, params, max_len):
-    """Graph-building twin of :func:`enumerate_sequences`: returns
-    ``(tokens, log-prob Tensor)`` pairs suitable for building exact-risk
-    expressions. Shares decoder steps along common prefixes."""
-    vocab = params.vocab_size
-    results = []
-    enc = encode_full(source, params)
-
-    def walk(prev, state, prefix, lp_node):
-        logits, new_state, _ = decoder_step(prev, state, enc, params)
-        lse = logsumexp(logits)
-        for tok in range(vocab):
-            step_lp = pick(logits, tok) - lse
-            seq_lp = step_lp if lp_node is None else lp_node + step_lp
-            seq = prefix + (tok,)
-            if tok == END or len(seq) == max_len:
-                results.append((seq, seq_lp))
-            else:
-                walk(tok, new_state, seq, seq_lp)
-
-    walk(START, enc.init_state, (), None)
-    return results

@@ -6,8 +6,8 @@ with a scalar task loss and scales the score function by it:
 ``s = delta * d(log p(sample))/d(theta)``. The pairwise-ranking (PR)
 estimator scores a (positive, perturbed) pair and scales the gradient of
 the pair's joint log-probability. Both are unbiased for the corresponding
-expected-risk objectives, which the enumeration oracles at the bottom of
-this module make checkable on tiny instances.
+expected-risk objectives, which the enumeration oracles in
+:mod:`banditseq.oracles` make checkable on tiny instances.
 
 Pairwise feedback is oriented so that positive values mean the positive
 member was ranked *worse* than the perturbation (a misranking): binary
@@ -17,30 +17,21 @@ loss difference. Minimizing the resulting risk suppresses misranked pairs.
 Control variates reduce estimator variance without touching its mean. The
 running-average baseline recenters the scalar feedback; the score-function
 variate subtracts ``chat * d(log p)/d(theta)`` with a per-entry coefficient
-``chat = Cov(s, y) / Var(y)`` maintained by streaming moment accumulators.
+``chat = Cov(s, y) / Var(y)`` maintained by a streaming co-moment
+accumulator, the same one that tracks the PR gradient's antithetic
+covariance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, exp, logsumexp, mul, neg, no_grad, pick
-from .model import (
-    START,
-    SampledPair,
-    count_sequences,
-    decoder_step,
-    encode_full,
-    enumerate_log_prob_nodes,
-    pair_log_prob,
-    sample_pair,
-    sample_sequence,
-    sequence_log_prob,
-)
+from .autodiff import Tape, neg
+from .model import pair_log_prob, sample_pair, sample_sequence, \
+    sequence_log_prob
 
 __all__ = [
     "GradientEstimate",
@@ -49,6 +40,7 @@ __all__ = [
     "el_gradient",
     "pr_gradient",
     "pairwise_feedback",
+    "CoMoments",
     "ControlVariateState",
     "apply_baseline_cv",
     "apply_score_function_cv",
@@ -63,9 +55,6 @@ __all__ = [
     "bandit_train_loop",
     "AntitheticTracker",
     "antithetic_variance_identity",
-    "exact_risk_and_grad",
-    "enumerate_pair_outcomes",
-    "exact_pr_risk_and_grad",
 ]
 
 
@@ -156,15 +145,47 @@ def pairwise_feedback(delta_pos, delta_neg, kind):
     raise ValueError(f"unknown pairwise feedback kind {kind!r}")
 
 
+class CoMoments:
+    """Streaming per-entry means of two gradient maps ``x`` and ``y`` and
+    the co-moment sum of (x, y), plus that of (y, y) with ``track_var_y``,
+    by Welford's update. A co-moment divided by n - 1 is a sample
+    covariance."""
+
+    def __init__(self, track_var_y=False):
+        self.n = 0
+        self.mean_x = {}
+        self.mean_y = {}
+        self.co_xy = {}
+        self.m2_y = {} if track_var_y else None
+
+    def update(self, xs, ys):
+        self.n += 1
+        n = self.n
+        for name, x in xs.items():
+            y = ys[name]
+            if name not in self.co_xy:
+                self.mean_x[name] = np.zeros_like(x)
+                self.mean_y[name] = np.zeros_like(x)
+                self.co_xy[name] = np.zeros_like(x)
+                if self.m2_y is not None:
+                    self.m2_y[name] = np.zeros_like(x)
+            dx = x - self.mean_x[name]
+            self.mean_x[name] += dx / n
+            dy = y - self.mean_y[name]
+            self.mean_y[name] += dy / n
+            y_resid = y - self.mean_y[name]
+            self.co_xy[name] += dx * y_resid
+            if self.m2_y is not None:
+                self.m2_y[name] += dy * y_resid
+
+
 class ControlVariateState:
     """Running statistics behind the two control variates.
 
     For the baseline it tracks the count and sum of observed feedback; for
-    the score-function variate it keeps per-entry streaming means, the
-    co-moment of (s, y), and second moments of both, from which
-    ``chat = Cov(s, y) / Var(y)`` is read off (Var(s) is tracked too, for
-    diagnostics). Entries whose variance is below 1e-12 fall back to
-    chat = 0.
+    the score-function variate it keeps the co-moments of (s, y) and
+    (y, y), from which ``chat = Cov(s, y) / Var(y)`` is read off per entry.
+    Entries whose variance is below 1e-12 fall back to chat = 0.
     """
 
     VAR_FLOOR = 1e-12
@@ -172,16 +193,10 @@ class ControlVariateState:
     def __init__(self, mode="none", include_current=True):
         if mode not in ("none", "baseline", "sf"):
             raise ValueError(f"unknown control-variate mode {mode!r}")
-        self.mode = mode
         self.include_current = include_current
         self.k = 0
         self.feedback_sum = 0.0
-        self.n = 0
-        self._mean_s = {}
-        self._mean_y = {}
-        self._co_sy = {}
-        self._m2_y = {}
-        self._m2_s = {}
+        self.sf_moments = CoMoments(track_var_y=True)
 
     # -- average-feedback baseline -------------------------------------
     def register_feedback(self, delta):
@@ -195,47 +210,25 @@ class ControlVariateState:
         return self.feedback_sum / self.k
 
     # -- score-function coefficient -------------------------------------
-    def update_sf(self, s_grads, y_grads):
-        self.n += 1
-        n = self.n
-        for name, s in s_grads.items():
-            y = y_grads[name]
-            if name not in self._mean_s:
-                self._mean_s[name] = np.zeros_like(s)
-                self._mean_y[name] = np.zeros_like(s)
-                self._co_sy[name] = np.zeros_like(s)
-                self._m2_y[name] = np.zeros_like(s)
-                self._m2_s[name] = np.zeros_like(s)
-            ds = s - self._mean_s[name]
-            self._mean_s[name] += ds / n
-            dy = y - self._mean_y[name]
-            self._mean_y[name] += dy / n
-            self._co_sy[name] += ds * (y - self._mean_y[name])
-            self._m2_y[name] += dy * (y - self._mean_y[name])
-            self._m2_s[name] += ds * (s - self._mean_s[name])
-
-    def chat(self, name, like):
-        if name not in self._co_sy:
-            return np.zeros_like(like)
-        m2 = self._m2_y[name]
-        out = np.zeros_like(like)
-        ok = m2 > self.VAR_FLOOR
-        np.divide(self._co_sy[name], m2, out=out, where=ok)
+    def _coefficient(self, name):
+        m2 = self.sf_moments.m2_y[name]
+        out = np.zeros_like(m2)
+        np.divide(self.sf_moments.co_xy[name], m2, out=out,
+                  where=m2 > self.VAR_FLOOR)
         return out
 
+    def chat(self, name, like):
+        if name not in self.sf_moments.co_xy:
+            return np.zeros_like(like)
+        return self._coefficient(name)
+
     def chat_mean(self):
-        if not self._co_sy:
+        coefficients = [self._coefficient(name)
+                        for name in self.sf_moments.co_xy]
+        if not coefficients:
             return 0.0
-        total = 0.0
-        count = 0
-        for name, co in self._co_sy.items():
-            m2 = self._m2_y[name]
-            ok = m2 > self.VAR_FLOOR
-            c = np.zeros_like(co)
-            np.divide(co, m2, out=c, where=ok)
-            total += float(c.sum())
-            count += c.size
-        return total / count
+        return (sum(float(c.sum()) for c in coefficients)
+                / sum(c.size for c in coefficients))
 
 
 def apply_baseline_cv(estimate, state, score_grad):
@@ -262,7 +255,7 @@ def apply_score_function_cv(estimate, state, score_grad):
     for name, s in estimate.grads.items():
         c = state.chat(name, s)
         adjusted[name] = s - c * score_grad[name]
-    state.update_sf(estimate.grads, score_grad)
+    state.sf_moments.update(estimate.grads, score_grad)
     return GradientEstimate(grads=adjusted, feedback=estimate.feedback,
                             kind=estimate.kind)
 
@@ -353,39 +346,15 @@ def sgd_update(params, grads, state):
     return params, state
 
 
-class AntitheticTracker:
+class AntitheticTracker(CoMoments):
     """Streaming per-entry covariance between the two halves of the PR
     gradient; its mean is reported as a diagnostic during PR training."""
 
-    def __init__(self):
-        self.n = 0
-        self._mean_a = {}
-        self._mean_b = {}
-        self._co = {}
-
-    def update(self, g_a, g_b):
-        self.n += 1
-        n = self.n
-        for name, a in g_a.items():
-            b = g_b[name]
-            if name not in self._co:
-                self._mean_a[name] = np.zeros_like(a)
-                self._mean_b[name] = np.zeros_like(a)
-                self._co[name] = np.zeros_like(a)
-            da = a - self._mean_a[name]
-            self._mean_a[name] += da / n
-            self._mean_b[name] += (b - self._mean_b[name]) / n
-            self._co[name] += da * (b - self._mean_b[name])
-
     def cov_mean(self):
-        if self.n < 2 or not self._co:
+        if self.n < 2 or not self.co_xy:
             return 0.0
-        total = 0.0
-        count = 0
-        for co in self._co.values():
-            total += float(co.sum()) / (self.n - 1)
-            count += co.size
-        return total / count
+        total = sum(float(co.sum()) / (self.n - 1) for co in self.co_xy.values())
+        return total / sum(co.size for co in self.co_xy.values())
 
 
 def antithetic_variance_identity(x1, x2):
@@ -439,7 +408,6 @@ class BanditResult:
     best_score: float
     best_iteration: int
     rows: list = field(default_factory=list)
-    oracle_calls: int = 0
 
 
 def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
@@ -538,126 +506,3 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
             run_validation(k)
     return BanditResult(best_values=best_values, best_score=best_score,
                         best_iteration=best_iteration, rows=rows)
-
-
-# ---------------------------------------------------------------------------
-# Enumeration oracles. Sampling without replacement of anything: these walk
-# every outcome of the samplers on tiny instances, so expectations and their
-# gradients can be computed exactly and compared against the estimators.
-# ---------------------------------------------------------------------------
-
-
-def exact_risk_and_grad(source, params, delta_fn, max_len, guard=1_000_000):
-    """Exact expected loss and its gradient by full enumeration.
-
-    Sums ``p(y) * delta_fn(y)`` over every END-terminated sequence up to
-    ``max_len`` and every truncated length-``max_len`` sequence, then
-    differentiates the whole expression.
-    """
-    n = count_sequences(params.vocab_size, max_len)
-    if n > guard:
-        raise ValueError(
-            f"enumeration of {n} sequences exceeds the guard of {guard}"
-        )
-    with Tape() as tape:
-        risk = None
-        for tokens, lp_node in enumerate_log_prob_nodes(source, params, max_len):
-            term = mul(exp(lp_node), float(delta_fn(list(tokens))))
-            risk = term if risk is None else risk + term
-    grads = tape.backward(risk, params.tensors)
-    return float(risk.data), grads
-
-
-def _greedy_step_log_probs(source, params, t_y):
-    """Greedy roll-out of ``t_y`` steps (no END stopping, as in pair
-    sampling) with the per-step log-distributions along it."""
-    log_pos = []
-    log_neg = []
-    greedy = []
-    with no_grad():
-        enc = encode_full(source, params)
-        state = enc.init_state
-        prev = START
-        for _ in range(t_y):
-            logits, state, _ = decoder_step(prev, state, enc, params)
-            x = logits.data
-            m = x.max()
-            log_pos.append(x - (m + np.log(np.exp(x - m).sum())))
-            mn = (-x).max()
-            log_neg.append(-x - (mn + np.log(np.exp(-x - mn).sum())))
-            tok = int(np.argmax(x))
-            greedy.append(tok)
-            prev = tok
-    return log_pos, log_neg, greedy
-
-
-def enumerate_pair_outcomes(source, params, t_y, guard=1_000_000):
-    """Every (position, positive, perturbed) outcome of pair sampling with
-    its probability, as ``(SampledPair, probability)`` tuples."""
-    vocab = params.vocab_size
-    n_outcomes = t_y * vocab ** (2 * t_y)
-    if n_outcomes > guard:
-        raise ValueError(
-            f"enumeration of {n_outcomes} pair outcomes exceeds the guard"
-        )
-    log_pos, log_neg, greedy = _greedy_step_log_probs(source, params, t_y)
-    outcomes = []
-    for position in range(1, t_y + 1):
-        for w in itertools.product(range(vocab), repeat=t_y):
-            lp_w = sum(log_pos[t][w[t]] for t in range(t_y))
-            for w_prime in itertools.product(range(vocab), repeat=t_y):
-                lp = lp_w
-                for t in range(t_y):
-                    table = log_neg if t + 1 == position else log_pos
-                    lp += table[t][w_prime[t]]
-                pair = SampledPair(tokens_pos=list(w), tokens_neg=list(w_prime),
-                                   greedy=list(greedy), position=position,
-                                   log_prob=float(lp))
-                outcomes.append((pair, math.exp(lp) / t_y))
-    return outcomes
-
-
-def exact_pr_risk_and_grad(source, params, pair_delta_fn, t_y,
-                           guard=1_000_000):
-    """Exact pairwise-ranking risk and gradient by enumerating every pair
-    outcome. The greedy conditioning prefix is held fixed (it is locally
-    constant in the parameters), matching the estimator's semantics."""
-    vocab = params.vocab_size
-    n_outcomes = t_y * vocab ** (2 * t_y)
-    if n_outcomes > guard:
-        raise ValueError(
-            f"enumeration of {n_outcomes} pair outcomes exceeds the guard"
-        )
-    _, _, greedy = _greedy_step_log_probs(source, params, t_y)
-    with Tape() as tape:
-        enc = encode_full(source, params)
-        state = enc.init_state
-        prev = START
-        step_lp_pos = []
-        step_lp_neg = []
-        for t in range(t_y):
-            logits, state, _ = decoder_step(prev, state, enc, params)
-            lse_pos = logsumexp(logits)
-            neg_logits = neg(logits)
-            lse_neg = logsumexp(neg_logits)
-            step_lp_pos.append([pick(logits, v) - lse_pos
-                                for v in range(vocab)])
-            step_lp_neg.append([pick(neg_logits, v) - lse_neg
-                                for v in range(vocab)])
-            prev = greedy[t]
-        risk = None
-        for position in range(1, t_y + 1):
-            for w in itertools.product(range(vocab), repeat=t_y):
-                lp_w = step_lp_pos[0][w[0]]
-                for t in range(1, t_y):
-                    lp_w = lp_w + step_lp_pos[t][w[t]]
-                for w_prime in itertools.product(range(vocab), repeat=t_y):
-                    lp = lp_w
-                    for t in range(t_y):
-                        table = step_lp_neg if t + 1 == position else step_lp_pos
-                        lp = lp + table[t][w_prime[t]]
-                    delta = pair_delta_fn(list(w), list(w_prime))
-                    term = mul(exp(lp), float(delta) / t_y)
-                    risk = term if risk is None else risk + term
-    grads = tape.backward(risk, params.tensors)
-    return float(risk.data), grads

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, atomic_open, load_checkpoint, \
+    save_checkpoint
 from .config import ConfigError, format_config
 from .data import SPLITS, Corpus, SyntheticTaskSpec, corpus_paths, gen_data, \
     read_parallel, write_corpus
@@ -272,7 +273,9 @@ def _train_bandit_run(cfg, vocab, seed_values, corpora, run_idx):
 
 
 def write_metrics_csv(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write the metrics rows as CSV, replacing ``path`` only once the whole
+    file is written."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
         writer.writeheader()
         for row in rows:

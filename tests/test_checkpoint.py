@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,18 @@ class TestRoundTrip:
         save_checkpoint(p1, ckpt)
         save_checkpoint(p2, load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.bnsq"
+        save_checkpoint(path, make_checkpoint(seed=1))
+        before = path.read_bytes()
+        # the optimizer block comes after the parameters, so this fails
+        # part-way through writing
+        broken = make_checkpoint(seed=2, optimizer={"m": "not a number"})
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.bnsq"]
 
     def test_optimizer_block_round_trips(self, tmp_path):
         opt = {"m.out.b": np.arange(6.0), "t": np.array(3.0)}

@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,6 +73,15 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_text("seed = 77\n")
         assert load_config(path).seed == 77
+
+    def test_readme_lists_every_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = re.search(r"^## Config format\n(.*?)^## ", text,
+                            re.S | re.M).group(1)
+        listed = set(re.findall(r"`([a-z0-9_]+)`", section))
+        missing = [f.name for f in fields(RunConfig) if f.name not in listed]
+        assert not missing, f"README config section lacks {missing}"
 
 
 @pytest.fixture

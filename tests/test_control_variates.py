@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from banditseq.model import SampledSequence, enumerate_sequences, \
-    sample_sequence
+from banditseq.model import SampledSequence, sample_sequence
 from banditseq.objectives import (
     AntitheticTracker,
     ControlVariateState,
@@ -12,6 +11,7 @@ from banditseq.objectives import (
     apply_score_function_cv,
     el_gradient,
 )
+from banditseq.oracles import enumerate_sequences
 
 from conftest import max_abs, relative_gap, tiny_params
 

@@ -10,7 +10,6 @@ from banditseq.metrics import (
     corpus_bleu,
     corpus_ggleu,
     ggleu,
-    make_feedback,
     ngram_counts,
 )
 
@@ -185,11 +184,11 @@ class TestCleanHypothesis:
 
 class TestFeedbackOracle:
     def test_sample_equals_reference(self):
-        oracle = make_feedback("ggleu-loss", {0: list("abc")})
+        oracle = FeedbackOracle("ggleu-loss", {0: list("abc")})
         assert oracle(0, list("abc")) == -1.0
 
     def test_pair_binary_fires_on_misranking(self):
-        oracle = make_feedback("pair-binary", {0: list("abc")})
+        oracle = FeedbackOracle("pair-binary", {0: list("abc")})
         # positive member disjoint (worse), perturbed equals the reference
         assert oracle(0, list("xyz"), list("abc")) == 1.0
         # positive member perfect: no misranking, no update signal
@@ -197,7 +196,7 @@ class TestFeedbackOracle:
 
     def test_pair_continuous_signed_difference(self):
         ref = list("abc")
-        oracle = make_feedback("pair-continuous", {0: ref})
+        oracle = FeedbackOracle("pair-continuous", {0: ref})
         hyp_good = list("abc")
         hyp_bad = list("abz")
         expected = (-ggleu(hyp_bad, ref)) - (-ggleu(hyp_good, ref))
@@ -205,20 +204,20 @@ class TestFeedbackOracle:
         assert oracle(0, hyp_good, hyp_bad) == pytest.approx(-expected)
 
     def test_counts_calls(self):
-        oracle = make_feedback("ggleu-loss", {0: list("ab")})
+        oracle = FeedbackOracle("ggleu-loss", {0: list("ab")})
         for _ in range(5):
             oracle(0, list("ab"))
         assert oracle.calls == 5
 
     def test_unknown_sentence_id(self):
-        oracle = make_feedback("ggleu-loss", {0: list("ab")})
+        oracle = FeedbackOracle("ggleu-loss", {0: list("ab")})
         with pytest.raises(KeyError):
             oracle(1, list("ab"))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_feedback("bleu-loss", {})
+            FeedbackOracle("bleu-loss", {})
 
     def test_cleaning_applies_when_enabled(self):
-        oracle = make_feedback("ggleu-loss", {0: [5, 6]}, clean=True)
+        oracle = FeedbackOracle("ggleu-loss", {0: [5, 6]}, clean=True)
         assert oracle(0, [0, 5, 6, 1, 9]) == -1.0

@@ -1,26 +1,27 @@
 import numpy as np
 import pytest
 
-from banditseq.autodiff import Tape, constant, finite_difference_check
+from banditseq.autodiff import Tape, constant, finite_difference_check, \
+    matmul, stack_rows, token_log_prob
 from banditseq.model import (
     END,
     START,
     UNK,
+    EncodedSource,
     ModelParams,
     Vocabulary,
     attention_context,
-    count_sequences,
     decoder_step,
-    encode,
     encode_full,
-    enumerate_sequences,
     greedy_decode,
-    output_distribution,
+    output_log_probs,
     pair_log_prob,
+    rollout,
     sample_pair,
     sample_sequence,
     sequence_log_prob,
 )
+from banditseq.oracles import count_sequences, enumerate_sequences
 
 from conftest import random_source, tiny_params
 
@@ -98,22 +99,22 @@ class TestModelParams:
 class TestEncode:
     def test_zero_parameters_give_zero_states(self):
         params = ModelParams(6, 3, 4, init="zeros")
-        for state in encode([3, 4], params):
+        for state in encode_full([3, 4], params).states:
             assert np.array_equal(state.data, np.zeros(8))
 
     def test_single_token_one_state(self):
         params = tiny_params()
-        states = encode([4], params)
+        states = encode_full([4], params).states
         assert len(states) == 1
         assert states[0].shape == (2 * params.hidden_size,)
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
-            encode([], tiny_params())
+            encode_full([], tiny_params())
 
     def test_unknown_id_rejected(self):
         with pytest.raises(IndexError):
-            encode([99], tiny_params())
+            encode_full([99], tiny_params())
 
     def test_reversal_pairing_with_tied_directions(self):
         # with forward and backward GRUs sharing weights, the backward half
@@ -125,8 +126,8 @@ class TestEncode:
                     params[f"enc_fwd.{kind}{gate}"].data.copy()
         h = params.hidden_size
         src = [3, 4, 5, 3]
-        fwd_on_rev = encode(src[::-1], params)
-        bwd_on_src = encode(src, params)
+        fwd_on_rev = encode_full(src[::-1], params).states
+        bwd_on_src = encode_full(src, params).states
         t_x = len(src)
         for t in range(t_x):
             backward_half = bwd_on_src[t].data[h:]
@@ -145,8 +146,12 @@ class TestAttention:
     def test_identical_states_give_that_state(self, rng):
         params = tiny_params()
         h = constant(rng.normal(size=2 * params.hidden_size))
+        matrix = stack_rows([h, h, h])
+        enc = EncodedSource(states=[h, h, h], matrix=matrix,
+                            att_proj=matmul(matrix, params["att.U"]),
+                            init_state=None)
         state = constant(rng.normal(size=params.hidden_size))
-        ctx, alpha = attention_context(state, [h, h, h], params)
+        ctx, alpha = attention_context(state, enc, params)
         assert np.max(np.abs(ctx.data - h.data)) < 1e-12
 
     def test_weights_sum_to_one(self, rng):
@@ -189,32 +194,46 @@ class TestDecoderStep:
 
 
 class TestOutputDistribution:
+    """The positive and negative distributions as the samplers draw from
+    them (``output_log_probs``) and as the estimators score them
+    (``token_log_prob``)."""
+
     def test_forced_values_both_modes(self):
-        logits = constant(np.array([np.log(2.0), 0.0]))
-        pos = output_distribution(logits, "positive").data
-        neg = output_distribution(logits, "negative").data
+        logits = np.array([np.log(2.0), 0.0])
+        pos = np.exp(output_log_probs(logits))
+        neg = np.exp(output_log_probs(logits, negated=True))
         assert np.allclose(pos, [2 / 3, 1 / 3])
         assert np.allclose(neg, [1 / 3, 2 / 3])
+        for tok in (0, 1):
+            for negated, probs in ((False, pos), (True, neg)):
+                lp = token_log_prob(constant(logits), tok, negated)
+                assert float(lp.data) == pytest.approx(np.log(probs[tok]),
+                                                       abs=1e-12)
 
     def test_uniform_logits_identical_modes(self):
-        logits = constant(np.full(5, 1.7))
-        pos = output_distribution(logits, "positive").data
-        neg = output_distribution(logits, "negative").data
+        logits = np.full(5, 1.7)
+        pos = output_log_probs(logits)
+        neg = output_log_probs(logits, negated=True)
         assert np.allclose(pos, neg)
-        assert np.allclose(pos, 0.2)
+        assert np.allclose(np.exp(pos), 0.2)
 
     def test_rank_reversal(self, rng):
         for _ in range(200):
-            logits = constant(rng.normal(size=6, scale=2.0))
-            pos = output_distribution(logits, "positive").data
-            neg = output_distribution(logits, "negative").data
+            logits = rng.normal(size=6, scale=2.0)
+            pos = output_log_probs(logits)
+            neg = output_log_probs(logits, negated=True)
+            scored = np.array([
+                float(token_log_prob(constant(logits), v, negated=True).data)
+                for v in range(6)])
             pos_desc = np.argsort(-pos, kind="stable")
-            neg_desc = np.argsort(-neg, kind="stable")
-            assert np.array_equal(neg_desc, pos_desc[::-1])
+            assert np.array_equal(np.argsort(-neg, kind="stable"),
+                                  pos_desc[::-1])
+            assert np.array_equal(np.argsort(-scored, kind="stable"),
+                                  pos_desc[::-1])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            output_distribution(constant(np.zeros(2)), "inverted")
+            sequence_log_prob([3], [3], tiny_params(), mode="inverted")
 
 
 class TestSequenceLogProb:
@@ -362,6 +381,38 @@ class TestSamplePairs:
         p = 1.0 / 6.0
         se = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(counts / n - p) <= 4 * se)
+
+    def test_greedy_track_matches_greedy_decode(self, rng):
+        # the pair's conditioning prefix is the greedy decode, which stops
+        # after its first END while the pair keeps rolling; doubled weights
+        # make the greedy token change from step to step
+        outcomes = {"full": 0, "stopped mid-way": 0}
+        for seed in range(100):
+            vocab = int(rng.integers(6, 12))
+            params = tiny_params(vocab_size=vocab, seed=400 + seed)
+            for t in params.tensors.values():
+                t.data *= 2.0
+            params["out.b"].data[END] += rng.uniform(0.0, 1.0)
+            src = random_source(rng, vocab_size=vocab,
+                                length=int(rng.integers(1, 5)))
+            max_len = int(rng.integers(2, 9))
+            greedy = greedy_decode(src, params, max_len)
+            pair = sample_pair(src, params, max_len, rng)
+            assert pair.greedy[:len(greedy)] == greedy
+            # past END the pair keeps feeding its argmax tokens
+            full = []
+
+            def argmax(logits, _):
+                full.append(int(np.argmax(logits)))
+                return full[-1]
+
+            rollout(src, params, max_len, argmax)
+            assert pair.greedy == full
+            if len(greedy) == max_len:
+                outcomes["full"] += 1
+            elif len(greedy) > 1:
+                outcomes["stopped mid-way"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
 
     def test_runs_full_length_even_past_end(self, rng):
         # pair sampling never stops early; END can appear mid-sequence

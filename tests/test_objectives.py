@@ -10,7 +10,6 @@ from banditseq.model import (
     END,
     ModelParams,
     SampledSequence,
-    enumerate_sequences,
     sample_pair,
     sample_sequence,
     sequence_log_prob,
@@ -25,14 +24,17 @@ from banditseq.objectives import (
     bandit_train_loop,
     clip_gradient,
     el_gradient,
-    enumerate_pair_outcomes,
-    exact_pr_risk_and_grad,
-    exact_risk_and_grad,
     grad_norm,
     mle_loss_and_grad,
     pairwise_feedback,
     pr_gradient,
     sgd_update,
+)
+from banditseq.oracles import (
+    enumerate_pair_outcomes,
+    enumerate_sequences,
+    exact_pr_risk_and_grad,
+    exact_risk_and_grad,
 )
 
 from conftest import max_abs, random_source, relative_gap, tiny_params

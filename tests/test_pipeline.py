@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from banditseq.pipeline import (
     run_pipeline,
     train_mle,
     unk_replace,
+    write_metrics_csv,
 )
 
 
@@ -53,6 +55,20 @@ class TestUnkReplace:
     def test_missing_attention_rejected(self):
         with pytest.raises(ValueError, match="attention"):
             unk_replace(["x", "y"], [np.array([1.0])], ["s1"])
+
+
+class TestWriteMetricsCsv:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        row = {"run": 0, "iteration": 0, "epoch": 0, "split": "valid",
+               "metric": "ggleu", "value": 0.5}
+        write_metrics_csv(path, [row])
+        before = path.read_bytes()
+        rows = [row] * 1000 + [dict(row, value="not a number")]
+        with pytest.raises(ValueError):
+            write_metrics_csv(path, rows)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
 class TestDeriveSeed:
