@@ -99,6 +99,12 @@ class RunConfig:
         if self.optimizer not in _OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}, "
                               f"got {self.optimizer!r}")
+        for key in ("embedding_size", "hidden_size", "max_len", "mle_batch",
+                    "ggleu_max_n"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.mle_epochs < 0:
+            raise ConfigError("mle_epochs must be >= 0")
         if self.iters < 0:
             raise ConfigError("iters must be >= 0")
         if self.valid_interval < 1:

@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from .model import END, START
+from .objectives import pairwise_feedback
+
 __all__ = [
     "ngram_counts",
     "ggleu",
@@ -27,14 +30,14 @@ __all__ = [
 ]
 
 
-def clean_hypothesis(tokens, end_id=1, drop_ids=(0,)):
+def clean_hypothesis(tokens):
     """Trim a raw sampled id sequence for scoring: cut at the first END and
     drop any stray START tokens. Everything else (UNK included) stays."""
     out = []
     for tok in tokens:
-        if tok == end_id:
+        if tok == END:
             break
-        if tok in drop_ids:
+        if tok == START:
             continue
         out.append(tok)
     return out
@@ -161,8 +164,6 @@ class FeedbackOracle:
 
     def pair_loss(self, sentence_id, tokens_pos, tokens_neg):
         """Pairwise feedback for (positive sample, perturbed sample)."""
-        from .objectives import pairwise_feedback
-
         self.calls += 1
         ref = self._reference(sentence_id)
         d_pos = -ggleu(self._prepare(tokens_pos), ref, self.max_n)

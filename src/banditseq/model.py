@@ -327,20 +327,25 @@ def forced_logits(source, inputs, params, dropout=None):
     return logits_per_step
 
 
-def sequence_log_prob(source, target, params, mode="positive", dropout=None):
+def _forced_log_prob(logits_per_step, tokens, negated_step=0):
+    """Differentiable sum over steps of log p(tokens[t]) under the step-t
+    logits; the negative distribution applies only at the 1-based step
+    ``negated_step``."""
+    total = token_log_prob(logits_per_step[0], tokens[0], negated_step == 1)
+    for t in range(1, len(tokens)):
+        total = total + token_log_prob(logits_per_step[t], tokens[t],
+                                       negated_step == t + 1)
+    return total
+
+
+def sequence_log_prob(source, target, params, dropout=None):
     """Differentiable log-probability of ``target`` teacher-forced on its
     own prefix: sum over steps of log p(y_t | y_<t, x)."""
     if len(target) == 0:
         raise ValueError("sequence_log_prob: target must be non-empty")
-    negated = mode == "negative"
-    if mode not in ("positive", "negative"):
-        raise ValueError(f"unknown mode {mode!r}")
     inputs = [START] + list(target[:-1])
     logits_per_step = forced_logits(source, inputs, params, dropout=dropout)
-    total = token_log_prob(logits_per_step[0], target[0], negated)
-    for t in range(1, len(target)):
-        total = total + token_log_prob(logits_per_step[t], target[t], negated)
-    return total
+    return _forced_log_prob(logits_per_step, target)
 
 
 def pair_log_prob(source, pair, params):
@@ -351,18 +356,10 @@ def pair_log_prob(source, pair, params):
     position. Returns ``(lp_pos, lp_perturbed)`` whose sum reproduces the
     pair's accumulated log-probability.
     """
-    n = len(pair.tokens_pos)
-    inputs = [START] + list(pair.greedy[: n - 1])
+    inputs = [START] + list(pair.greedy[: len(pair.tokens_pos) - 1])
     logits_per_step = forced_logits(source, inputs, params)
-    lp_pos = token_log_prob(logits_per_step[0], pair.tokens_pos[0], False)
-    lp_neg = token_log_prob(logits_per_step[0], pair.tokens_neg[0],
-                            pair.position == 1)
-    for t in range(1, n):
-        lp_pos = lp_pos + token_log_prob(logits_per_step[t], pair.tokens_pos[t],
-                                         False)
-        lp_neg = lp_neg + token_log_prob(logits_per_step[t], pair.tokens_neg[t],
-                                         pair.position == t + 1)
-    return lp_pos, lp_neg
+    return (_forced_log_prob(logits_per_step, pair.tokens_pos),
+            _forced_log_prob(logits_per_step, pair.tokens_neg, pair.position))
 
 
 @dataclass

@@ -1,13 +1,15 @@
 """Training objectives, gradient estimators, and the online update loop.
 
 Three gradients are available. MLE is the usual supervised negative
-log-likelihood. The expected-loss (EL) estimator scores one sampled output
-with a scalar task loss and scales the score function by it:
-``s = delta * d(log p(sample))/d(theta)``. The pairwise-ranking (PR)
-estimator scores a (positive, perturbed) pair and scales the gradient of
-the pair's joint log-probability. Both are unbiased for the corresponding
-expected-risk objectives, which the enumeration oracles in
-:mod:`banditseq.oracles` make checkable on tiny instances.
+log-likelihood. The bandit estimators are score-function estimators: the
+expected-loss (EL) score is ``d(log p(sample))/d(theta)`` of one sampled
+output, the pairwise-ranking (PR) score the gradient of a (positive,
+perturbed) pair's joint log-probability, summed from its two halves. The
+update scales the score by the scalar feedback in exactly one step, which
+the control variate chooses; with none it is ``delta * score``. Both
+estimators are unbiased for the corresponding expected-risk objectives,
+which the enumeration oracles in :mod:`banditseq.oracles` make checkable on
+tiny instances.
 
 Pairwise feedback is oriented so that positive values mean the positive
 member was ranked *worse* than the perturbation (a misranking): binary
@@ -15,11 +17,11 @@ feedback fires 1 on misrankings only, continuous feedback is the signed
 loss difference. Minimizing the resulting risk suppresses misranked pairs.
 
 Control variates reduce estimator variance without touching its mean. The
-running-average baseline recenters the scalar feedback; the score-function
-variate subtracts ``chat * d(log p)/d(theta)`` with a per-entry coefficient
-``chat = Cov(s, y) / Var(y)`` maintained by a streaming co-moment
-accumulator, the same one that tracks the PR gradient's antithetic
-covariance.
+running-average baseline scales the score by the recentered feedback; the
+score-function variate subtracts ``chat * d(log p)/d(theta)`` with a
+per-entry coefficient ``chat = Cov(s, y) / Var(y)`` maintained by a
+streaming co-moment accumulator, the same one that tracks the PR
+gradient's antithetic covariance.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .model import pair_log_prob, sample_pair, sample_sequence, \
     sequence_log_prob
 
 __all__ = [
-    "GradientEstimate",
     "TrainingDiverged",
     "mle_loss_and_grad",
     "el_gradient",
@@ -58,15 +59,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class GradientEstimate:
-    """A parameter-gradient map plus the feedback and objective behind it."""
-
-    grads: dict
-    feedback: float
-    kind: str  # "mle" | "el" | "pr"
-
-
 class TrainingDiverged(RuntimeError):
     """Raised when an update produces non-finite gradients."""
 
@@ -76,55 +68,38 @@ def _scaled(grads, c):
 
 
 def mle_loss_and_grad(source, reference, params, dropout=None):
-    """Negative log-likelihood of the reference and its gradient."""
+    """Negative log-likelihood of the reference and its gradient map."""
     if len(reference) == 0:
         raise ValueError("mle_loss_and_grad: reference must be non-empty")
     with Tape() as tape:
         lp = sequence_log_prob(source, reference, params, dropout=dropout)
         loss = neg(lp)
-    grads = tape.backward(loss, params.tensors)
-    return float(loss.data), GradientEstimate(grads=grads, feedback=0.0, kind="mle")
+    return float(loss.data), tape.backward(loss, params.tensors)
 
 
-def el_gradient(source, sample, feedback, params):
-    """Expected-loss estimator from one sampled sequence.
-
-    Returns ``(estimate, score)`` where score is the gradient of the
-    sample's log-probability (teacher-forced on its own prefix) and the
-    estimate's gradients are ``feedback * score``.
-    """
+def el_gradient(source, sample, params):
+    """Score of one sampled sequence for the expected-loss estimator: the
+    gradient of its log-probability, teacher-forced on its own prefix."""
     with Tape() as tape:
         lp = sequence_log_prob(source, sample.tokens, params)
-    score = tape.backward(lp, params.tensors)
-    est = GradientEstimate(grads=_scaled(score, feedback), feedback=feedback,
-                           kind="el")
-    return est, score
+    return tape.backward(lp, params.tensors)
 
 
-def pr_gradient(source, pair, feedback, params, want_parts=False):
-    """Pairwise-ranking estimator from one sampled pair.
+def pr_gradient(source, pair, params):
+    """Score of one sampled pair for the pairwise-ranking estimator.
 
-    The joint log-probability is recomputed teacher-forced on the pair's
-    recorded greedy prefix, with the negative distribution applied only at
-    the recorded perturbation position. Returns ``(estimate, score)`` or,
-    with ``want_parts``, ``(estimate, score, (g_pos, g_neg))`` where the
-    parts are the separate gradients of the two halves (the antithetic
-    variates).
+    Both halves of the joint log-probability are recomputed teacher-forced
+    on the pair's recorded greedy prefix, with the negative distribution
+    applied only at the recorded perturbation position. Returns
+    ``(score, (g_pos, g_neg))``: the parts are the separate gradients of
+    the two halves (the antithetic variates) and the score is their sum.
     """
     with Tape() as tape:
         lp_pos, lp_neg = pair_log_prob(source, pair, params)
-        joint = lp_pos + lp_neg
-    if want_parts:
-        g_pos = tape.backward(lp_pos, params.tensors)
-        g_neg = tape.backward(lp_neg, params.tensors)
-        score = {name: g_pos[name] + g_neg[name] for name in g_pos}
-    else:
-        score = tape.backward(joint, params.tensors)
-    est = GradientEstimate(grads=_scaled(score, feedback), feedback=feedback,
-                           kind="pr")
-    if want_parts:
-        return est, score, (g_pos, g_neg)
-    return est, score
+    g_pos = tape.backward(lp_pos, params.tensors)
+    g_neg = tape.backward(lp_neg, params.tensors)
+    score = {name: g_pos[name] + g_neg[name] for name in g_pos}
+    return score, (g_pos, g_neg)
 
 
 def pairwise_feedback(delta_pos, delta_neg, kind):
@@ -190,9 +165,7 @@ class ControlVariateState:
 
     VAR_FLOOR = 1e-12
 
-    def __init__(self, mode="none", include_current=True):
-        if mode not in ("none", "baseline", "sf"):
-            raise ValueError(f"unknown control-variate mode {mode!r}")
+    def __init__(self, include_current=True):
         self.include_current = include_current
         self.k = 0
         self.feedback_sum = 0.0
@@ -231,33 +204,30 @@ class ControlVariateState:
                 / sum(c.size for c in coefficients))
 
 
-def apply_baseline_cv(estimate, state, score_grad):
-    """Recenter the feedback by the running average before scaling the score.
+def apply_baseline_cv(feedback, score, state):
+    """Scale the score by the feedback recentered by the running average.
 
     With ``include_current`` (the default) the current feedback enters the
-    average first, so the very first adjusted gradient is exactly zero.
+    average first, so the very first gradient is exactly zero.
     """
     if state.include_current:
-        state.register_feedback(estimate.feedback)
-        centered = estimate.feedback - state.average_feedback
+        state.register_feedback(feedback)
+        centered = feedback - state.average_feedback
     else:
-        centered = estimate.feedback - state.average_feedback
-        state.register_feedback(estimate.feedback)
-    return GradientEstimate(grads=_scaled(score_grad, centered),
-                            feedback=estimate.feedback, kind=estimate.kind)
+        centered = feedback - state.average_feedback
+        state.register_feedback(feedback)
+    return _scaled(score, centered)
 
 
-def apply_score_function_cv(estimate, state, score_grad):
-    """Subtract ``chat * score`` entrywise, then fold the draw into the
-    running moment estimates. With no history chat is zero and the
-    estimate passes through unchanged."""
-    adjusted = {}
-    for name, s in estimate.grads.items():
-        c = state.chat(name, s)
-        adjusted[name] = s - c * score_grad[name]
-    state.sf_moments.update(estimate.grads, score_grad)
-    return GradientEstimate(grads=adjusted, feedback=estimate.feedback,
-                            kind=estimate.kind)
+def apply_score_function_cv(feedback, score, state):
+    """Scale the score by the feedback and subtract ``chat * score``
+    entrywise, then fold the draw into the running moment estimates. With
+    no history chat is zero and the gradient is ``feedback * score``."""
+    grads = _scaled(score, feedback)
+    adjusted = {name: s - state.chat(name, s) * score[name]
+                for name, s in grads.items()}
+    state.sf_moments.update(grads, score)
+    return adjusted
 
 
 def grad_norm(grads):
@@ -393,11 +363,21 @@ class TrainingConfig:
     def __post_init__(self):
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
+        if self.valid_interval < 1:
+            raise ValueError("valid_interval must be >= 1")
+        if self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
         if self.objective not in ("el", "pr"):
             raise ValueError(f"bandit objective must be el or pr, got "
                              f"{self.objective!r}")
+        if self.cv_mode not in ("none", "baseline", "sf"):
+            raise ValueError(f"cv_mode must be none, baseline or sf, got "
+                             f"{self.cv_mode!r}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"optimizer must be adam or sgd, got "
+                             f"{self.optimizer!r}")
 
 
 @dataclass
@@ -415,27 +395,26 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
 
     Per iteration: observe a source sentence from ``stream`` (an iterator
     of ``(sentence_id, source_ids)``), sample an output or pair, obtain the
-    scalar feedback, form the gradient estimate, apply the configured
-    control variate, clip, and take an optimizer step. ``validate_fn``,
-    when given, maps the current parameters to a metric dict whose "ggleu"
-    entry drives best-iterate selection (online-to-batch conversion); it
-    runs every ``valid_interval`` iterations and at the end.
+    scalar feedback, compute the score, scale it by the feedback through
+    the configured control variate, clip, and take an optimizer step.
+    ``validate_fn``, when given, maps the current parameters to a metric
+    dict whose "ggleu" entry drives best-iterate selection (online-to-batch
+    conversion); it runs every ``valid_interval`` iterations and at the
+    end.
 
     The loop never sees references: only ``feedback_fn`` scalars.
     """
     rng = np.random.default_rng(config.seed)
-    cv_state = ControlVariateState(mode=config.cv_mode,
-                                   include_current=config.baseline_includes_current)
+    cv_state = ControlVariateState(
+        include_current=config.baseline_includes_current)
     if config.optimizer == "adam":
         opt_state = OptimizerState.for_params(params, alpha=config.alpha,
                                               beta1=config.beta1,
                                               beta2=config.beta2, eps=config.eps)
         step = adam_update
-    elif config.optimizer == "sgd":
+    else:
         opt_state = SgdState(gamma0=config.alpha, decay=config.sgd_decay)
         step = sgd_update
-    else:
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
     antithetic = AntitheticTracker() if config.objective == "pr" else None
 
     rows = []
@@ -472,24 +451,25 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
         if config.objective == "el":
             sample = sample_sequence(source, params, config.max_len, rng)
             delta = feedback_fn(sentence_id, sample.tokens)
-            estimate, score = el_gradient(source, sample, delta, params)
+            score = el_gradient(source, sample, params)
         else:
             pair = sample_pair(source, params, config.max_len, rng)
             delta = feedback_fn(sentence_id, pair.tokens_pos, pair.tokens_neg)
-            estimate, score, parts = pr_gradient(source, pair, delta, params,
-                                                 want_parts=True)
+            score, parts = pr_gradient(source, pair, params)
             antithetic.update(*parts)
         if config.cv_mode == "baseline":
-            estimate = apply_baseline_cv(estimate, cv_state, score)
+            grads = apply_baseline_cv(delta, score, cv_state)
         elif config.cv_mode == "sf":
-            estimate = apply_score_function_cv(estimate, cv_state, score)
-        norm = grad_norm(estimate.grads)
+            grads = apply_score_function_cv(delta, score, cv_state)
+        else:
+            grads = _scaled(score, delta)
+        norm = grad_norm(grads)
         if not math.isfinite(norm):
             raise TrainingDiverged(
                 f"non-finite gradient at iteration {k} "
                 f"(objective={config.objective}, feedback={delta!r})"
             )
-        clipped = clip_gradient(estimate.grads, config.clip_norm)
+        clipped = clip_gradient(grads, config.clip_norm)
         step(params, clipped, opt_state)
         window_feedback.append(delta)
         window_norms.append(norm)

@@ -29,7 +29,7 @@ import numpy as np
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, \
     save_checkpoint
 from .config import ConfigError, format_config
-from .data import SPLITS, Corpus, SyntheticTaskSpec, corpus_paths, gen_data, \
+from .data import SPLITS, SyntheticTaskSpec, corpus_paths, gen_data, \
     read_parallel, write_corpus
 from .metrics import FeedbackOracle, clean_hypothesis, corpus_bleu, corpus_ggleu
 from .model import END, ModelParams, START, UNK, Vocabulary, greedy_decode
@@ -81,21 +81,9 @@ def unk_replace(tokens, attentions, source_tokens):
     return out
 
 
-def _decode_sentence(params, vocab, src_tokens, max_len):
-    """Greedy decode one sentence; returns (plain tokens, unk-replaced)."""
-    src_ids = vocab.encode(src_tokens)
-    out_ids, attn = greedy_decode(src_ids, params, max_len, return_attention=True)
-    kept_ids = []
-    kept_attn = []
-    for tok, a in zip(out_ids, attn):
-        if tok == END:
-            break
-        if tok == START:
-            continue
-        kept_ids.append(tok)
-        kept_attn.append(a)
-    tokens = vocab.decode(kept_ids)
-    return tokens, unk_replace(tokens, kept_attn, src_tokens)
+def _scores(hyps, refs, max_n, suffix=""):
+    return {"ggleu" + suffix: corpus_ggleu(hyps, refs, max_n),
+            "bleu" + suffix: corpus_bleu(hyps, refs, max_n)}
 
 
 def evaluate_on_corpus(params, vocab, corpus, max_len, max_n=4):
@@ -103,33 +91,30 @@ def evaluate_on_corpus(params, vocab, corpus, max_len, max_n=4):
     decoded with UNK replacement); scores carry ggleu/bleu for both."""
     hyps = []
     hyps_unk = []
-    for src_tokens, _ in corpus.pairs:
-        tokens, tokens_unk = _decode_sentence(params, vocab, src_tokens, max_len)
+    for src_tokens in corpus.sources:
+        out_ids, attn = greedy_decode(vocab.encode(src_tokens), params,
+                                      max_len, return_attention=True)
+        # greedy decoding stops after END, so END can only come last
+        kept = [(tok, a) for tok, a in zip(out_ids, attn)
+                if tok not in (START, END)]
+        tokens = vocab.decode([tok for tok, _ in kept])
         hyps.append(tokens)
-        hyps_unk.append(tokens_unk)
+        hyps_unk.append(unk_replace(tokens, [a for _, a in kept], src_tokens))
     refs = corpus.targets
-    scores = {
-        "ggleu": corpus_ggleu(hyps, refs, max_n),
-        "bleu": corpus_bleu(hyps, refs, max_n),
-        "ggleu_unk": corpus_ggleu(hyps_unk, refs, max_n),
-        "bleu_unk": corpus_bleu(hyps_unk, refs, max_n),
-    }
+    scores = _scores(hyps, refs, max_n)
+    scores.update(_scores(hyps_unk, refs, max_n, suffix="_unk"))
     return scores, hyps, hyps_unk
 
 
 def _make_validator(vocab, corpus, max_len, max_n):
     sources = [vocab.encode(src) for src in corpus.sources]
-    refs = corpus.targets
 
     def validate(params):
         hyps = []
-        for src_ids, src_tokens in zip(sources, corpus.sources):
+        for src_ids in sources:
             out_ids = greedy_decode(src_ids, params, max_len)
             hyps.append(vocab.decode(clean_hypothesis(out_ids)))
-        return {
-            "ggleu": corpus_ggleu(hyps, refs, max_n),
-            "bleu": corpus_bleu(hyps, refs, max_n),
-        }
+        return _scores(hyps, corpus.targets, max_n)
 
     return validate
 
@@ -163,13 +148,14 @@ def train_mle(cfg, vocab, train_corpus, valid_corpus):
             acc = None
             for idx in batch:
                 src, ref = examples[int(idx)]
-                loss, est = mle_loss_and_grad(src, ref, params, dropout=dropout)
+                loss, grads = mle_loss_and_grad(src, ref, params,
+                                                dropout=dropout)
                 epoch_loss += loss
                 if acc is None:
-                    acc = est.grads
+                    acc = grads
                 else:
                     for name in acc:
-                        acc[name] += est.grads[name]
+                        acc[name] += grads[name]
             scale = 1.0 / len(batch)
             grads = {name: g * scale for name, g in acc.items()}
             grads = clip_gradient(grads, cfg.clip_norm)
@@ -392,7 +378,9 @@ def run_pipeline(cfg):
         return result
     seed_values = params.copy_values()
 
-    run_params = []
+    # (tag, run, iteration, parameters, test scores) of every model that
+    # the evaluate stage decodes: the seed first, then each run's selection
+    models = [("seed", 0, 0, params, result.seed_test_scores)]
     if "train-bandit" in stages:
         if cfg.objective not in ("el", "pr"):
             raise ConfigError(
@@ -412,36 +400,26 @@ def run_pipeline(cfg):
             for row in outcome.rows:
                 result.rows.append({"run": outcome.run, **row})
             result.runs.append(outcome)
-            run_params.append(best_params)
+            models.append((tag, outcome.run, outcome.best_iteration,
+                           best_params, outcome.test_scores))
 
     if "evaluate" in stages:
         test_sets = {"test_a": corpora["a", "test"], "test_b": corpora["b", "test"]}
-        seed_model = ModelParams.from_tensors(len(vocab), seed_values)
-        for split, corpus in sorted(test_sets.items()):
-            scores, hyps, hyps_unk = evaluate_on_corpus(
-                seed_model, vocab, corpus, cfg.max_len, cfg.ggleu_max_n)
-            result.seed_test_scores[split] = scores
-            _write_decoded(out_dir, "seed", split, hyps, hyps_unk)
-            for metric in sorted(scores):
-                result.rows.append({"run": 0, "iteration": 0, "epoch": 0,
-                                    "split": split, "metric": metric,
-                                    "value": scores[metric]})
         per_metric = {}
-        for outcome, best_params in zip(result.runs, run_params):
-            tag = f"{cfg.objective}-{cfg.cv_mode}-run{outcome.run}"
+        for tag, run, iteration, model, test_scores in models:
             for split, corpus in sorted(test_sets.items()):
                 scores, hyps, hyps_unk = evaluate_on_corpus(
-                    best_params, vocab, corpus, cfg.max_len, cfg.ggleu_max_n)
-                outcome.test_scores[split] = scores
+                    model, vocab, corpus, cfg.max_len, cfg.ggleu_max_n)
+                test_scores[split] = scores
                 _write_decoded(out_dir, tag, split, hyps, hyps_unk)
                 for metric in sorted(scores):
                     result.rows.append({
-                        "run": outcome.run,
-                        "iteration": outcome.best_iteration, "epoch": 0,
+                        "run": run, "iteration": iteration, "epoch": 0,
                         "split": split, "metric": metric,
                         "value": scores[metric]})
-                    per_metric.setdefault((split, metric), []).append(
-                        scores[metric])
+                    if run:  # the mean and std rows are over runs only
+                        per_metric.setdefault((split, metric), []).append(
+                            scores[metric])
         for (split, metric), values in sorted(per_metric.items()):
             mean = sum(values) / len(values)
             var = sum((v - mean) ** 2 for v in values) / len(values)

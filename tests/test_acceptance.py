@@ -92,11 +92,11 @@ class TestCriterion2ElUnbiasedness:
                                            lambda t: table[tuple(t)], 2)
             acc = {k: np.zeros_like(v) for k, v in exact.items()}
             for tokens, lp in seqs:
-                est, _ = el_gradient(source, SampledSequence(list(tokens), lp),
-                                     table[tuple(tokens)], params)
+                score = el_gradient(source, SampledSequence(list(tokens), lp),
+                                    params)
                 p = np.exp(lp)
                 for k in acc:
-                    acc[k] += p * est.grads[k]
+                    acc[k] += p * table[tuple(tokens)] * score[k]
             gap = relative_gap(acc, exact)
             assert gap < 1e-5, f"seed {seed}: {gap}"
             worst = max(worst, gap)
@@ -115,9 +115,8 @@ class TestCriterion3ScoreFunctionZeroMean:
             source = [int(t) for t in rng.integers(3, 6, size=2)]
             acc = None
             for tokens, lp in enumerate_sequences(source, params, 2):
-                _, score = el_gradient(source,
-                                       SampledSequence(list(tokens), lp),
-                                       1.0, params)
+                score = el_gradient(source, SampledSequence(list(tokens), lp),
+                                    params)
                 if acc is None:
                     acc = {k: np.zeros_like(v) for k, v in score.items()}
                 for k in acc:
@@ -154,9 +153,9 @@ class TestCriterion4PrUnbiasedness:
                 feedback = pair_delta(pair.tokens_pos, pair.tokens_neg)
                 if feedback == 0.0:
                     continue
-                est, _ = pr_gradient(source, pair, feedback, params)
+                score, _ = pr_gradient(source, pair, params)
                 for k in acc:
-                    acc[k] += prob * est.grads[k]
+                    acc[k] += prob * feedback * score[k]
             gap = relative_gap(acc, exact)
             assert gap < 1e-5, f"seed {seed}: {gap}"
             worst = max(worst, gap)
@@ -230,11 +229,9 @@ class TestCriterion7VarianceReduction:
         for _ in range(n):
             s = sample_sequence(source, params, 2, rng)
             delta = table[tuple(s.tokens)]
-            est, score = el_gradient(source, s, delta, params)
-            flat_s.append(np.concatenate([g.ravel()
-                                          for g in est.grads.values()]))
-            flat_y.append(np.concatenate([score[k].ravel()
-                                          for k in est.grads]))
+            score = el_gradient(source, s, params)
+            flat_y.append(np.concatenate([g.ravel() for g in score.values()]))
+            flat_s.append(delta * flat_y[-1])
             deltas.append(delta)
         return np.stack(flat_s), np.stack(flat_y), np.array(deltas)
 
@@ -245,18 +242,18 @@ class TestCriterion7VarianceReduction:
         seqs = enumerate_sequences(source, params, 2)
         table = _random_delta_table(seqs, rng)  # losses spread over [-1, 0]
         n = 10_000
-        state = ControlVariateState(mode="baseline")
+        state = ControlVariateState()
         plain_rows = []
         adjusted_rows = []
         for _ in range(n):
             s = sample_sequence(source, params, 2, rng)
             delta = table[tuple(s.tokens)]
-            est, score = el_gradient(source, s, delta, params)
-            plain_rows.append(np.concatenate([g.ravel()
-                                              for g in est.grads.values()]))
-            adj = apply_baseline_cv(est, state, score)
+            score = el_gradient(source, s, params)
+            plain_rows.append(np.concatenate([delta * g.ravel()
+                                              for g in score.values()]))
+            adj = apply_baseline_cv(delta, score, state)
             adjusted_rows.append(np.concatenate([g.ravel()
-                                                 for g in adj.grads.values()]))
+                                                 for g in adj.values()]))
         var_plain = np.var(np.stack(plain_rows), axis=0).sum()
         var_adj = np.var(np.stack(adjusted_rows), axis=0).sum()
         assert var_adj < var_plain

@@ -60,6 +60,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("cv_mode = magic\n")
 
+    @pytest.mark.parametrize("key,value", [
+        ("mle_batch", 0), ("max_len", 0), ("ggleu_max_n", 0),
+        ("embedding_size", 0), ("hidden_size", -1), ("mle_epochs", -1),
+        ("dropout", 1.0), ("dropout", -0.1),
+    ])
+    def test_out_of_range_setting_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+
     def test_overrides_win(self):
         cfg = parse_config("seed = 1\n", overrides={"seed": 5})
         assert cfg.seed == 5
@@ -122,6 +131,14 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense_key = 1\n")
         assert main(["gen-data", "--config", str(bad)]) == 2
+
+    def test_zero_mle_batch_is_config_error(self, small_cfg_file, tmp_path,
+                                            capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(small_cfg_file.read_text() + "mle_batch = 0\n")
+        assert main(["train-mle", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "mle_batch" in capsys.readouterr().err
 
     def test_sample_command(self, small_cfg_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,7 +5,7 @@ from banditseq.model import SampledSequence, sample_sequence
 from banditseq.objectives import (
     AntitheticTracker,
     ControlVariateState,
-    GradientEstimate,
+    TrainingConfig,
     antithetic_variance_identity,
     apply_baseline_cv,
     apply_score_function_cv,
@@ -22,35 +22,27 @@ def _flatten(grads):
 
 class TestBaselineCv:
     def test_first_update_vanishes_when_current_included(self):
-        state = ControlVariateState(mode="baseline", include_current=True)
+        state = ControlVariateState(include_current=True)
         score = {"x": np.array([1.0, -2.0])}
-        est = GradientEstimate(grads={"x": -0.7 * score["x"]}, feedback=-0.7,
-                               kind="el")
-        adjusted = apply_baseline_cv(est, state, score)
-        assert max_abs(adjusted.grads) == 0.0
+        adjusted = apply_baseline_cv(-0.7, score, state)
+        assert max_abs(adjusted) == 0.0
 
     def test_first_update_passes_through_when_excluded(self):
-        state = ControlVariateState(mode="baseline", include_current=False)
+        state = ControlVariateState(include_current=False)
         score = {"x": np.array([1.0, -2.0])}
-        est = GradientEstimate(grads={"x": -0.7 * score["x"]}, feedback=-0.7,
-                               kind="el")
-        adjusted = apply_baseline_cv(est, state, score)
-        assert np.allclose(adjusted.grads["x"], est.grads["x"])
+        adjusted = apply_baseline_cv(-0.7, score, state)
+        assert np.allclose(adjusted["x"], -0.7 * score["x"])
         # second call centers by the first feedback only
-        est2 = GradientEstimate(grads={"x": -0.3 * score["x"]}, feedback=-0.3,
-                                kind="el")
-        adjusted2 = apply_baseline_cv(est2, state, score)
-        assert np.allclose(adjusted2.grads["x"], (-0.3 + 0.7) * score["x"])
+        adjusted2 = apply_baseline_cv(-0.3, score, state)
+        assert np.allclose(adjusted2["x"], (-0.3 + 0.7) * score["x"])
 
     def test_constant_feedback_always_zero(self):
-        state = ControlVariateState(mode="baseline")
+        state = ControlVariateState()
         score = {"x": np.arange(3.0)}
         for _ in range(10):
-            est = GradientEstimate(grads={"x": -0.4 * score["x"]},
-                                   feedback=-0.4, kind="el")
-            adjusted = apply_baseline_cv(est, state, score)
+            adjusted = apply_baseline_cv(-0.4, score, state)
             # the running mean of a constant is that constant up to one ulp
-            assert max_abs(adjusted.grads) < 1e-12
+            assert max_abs(adjusted) < 1e-12
 
     def test_frozen_baseline_preserves_expected_gradient(self, rng):
         # E[(delta - b) grad log p] = E[delta grad log p] for constant b,
@@ -65,13 +57,14 @@ class TestBaselineCv:
         for tokens, lp in seqs:
             p = np.exp(lp)
             sample = SampledSequence(list(tokens), lp)
-            est, score = el_gradient(src, sample, table[tuple(tokens)], params)
+            delta = table[tuple(tokens)]
+            score = el_gradient(src, sample, params)
             if plain is None:
-                plain = {k: np.zeros_like(v) for k, v in est.grads.items()}
-                shifted = {k: np.zeros_like(v) for k, v in est.grads.items()}
+                plain = {k: np.zeros_like(v) for k, v in score.items()}
+                shifted = {k: np.zeros_like(v) for k, v in score.items()}
             for k in plain:
-                plain[k] += p * est.grads[k]
-                shifted[k] += p * (est.grads[k] - b * score[k])
+                plain[k] += p * delta * score[k]
+                shifted[k] += p * (delta - b) * score[k]
         assert relative_gap(shifted, plain) < 1e-5
 
     def test_running_baseline_reduces_empirical_variance(self, rng):
@@ -79,16 +72,16 @@ class TestBaselineCv:
         params = tiny_params(seed=42)
         seqs = enumerate_sequences(src, params, 2)
         table = {tuple(t): float(rng.uniform(-1.0, 0.0)) for t, _ in seqs}
-        state = ControlVariateState(mode="baseline")
+        state = ControlVariateState()
         plain_draws = []
         adjusted_draws = []
         for _ in range(2000):
             sample = sample_sequence(src, params, 2, rng)
             delta = table[tuple(sample.tokens)]
-            est, score = el_gradient(src, sample, delta, params)
-            plain_draws.append(_flatten(est.grads))
-            adj = apply_baseline_cv(est, state, score)
-            adjusted_draws.append(_flatten(adj.grads))
+            score = el_gradient(src, sample, params)
+            plain_draws.append(delta * _flatten(score))
+            adj = apply_baseline_cv(delta, score, state)
+            adjusted_draws.append(_flatten(adj))
         var_plain = np.var(np.stack(plain_draws), axis=0).sum()
         var_adj = np.var(np.stack(adjusted_draws), axis=0).sum()
         assert var_adj < var_plain
@@ -96,31 +89,25 @@ class TestBaselineCv:
 
 class TestScoreFunctionCv:
     def test_no_history_passes_through(self):
-        state = ControlVariateState(mode="sf")
+        state = ControlVariateState()
         score = {"x": np.array([0.5, 1.5])}
-        est = GradientEstimate(grads={"x": -0.2 * score["x"]}, feedback=-0.2,
-                               kind="el")
-        adjusted = apply_score_function_cv(est, state, score)
-        assert np.array_equal(adjusted.grads["x"], est.grads["x"])
+        adjusted = apply_score_function_cv(-0.2, score, state)
+        assert np.array_equal(adjusted["x"], -0.2 * score["x"])
 
     def test_chat_goes_to_one_when_s_equals_y(self, rng):
-        state = ControlVariateState(mode="sf")
+        state = ControlVariateState()
         for _ in range(50):
             y = {"x": rng.normal(size=3)}
-            est = GradientEstimate(grads={"x": y["x"].copy()}, feedback=1.0,
-                                   kind="el")
-            adjusted = apply_score_function_cv(est, state, y)
+            adjusted = apply_score_function_cv(1.0, y, state)
         chat = state.chat("x", y["x"])
         assert np.allclose(chat, 1.0, atol=1e-10)
-        assert max_abs(adjusted.grads) < 1e-10
+        assert max_abs(adjusted) < 1e-10
 
     def test_variance_floor_gives_zero_coefficient(self):
-        state = ControlVariateState(mode="sf")
+        state = ControlVariateState()
         y = {"x": np.array([1.0, 1.0])}
         for _ in range(5):
-            est = GradientEstimate(grads={"x": np.array([2.0, 2.0])},
-                                   feedback=1.0, kind="el")
-            apply_score_function_cv(est, state, y)
+            apply_score_function_cv(2.0, y, state)
         # y never varies, so Var(y)=0 and chat must fall back to zero
         assert np.array_equal(state.chat("x", y["x"]), np.zeros(2))
 
@@ -129,12 +116,9 @@ class TestScoreFunctionCv:
         n = 4000
         y = rng.normal(size=(n, 4))
         deltas = rng.uniform(-1.0, 0.0, size=n)
-        s = deltas[:, None] * y
-        state = ControlVariateState(mode="sf")
+        state = ControlVariateState()
         for i in range(n):
-            est = GradientEstimate(grads={"x": s[i]}, feedback=deltas[i],
-                                   kind="el")
-            apply_score_function_cv(est, state, {"x": y[i]})
+            apply_score_function_cv(deltas[i], {"x": y[i]}, state)
         chat = state.chat("x", y[0])
         y2 = rng.normal(size=(n, 4))
         d2 = rng.uniform(-1.0, 0.0, size=n)
@@ -175,11 +159,11 @@ class TestAntithetic:
 
 class TestStateValidation:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ControlVariateState(mode="antithetic")
+        with pytest.raises(ValueError, match="cv_mode"):
+            TrainingConfig(cv_mode="antithetic")
 
     def test_average_feedback(self):
-        state = ControlVariateState(mode="baseline")
+        state = ControlVariateState()
         assert state.average_feedback == 0.0
         state.register_feedback(-0.4)
         state.register_feedback(-0.8)

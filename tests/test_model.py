@@ -231,10 +231,6 @@ class TestOutputDistribution:
             assert np.array_equal(np.argsort(-scored, kind="stable"),
                                   pos_desc[::-1])
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            sequence_log_prob([3], [3], tiny_params(), mode="inverted")
-
 
 class TestSequenceLogProb:
     def test_known_step_probabilities(self):
@@ -271,6 +267,25 @@ class TestSequenceLogProb:
         report = finite_difference_check(
             lambda p: sequence_log_prob([3, 4, 5], [4, 3, 1], params),
             params.tensors, step=1e-5, tolerance=1e-4)
+        assert report.passed, report.max_rel_error
+
+    def test_gradient_under_dropout_matches_finite_differences(self):
+        # a fresh generator per evaluation draws the same masks each time,
+        # so the masked function is deterministic and differentiable
+        params = tiny_params(seed=13)
+
+        def log_prob(p):
+            dropout = (0.3, np.random.default_rng(8))
+            return sequence_log_prob([3, 4, 5], [4, 3, 1], params,
+                                     dropout=dropout)
+
+        with Tape():
+            masked = float(log_prob(params).data)
+            plain = float(sequence_log_prob([3, 4, 5], [4, 3, 1],
+                                            params).data)
+        assert masked != plain
+        report = finite_difference_check(log_prob, params.tensors, step=1e-5,
+                                         tolerance=1e-4)
         assert report.passed, report.max_rel_error
 
 

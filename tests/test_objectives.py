@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,22 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditseq.autodiff import finite_difference_check, neg
+from banditseq.autodiff import Tape, finite_difference_check, neg
 from banditseq.model import (
     END,
     ModelParams,
     SampledSequence,
+    pair_log_prob,
     sample_pair,
     sample_sequence,
     sequence_log_prob,
 )
 from banditseq.objectives import (
-    GradientEstimate,
+    ControlVariateState,
     OptimizerState,
     SgdState,
     TrainingConfig,
     TrainingDiverged,
     adam_update,
+    apply_score_function_cv,
     bandit_train_loop,
     clip_gradient,
     el_gradient,
@@ -37,25 +40,25 @@ from banditseq.oracles import (
     exact_risk_and_grad,
 )
 
-from conftest import max_abs, random_source, relative_gap, tiny_params
+from conftest import max_abs, max_abs_diff, relative_gap, tiny_params
 
 
 class TestMleLossAndGrad:
     def test_uniform_model_per_token_loss(self):
         # zero parameters -> uniform over the 4 ids; two predicted tokens
         params = ModelParams(4, 3, 4, init="zeros")
-        loss, est = mle_loss_and_grad([3], [3, END], params)
+        loss, grads = mle_loss_and_grad([3], [3, END], params)
         assert loss == pytest.approx(2 * math.log(4), abs=1e-12)
-        assert est.kind == "mle"
+        assert set(grads) == set(params.tensors)
 
     def test_peaked_model_near_zero_loss_and_gradient(self):
         params = ModelParams(6, 3, 4, init="zeros")
         bias = np.zeros(6)
         bias[4] = 50.0
         params["out.b"].data = bias
-        loss, est = mle_loss_and_grad([3], [4, 4], params)
+        loss, grads = mle_loss_and_grad([3], [4, 4], params)
         assert loss < 1e-8
-        assert max_abs(est.grads) < 1e-8
+        assert max_abs(grads) < 1e-8
 
     def test_gradient_matches_finite_differences(self):
         params = tiny_params(seed=21)
@@ -69,21 +72,28 @@ class TestMleLossAndGrad:
             mle_loss_and_grad([3], [], tiny_params())
 
 
+def _feedback_times(feedback, score):
+    # with no history the sf variate's coefficient is zero, so this is the
+    # plain estimate feedback * score
+    return apply_score_function_cv(feedback, score, ControlVariateState())
+
+
 class TestElGradient:
     def test_zero_feedback_zero_gradient(self, rng):
         params = tiny_params(seed=22)
         sample = sample_sequence([3, 4], params, 3, rng)
-        est, score = el_gradient([3, 4], sample, 0.0, params)
-        assert max_abs(est.grads) == 0.0
+        score = el_gradient([3, 4], sample, params)
+        assert max_abs(_feedback_times(0.0, score)) == 0.0
         assert max_abs(score) > 0.0
 
     def test_linear_in_feedback(self, rng):
         params = tiny_params(seed=23)
         sample = sample_sequence([3, 4], params, 3, rng)
-        pos, _ = el_gradient([3, 4], sample, 1.0, params)
-        neg, _ = el_gradient([3, 4], sample, -1.0, params)
-        for name in pos.grads:
-            assert np.array_equal(pos.grads[name], -neg.grads[name])
+        score = el_gradient([3, 4], sample, params)
+        pos = _feedback_times(1.0, score)
+        neg = _feedback_times(-1.0, score)
+        for name in pos:
+            assert np.array_equal(pos[name], -neg[name])
 
     def test_unbiased_for_exact_risk(self, rng):
         src = [3, 4]
@@ -96,10 +106,10 @@ class TestElGradient:
             acc = {k: np.zeros_like(v) for k, v in exact.items()}
             for tokens, lp in seqs:
                 sample = SampledSequence(list(tokens), lp)
-                est, _ = el_gradient(src, sample, table[tuple(tokens)], params)
+                score = el_gradient(src, sample, params)
                 p = np.exp(lp)
                 for k in acc:
-                    acc[k] += p * est.grads[k]
+                    acc[k] += p * table[tuple(tokens)] * score[k]
             assert relative_gap(acc, exact) < 1e-5
 
 
@@ -138,17 +148,24 @@ class TestPrGradient:
     def test_zero_feedback_zero_gradient(self, rng):
         params = tiny_params(seed=24)
         pair = sample_pair([3, 4], params, 2, rng)
-        est, score = pr_gradient([3, 4], pair, 0.0, params)
-        assert max_abs(est.grads) == 0.0
+        score, _ = pr_gradient([3, 4], pair, params)
+        assert max_abs(_feedback_times(0.0, score)) == 0.0
+        assert max_abs(score) > 0.0
 
     def test_parts_sum_to_score(self, rng):
+        # reference: one backward pass through the pair's joint
+        # log-probability, so dropping or doubling a half shows
         params = tiny_params(seed=25)
-        pair = sample_pair([3, 4], params, 2, rng)
-        est, score, (g_pos, g_neg) = pr_gradient([3, 4], pair, 0.5, params,
-                                                 want_parts=True)
-        for name in score:
-            assert np.max(np.abs(score[name] - g_pos[name] - g_neg[name])) \
-                < 1e-12
+        for _ in range(5):
+            pair = sample_pair([3, 4], params, 3, rng)
+            score, (g_pos, _) = pr_gradient([3, 4], pair, params)
+            with Tape() as tape:
+                lp_pos, lp_neg = pair_log_prob([3, 4], pair, params)
+                joint = lp_pos + lp_neg
+            want = tape.backward(joint, params.tensors)
+            assert max_abs_diff(score, want) <= 1e-12
+            assert max_abs_diff(g_pos, tape.backward(lp_pos, params.tensors)) \
+                == 0.0
 
     def test_pair_outcome_probabilities_sum_to_one(self):
         params = tiny_params(seed=26)
@@ -176,9 +193,9 @@ class TestPrGradient:
             fb = pair_delta(pair.tokens_pos, pair.tokens_neg)
             if fb == 0.0:
                 continue
-            est, _ = pr_gradient(src, pair, fb, params)
+            score, _ = pr_gradient(src, pair, params)
             for k in acc:
-                acc[k] += prob * est.grads[k]
+                acc[k] += prob * fb * score[k]
         assert relative_gap(acc, exact) < 1e-5
 
 
@@ -302,6 +319,9 @@ class TestExactRisk:
         assert abs(mean - risk) <= 4 * max(se, 1e-6)
 
 
+LOOP_MODES = list(itertools.product(["el", "pr"], ["none", "baseline", "sf"]))
+
+
 def _toy_stream(sources):
     def gen():
         while True:
@@ -336,11 +356,12 @@ class TestBanditTrainLoop:
         for name, t in params.tensors.items():
             assert np.array_equal(t.data, before[name])
 
-    def test_el_loop_runs_and_logs(self):
-        params, cfg = self._setup(iters=8)
+    @pytest.mark.parametrize("objective,cv", LOOP_MODES)
+    def test_loop_runs_and_logs(self, objective, cv):
+        params, cfg = self._setup(objective=objective, cv=cv, iters=8)
         calls = []
 
-        def feedback(sid, tokens):
+        def feedback(sid, tokens, *perturbed):
             calls.append(sid)
             return -0.5 if 4 in tokens else -0.1
 
@@ -352,6 +373,9 @@ class TestBanditTrainLoop:
         assert (4, "mean_feedback") in metrics
         assert (8, "grad_norm") in metrics
         assert (0, "ggleu") in metrics
+        assert ((8, "cv_chat_mean") in metrics) == (cv == "sf")
+        assert ((8, "antithetic_cov_mean") in metrics) == (objective == "pr")
+        assert all(math.isfinite(r["value"]) for r in result.rows)
 
     def test_pr_loop_reports_antithetic_covariance(self):
         params, cfg = self._setup(objective="pr", iters=4)
@@ -379,14 +403,42 @@ class TestBanditTrainLoop:
             bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
                               lambda sid, toks: float("nan"))
 
-    def test_metrics_deterministic_across_runs(self):
+    @pytest.mark.parametrize("objective,cv", LOOP_MODES)
+    def test_rows_and_parameters_deterministic(self, objective, cv):
         rows = []
+        values = []
         for _ in range(2):
-            params, cfg = self._setup(iters=10)
+            params, cfg = self._setup(objective=objective, cv=cv, iters=10)
             result = bandit_train_loop(cfg, params, _toy_stream([[3, 4], [5]]),
-                                       lambda sid, toks: -0.3 * len(toks))
+                                       lambda sid, toks, *_: -0.3 * len(toks))
             rows.append(result.rows)
+            values.append(params.copy_values())
         assert rows[0] == rows[1]
+        assert max_abs_diff(values[0], values[1]) == 0.0
+
+    @pytest.mark.parametrize("objective", ["el", "pr"])
+    def test_first_baseline_update_leaves_parameters(self, objective):
+        # with the current feedback in the average, the first centred
+        # feedback is exactly zero, and Adam turns a zero gradient into a
+        # zero step
+        params, cfg = self._setup(objective=objective, cv="baseline", iters=1)
+        before = params.copy_values()
+        bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
+                          lambda sid, *samples: -0.7)
+        assert max_abs_diff(params.copy_values(), before) == 0.0
+
+    @pytest.mark.parametrize("objective", ["el", "pr"])
+    def test_first_sf_update_matches_plain_update(self, objective):
+        # no history yet, so chat = 0 and the sf update is feedback * score
+        moved = []
+        for cv in ("none", "sf"):
+            params, cfg = self._setup(objective=objective, cv=cv, iters=1)
+            before = params.copy_values()
+            bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
+                              lambda sid, *samples: -0.7)
+            moved.append(params.copy_values())
+        assert max_abs_diff(moved[0], before) > 0.0
+        assert max_abs_diff(moved[0], moved[1]) == 0.0
 
     def test_sgd_fallback(self):
         params, cfg = self._setup(iters=3, optimizer="sgd")
@@ -400,10 +452,10 @@ class TestBanditTrainLoop:
         with pytest.raises(ValueError):
             TrainingConfig(objective="mle")
 
-
-class TestGradientEstimate:
-    def test_fields(self):
-        est = GradientEstimate(grads={"x": np.zeros(2)}, feedback=-0.5,
-                               kind="el")
-        assert est.feedback == -0.5
-        assert est.kind == "el"
+    @pytest.mark.parametrize("key,value", [
+        ("iters", -1), ("valid_interval", 0), ("max_len", 0),
+        ("clip_norm", 0.0), ("optimizer", "rmsprop"),
+    ])
+    def test_out_of_range_setting_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainingConfig(**{key: value})

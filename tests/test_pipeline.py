@@ -98,6 +98,22 @@ class TestTrainMle:
         assert rows[-1]["metric"] in ("ggleu", "bleu", "ggleu_unk",
                                       "bleu_unk", "mle_loss")
 
+    def test_dropout_is_seeded_and_changes_training(self):
+        pairs = [(["a", "b"], ["x", "y"]), (["c"], ["z"]), (["b"], ["y"])]
+        corpus = Corpus(pairs=pairs, domain="a", split="train")
+        vocab = Vocabulary.from_corpus(corpus.sources + corpus.targets)
+        trained = {}
+        for name, rate in (("first", 0.3), ("rerun", 0.3), ("plain", 0.0)):
+            cfg = RunConfig(embedding_size=6, hidden_size=6, mle_epochs=2,
+                            mle_batch=2, mle_alpha=1e-2, max_len=4, seed=5,
+                            dropout=rate)
+            params, _ = train_mle(cfg, vocab, corpus, corpus)
+            trained[name] = params.copy_values()
+        for name, value in trained["first"].items():
+            assert value.tobytes() == trained["rerun"][name].tobytes()
+        assert any(not np.array_equal(value, trained["plain"][name])
+                   for name, value in trained["first"].items())
+
 
 class TestRunPipeline:
     def test_full_tiny_pipeline_artifacts(self, tmp_path):
