@@ -46,6 +46,10 @@ __all__ = [
     "gru_cell",
     "attention_weights",
     "weighted_rows",
+    "matvec_rows",
+    "gru_values",
+    "attention_values",
+    "weighted_rows_values",
     "token_log_prob",
     "finite_difference_check",
     "FiniteDifferenceReport",
@@ -232,7 +236,7 @@ def matvec(m, v):
         _accum(m, _outer(g, v.data))
         _accum(v, m.data.T @ g)
 
-    return _make(m.data @ v.data, backward)
+    return _make(matvec_rows(m.data, v.data), backward)
 
 
 def dot(a, b):
@@ -429,6 +433,47 @@ def embedding_lookup(table, index):
 
 
 # ---------------------------------------------------------------------------
+# Forward values on plain arrays, shared by the fused ops below and by the
+# graph-free decoder. Leading axes are batch axes. Every matrix product goes
+# through ``matvec_rows``, one BLAS matrix-vector call per row: a row's result
+# then does not depend on the batch it sits in, and a batch of one equals the
+# unbatched op bit for bit. One GEMM over all rows would round differently.
+# ---------------------------------------------------------------------------
+
+
+def matvec_rows(m, x):
+    """``m @ x`` for every row ``x[..., :]``."""
+    if x.ndim > 1 and x.shape[-2] > 1:
+        return (x[..., None, :] @ m.T)[..., 0, :]
+    return x @ m.T  # a single row is one matrix-vector call already
+
+
+def weighted_rows_values(alpha, rows):
+    """``alpha @ rows`` for every row of weights over its own matrix."""
+    return (alpha[..., None, :] @ rows)[..., 0, :]
+
+
+def gru_values(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
+    """The GRU transition of :func:`gru_cell` on arrays; returns the new
+    state and the intermediates ``(h', z, r, r*h, c)``."""
+    z = _sigmoid_values(matvec_rows(wz, x) + matvec_rows(uz, h) + bz)
+    r = _sigmoid_values(matvec_rows(wr, x) + matvec_rows(ur, h) + br)
+    rh = r * h
+    c = np.tanh(matvec_rows(wh, x) + matvec_rows(uh, rh) + bh)
+    return (1.0 - z) * h + z * c, z, r, rh, c
+
+
+def attention_values(state, proj, w, v):
+    """The alignment weights of :func:`attention_weights` on arrays, for
+    ``proj`` [..., T, A] and ``state`` [..., H]; returns ``(alpha, t)`` with
+    ``t = tanh(proj + W state)``."""
+    t = np.tanh(proj + matvec_rows(w, state)[..., None, :])
+    e = t @ v
+    ex = np.exp(e - e.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True), t
+
+
+# ---------------------------------------------------------------------------
 # Fused operations. Recurrent models spend their time in a handful of fixed
 # patterns; recording those as single nodes with hand-written reverse rules
 # keeps graphs per training example small. Each fused rule is checked
@@ -461,11 +506,8 @@ def gru_cell(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
     wr, ur, br = _as_tensor(wr), _as_tensor(ur), _as_tensor(br)
     wh, uh, bh = _as_tensor(wh), _as_tensor(uh), _as_tensor(bh)
     xd, hd = x.data, h.data
-    z = _sigmoid_values(wz.data @ xd + uz.data @ hd + bz.data)
-    r = _sigmoid_values(wr.data @ xd + ur.data @ hd + br.data)
-    rh = r * hd
-    c = np.tanh(wh.data @ xd + uh.data @ rh + bh.data)
-    out = (1.0 - z) * hd + z * c
+    out, z, r, rh, c = gru_values(xd, hd, wz.data, uz.data, bz.data, wr.data,
+                                  ur.data, br.data, wh.data, uh.data, bh.data)
 
     def backward(g):
         dz = g * (c - hd)
@@ -506,12 +548,7 @@ def attention_weights(state, proj, w, v):
             f"attention_weights: projection {proj.shape} does not match "
             f"energy vector {v.shape}"
         )
-    q = w.data @ state.data
-    t = np.tanh(proj.data + q)
-    e = t @ v.data
-    m = e.max()
-    ex = np.exp(e - m)
-    alpha = ex / ex.sum()
+    alpha, t = attention_values(state.data, proj.data, w.data, v.data)
 
     def backward(g):
         de = alpha * (g - g @ alpha)
@@ -539,7 +576,7 @@ def weighted_rows(alpha, rows):
         _accum(alpha, rows.data @ g)
         _accum(rows, _outer(alpha.data, g))
 
-    return _make(alpha.data @ rows.data, backward)
+    return _make(weighted_rows_values(alpha.data, rows.data), backward)
 
 
 def token_log_prob(logits, token, negated=False):

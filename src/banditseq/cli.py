@@ -23,8 +23,7 @@ import sys
 import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint
-from .config import ConfigError, RunConfig, load_config
-from .data import read_parallel
+from .config import ConfigError, load_config
 from .model import ModelParams, sample_pair, sample_sequence, \
     sequence_log_prob
 from .objectives import TrainingDiverged

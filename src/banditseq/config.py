@@ -115,6 +115,8 @@ class RunConfig:
             raise ConfigError("runs must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
+        if self.sgd_decay < 0:
+            raise ConfigError("sgd_decay must be >= 0")
 
     def stage_list(self):
         return [s.strip() for s in self.stages.split(",") if s.strip()]

@@ -23,6 +23,17 @@ sampling additionally rolls a greedy sequence, conditions *both* pair
 members on that greedy prefix, and swaps in the negative distribution at a
 single uniformly chosen position. Scoring a sample for a gradient replays it
 teacher-forced with a graph (:func:`forced_logits`).
+
+The roll-out is batched: greedy decoding runs a whole corpus through it,
+the samplers a batch of one. The recurrence stays sequential, but each step
+is one array operation over every sentence still running. Sources are
+grouped by length, so the encoder and the attention need no padding and no
+mask, and a row leaves the batch once its policy stops it. Every product of
+a weight matrix with a row is its own matrix-vector call
+(:func:`~banditseq.autodiff.matvec_rows`), exactly the call the graph
+makes for one sentence: one GEMM over the batch would round differently,
+and batched outputs would no longer equal the per-sentence ones bit for
+bit.
 """
 
 from __future__ import annotations
@@ -35,20 +46,23 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    attention_values,
     attention_weights,
     concat,
     constant,
     embedding_lookup,
     gru_cell,
+    gru_values,
     matmul,
     matvec,
+    matvec_rows,
     mul,
-    no_grad,
     parameter,
     stack_rows,
     tanh,
     token_log_prob,
     weighted_rows,
+    weighted_rows_values,
 )
 
 START, END, UNK = 0, 1, 2
@@ -397,43 +411,95 @@ def _draw(probs, rng):
     return min(idx, len(probs) - 1)
 
 
-def rollout(source, params, max_len, policy):
-    """Run the decoder for up to ``max_len`` steps without recording a graph.
+def _encode_values(ids, p):
+    """Graph-free :func:`encode_full` of equal-length sources ``ids``
+    [n, L] with parameter arrays ``p``; returns the encoder states
+    [n, L, 2H], their attention projections [n, L, A] and the decoder's
+    initial states [n, H]."""
+    vocab = len(p["src_emb"])
+    if ids.min() < 0 or ids.max() >= vocab:
+        bad = ids[(ids < 0) | (ids >= vocab)][0]
+        raise IndexError(f"rollout: source id {bad} out of range for "
+                         f"vocabulary size {vocab}")
+    emb = p["src_emb"][ids]
+    n, length = ids.shape
+    h_dim = len(p["dec_init.b"])
+    matrix = np.empty((n, length, 2 * h_dim))
+    h = np.zeros((n, h_dim))
+    for t in range(length):
+        h = gru_values(emb[:, t], h, *p["enc_fwd"])[0]
+        matrix[:, t, :h_dim] = h
+    h = np.zeros((n, h_dim))
+    for t in reversed(range(length)):
+        h = gru_values(emb[:, t], h, *p["enc_bwd"])[0]
+        matrix[:, t, h_dim:] = h
+    init = np.tanh(matvec_rows(p["dec_init.W"], h) + p["dec_init.b"])
+    return matrix, matrix @ p["att.U"], init
 
-    Each step passes its logit values and attention weights to
-    ``policy(logits, alpha)``, which returns the token fed to the next step,
-    or None to stop. Greedy decoding, sampling and pair sampling are
-    policies over this one loop.
+
+def rollout(sources, params, max_len, policy):
+    """Run the decoder over a batch of sources for up to ``max_len`` steps,
+    on arrays only (no graph is recorded).
+
+    Sources of equal length run together, one array operation per step for
+    all of them. Each step calls ``policy(rows, logits, alpha)`` with the
+    indices into ``sources`` of the rows still running, their logits
+    [n, V] and attention weights [n, T]. The policy returns the tokens fed
+    to those rows' next step and a boolean mask of the rows that go on.
+    Greedy decoding, sampling and pair sampling are policies over this one
+    loop.
     """
-    with no_grad():
-        enc = encode_full(source, params)
-        state = enc.init_state
-        prev = START
+    p = {name: t.data for name, t in params.tensors.items()}
+    for prefix in ("enc_fwd", "enc_bwd", "dec"):
+        p[prefix] = [p[f"{prefix}.{s}"] for s in ModelParams.GRU_SUFFIXES]
+    by_length = {}
+    for i, source in enumerate(sources):
+        if len(source) == 0:
+            raise ValueError("rollout: source sequences must be non-empty")
+        by_length.setdefault(len(source), []).append(i)
+    for rows in by_length.values():
+        rows = np.array(rows)
+        ids = np.array([sources[i] for i in rows], dtype=np.int64)
+        matrix, proj, state = _encode_values(ids, p)
+        prev = np.full(len(rows), START)
         for _ in range(max_len):
-            logits, state, alpha = decoder_step(prev, state, enc, params)
-            prev = policy(logits.data, alpha.data)
-            if prev is None:
-                break
+            alpha = attention_values(state, proj, p["att.W"], p["att.v"])[0]
+            context = weighted_rows_values(alpha, matrix)
+            x = np.concatenate([p["tgt_emb"][prev], context], axis=1)
+            state = gru_values(x, state, *p["dec"])[0]
+            logits = matvec_rows(p["out.W"], np.concatenate(
+                [state, context], axis=1)) + p["out.b"]
+            prev, keep = policy(rows, logits, alpha)
+            prev = np.asarray(prev)
+            keep = np.asarray(keep, dtype=bool)
+            if not keep.all():
+                if not keep.any():
+                    break
+                rows, prev, state = rows[keep], prev[keep], state[keep]
+                matrix, proj = matrix[keep], proj[keep]
 
 
-def greedy_decode(source, params, max_len, return_attention=False):
-    """Deterministic decode: argmax token each step (ties -> lowest id),
-    stopping after END or ``max_len`` tokens. END, when reached, is kept as
-    the final token."""
+def greedy_decode(sources, params, max_len, return_attention=False):
+    """Deterministic decode of each source: argmax token each step (ties ->
+    lowest id), stopping after END or ``max_len`` tokens. END, when
+    reached, is kept as the final token. Returns one token list per source,
+    in order, or with ``return_attention`` one ``(tokens, attention)``
+    pair per source holding each step's attention weights."""
     if max_len < 1:
         raise ValueError("greedy_decode: max_len must be >= 1")
-    tokens = []
-    attention = []
+    tokens = [[] for _ in sources]
+    attention = [[] for _ in sources]
 
-    def argmax(logits, alpha):
-        tok = int(np.argmax(logits))
-        tokens.append(tok)
-        attention.append(alpha)
-        return None if tok == END else tok
+    def argmax(rows, logits, alpha):
+        best = logits.argmax(axis=1)
+        for row, tok, weights in zip(rows.tolist(), best.tolist(), alpha):
+            tokens[row].append(tok)
+            attention[row].append(weights)
+        return best, best != END
 
-    rollout(source, params, max_len, argmax)
+    rollout(sources, params, max_len, argmax)
     if return_attention:
-        return tokens, attention
+        return list(zip(tokens, attention))
     return tokens
 
 
@@ -444,15 +510,15 @@ def sample_sequence(source, params, max_len, rng):
     tokens = []
     log_prob = 0.0
 
-    def draw(logits, _):
+    def draw(_, logits, __):
         nonlocal log_prob
-        log_p = output_log_probs(logits)
+        log_p = output_log_probs(logits[0])
         tok = _draw(np.exp(log_p), rng)
         log_prob += float(log_p[tok])
         tokens.append(tok)
-        return None if tok == END else tok
+        return (tok,), (tok != END,)
 
-    rollout(source, params, max_len, draw)
+    rollout([source], params, max_len, draw)
     return SampledSequence(tokens=tokens, log_prob=log_prob)
 
 
@@ -475,8 +541,9 @@ def sample_pair(source, params, max_len, rng):
     greedy = []
     log_prob = 0.0
 
-    def draw_pair(logits, _):
+    def draw_pair(_, logits, __):
         nonlocal log_prob
+        logits = logits[0]
         log_p_pos = output_log_probs(logits)
         p_pos = np.exp(log_p_pos)
         w = _draw(p_pos, rng)
@@ -491,8 +558,8 @@ def sample_pair(source, params, max_len, rng):
         tokens_pos.append(w)
         tokens_neg.append(w_prime)
         greedy.append(int(np.argmax(logits)))
-        return greedy[-1]
+        return greedy[-1:], (True,)
 
-    rollout(source, params, max_len, draw_pair)
+    rollout([source], params, max_len, draw_pair)
     return SampledPair(tokens_pos=tokens_pos, tokens_neg=tokens_neg,
                        greedy=greedy, position=position, log_prob=log_prob)

@@ -369,6 +369,8 @@ class TrainingConfig:
             raise ValueError("max_len must be >= 1")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
+        if self.sgd_decay < 0:
+            raise ValueError("sgd_decay must be >= 0")
         if self.objective not in ("el", "pr"):
             raise ValueError(f"bandit objective must be el or pr, got "
                              f"{self.objective!r}")

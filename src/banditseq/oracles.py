@@ -104,13 +104,14 @@ def _greedy_prefix(source, params, t_y):
     sampling, with the positive and negative log-distributions per step."""
     greedy, log_pos, log_neg = [], [], []
 
-    def follow_argmax(logits, _):
+    def follow_argmax(_, logits, __):
+        logits = logits[0]
         log_pos.append(output_log_probs(logits))
         log_neg.append(output_log_probs(logits, negated=True))
         greedy.append(int(np.argmax(logits)))
-        return greedy[-1]
+        return greedy[-1:], (True,)
 
-    rollout(source, params, t_y, follow_argmax)
+    rollout([source], params, t_y, follow_argmax)
     return greedy, log_pos, log_neg
 
 

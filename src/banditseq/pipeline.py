@@ -91,9 +91,9 @@ def evaluate_on_corpus(params, vocab, corpus, max_len, max_n=4):
     decoded with UNK replacement); scores carry ggleu/bleu for both."""
     hyps = []
     hyps_unk = []
-    for src_tokens in corpus.sources:
-        out_ids, attn = greedy_decode(vocab.encode(src_tokens), params,
-                                      max_len, return_attention=True)
+    decoded = greedy_decode([vocab.encode(src) for src in corpus.sources],
+                            params, max_len, return_attention=True)
+    for src_tokens, (out_ids, attn) in zip(corpus.sources, decoded):
         # greedy decoding stops after END, so END can only come last
         kept = [(tok, a) for tok, a in zip(out_ids, attn)
                 if tok not in (START, END)]
@@ -110,10 +110,8 @@ def _make_validator(vocab, corpus, max_len, max_n):
     sources = [vocab.encode(src) for src in corpus.sources]
 
     def validate(params):
-        hyps = []
-        for src_ids in sources:
-            out_ids = greedy_decode(src_ids, params, max_len)
-            hyps.append(vocab.decode(clean_hypothesis(out_ids)))
+        hyps = [vocab.decode(clean_hypothesis(out_ids))
+                for out_ids in greedy_decode(sources, params, max_len)]
         return _scores(hyps, corpus.targets, max_n)
 
     return validate

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from banditseq import autodiff as ad
 from banditseq.autodiff import (
     ShapeError,
     Tape,

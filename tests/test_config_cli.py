@@ -2,7 +2,6 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from banditseq.cli import main
@@ -63,7 +62,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("mle_batch", 0), ("max_len", 0), ("ggleu_max_n", 0),
         ("embedding_size", 0), ("hidden_size", -1), ("mle_epochs", -1),
-        ("dropout", 1.0), ("dropout", -0.1),
+        ("dropout", 1.0), ("dropout", -0.1), ("sgd_decay", -1.0),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):

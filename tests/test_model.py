@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from banditseq.autodiff import Tape, constant, finite_difference_check, \
-    matmul, stack_rows, token_log_prob
+    matmul, no_grad, stack_rows, token_log_prob
 from banditseq.model import (
     END,
     START,
@@ -13,6 +13,7 @@ from banditseq.model import (
     attention_context,
     decoder_step,
     encode_full,
+    forced_logits,
     greedy_decode,
     output_log_probs,
     pair_log_prob,
@@ -292,7 +293,7 @@ class TestSequenceLogProb:
 class TestGreedyDecode:
     def test_zero_parameters_tie_break_lowest_id(self):
         params = ModelParams(6, 3, 4, init="zeros")
-        assert greedy_decode([3], params, 4) == [0, 0, 0, 0]
+        assert greedy_decode([[3]], params, 4) == [[0, 0, 0, 0]]
 
     def test_mass_concentrated_model_recovers_sequence(self):
         # bias the output layer so token 4 dominates, END after is blocked
@@ -301,26 +302,105 @@ class TestGreedyDecode:
         bias = np.zeros(6)
         bias[4] = 40.0
         params["out.b"].data = bias
-        assert greedy_decode([3], params, 3) == [4, 4, 4]
+        assert greedy_decode([[3]], params, 3) == [[4, 4, 4]]
 
     def test_stops_at_end(self):
         params = ModelParams(6, 3, 4, init="zeros")
         bias = np.zeros(6)
         bias[END] = 40.0
         params["out.b"].data = bias
-        assert greedy_decode([3], params, 5) == [END]
+        assert greedy_decode([[3]], params, 5) == [[END]]
 
     def test_rerun_identical(self, rng):
         params = tiny_params(seed=12)
         src = random_source(rng)
-        assert greedy_decode(src, params, 6) == greedy_decode(src, params, 6)
+        assert greedy_decode([src], params, 6) == greedy_decode([src], params, 6)
 
     def test_attention_vectors_align(self, rng):
         params = tiny_params(seed=12)
         src = random_source(rng, length=4)
-        tokens, attn = greedy_decode(src, params, 6, return_attention=True)
+        [(tokens, attn)] = greedy_decode([src], params, 6,
+                                         return_attention=True)
         assert len(tokens) == len(attn)
         assert all(a.shape == (4,) for a in attn)
+
+
+def _doubled_model(rng, seed):
+    """A random tiny model whose greedy token changes from step to step
+    (doubled weights) and that sometimes stops early (END bias)."""
+    vocab = int(rng.integers(6, 12))
+    params = tiny_params(vocab_size=vocab, seed=seed)
+    for t in params.tensors.values():
+        t.data *= 2.0
+    params["out.b"].data[END] += rng.uniform(0.0, 1.0)
+    return params
+
+
+def _shuffled_batch(rng, vocab, size=12):
+    # lengths 1-5, each at least twice, in shuffled order
+    lengths = [1, 2, 3, 4, 5, *rng.integers(1, 6, size=size - 5)]
+    lengths = [lengths[i] for i in rng.permutation(len(lengths))]
+    return [random_source(rng, vocab_size=vocab, length=int(n))
+            for n in lengths]
+
+
+class TestBatchedRollout:
+    def test_policy_sees_teacher_forced_logits(self, rng):
+        # every row, every step: the logits the batched roll-out hands the
+        # policy equal the graph's logits replayed on what that row was fed
+        stops = {"full": 0, "early": 0}
+        for seed in range(20):
+            params = _doubled_model(rng, 700 + seed)
+            sources = _shuffled_batch(rng, params.vocab_size)
+            max_len = int(rng.integers(2, 8))
+            seen = {i: [] for i in range(len(sources))}
+
+            def argmax(rows, logits, alpha):
+                assert logits.shape == (len(rows), params.vocab_size)
+                assert alpha.shape == (len(rows),
+                                       len(sources[int(rows[0])]))
+                best = logits.argmax(axis=1)
+                for row, lg, tok in zip(rows, logits, best):
+                    seen[int(row)].append((lg.copy(), int(tok)))
+                return best, best != END
+
+            rollout(sources, params, max_len, argmax)
+            for i, steps in seen.items():
+                fed = [START] + [tok for _, tok in steps[:-1]]
+                with no_grad():
+                    forced = forced_logits(sources[i], fed, params)
+                assert len(forced) == len(steps)
+                for (lg, _), want in zip(steps, forced):
+                    assert np.array_equal(lg, want.data)
+                stops["full" if len(steps) == max_len else "early"] += 1
+        assert min(stops.values()) >= 20, stops
+
+    def test_greedy_decode_keeps_order_and_equals_single(self, rng):
+        for seed in range(10):
+            params = _doubled_model(rng, 800 + seed)
+            sources = _shuffled_batch(rng, params.vocab_size)
+            batch = greedy_decode(sources, params, 6, return_attention=True)
+            assert len(batch) == len(sources)
+            for src, (tokens, attn) in zip(sources, batch):
+                [(alone, alone_attn)] = greedy_decode([src], params, 6,
+                                                      return_attention=True)
+                assert tokens == alone
+                assert np.array_equal(attn, alone_attn)
+            assert greedy_decode(sources, params, 6) == \
+                [tokens for tokens, _ in batch]
+
+    def test_empty_batch_and_empty_source(self):
+        params = tiny_params(seed=19)
+        assert greedy_decode([], params, 4) == []
+        with pytest.raises(ValueError):
+            greedy_decode([[3, 4], []], params, 4)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_source_id(self, bad):
+        # numpy indexing would wrap -1 to the last row without a check
+        params = tiny_params(seed=19)
+        with pytest.raises(IndexError):
+            greedy_decode([[3], [4, bad]], params, 4)
 
 
 class TestSampling:
@@ -330,7 +410,7 @@ class TestSampling:
         bias[4] = 35.0  # > 30 nats of separation
         params["out.b"].data = bias
         sample = sample_sequence([3], params, 3, rng)
-        assert sample.tokens == greedy_decode([3], params, 3)
+        assert [sample.tokens] == greedy_decode([[3]], params, 3)
 
     def test_fixed_seed_reproducible(self):
         params = tiny_params(seed=13)
@@ -411,17 +491,17 @@ class TestSamplePairs:
             src = random_source(rng, vocab_size=vocab,
                                 length=int(rng.integers(1, 5)))
             max_len = int(rng.integers(2, 9))
-            greedy = greedy_decode(src, params, max_len)
+            [greedy] = greedy_decode([src], params, max_len)
             pair = sample_pair(src, params, max_len, rng)
             assert pair.greedy[:len(greedy)] == greedy
             # past END the pair keeps feeding its argmax tokens
             full = []
 
-            def argmax(logits, _):
-                full.append(int(np.argmax(logits)))
-                return full[-1]
+            def argmax(_, logits, __):
+                full.append(int(np.argmax(logits[0])))
+                return full[-1:], (True,)
 
-            rollout(src, params, max_len, argmax)
+            rollout([src], params, max_len, argmax)
             assert pair.greedy == full
             if len(greedy) == max_len:
                 outcomes["full"] += 1

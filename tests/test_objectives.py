@@ -454,7 +454,7 @@ class TestBanditTrainLoop:
 
     @pytest.mark.parametrize("key,value", [
         ("iters", -1), ("valid_interval", 0), ("max_len", 0),
-        ("clip_norm", 0.0), ("optimizer", "rmsprop"),
+        ("clip_norm", 0.0), ("optimizer", "rmsprop"), ("sgd_decay", -1.0),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):

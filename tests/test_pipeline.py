@@ -6,7 +6,7 @@ import pytest
 
 from banditseq.config import ConfigError, RunConfig
 from banditseq.data import Corpus
-from banditseq.model import ModelParams, Vocabulary
+from banditseq.model import Vocabulary
 from banditseq.pipeline import (
     derive_seed,
     evaluate_on_corpus,
