@@ -1,14 +1,27 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small tape-based autodiff, just rich enough for a GRU encoder-decoder with
-attention: rank-2 matmul, matrix-vector products, the usual elementwise
-functions, softmax/logsumexp, embedding rows, and concatenation. Values are
+A small tape: rank-2 matmul, matrix-vector products, the usual elementwise
+functions, softmax/logsumexp, embedding rows and concatenation. Values are
 numpy float64 arrays; scalars are shape-() arrays. There is no broadcasting
 except scalar-with-tensor, which keeps every reverse rule a one-liner.
 
 A graph is recorded on the active :class:`Tape` (one per training example,
 discarded after backward). Operations called while no tape is active, or
 inside :func:`no_grad`, compute values only.
+
+The model is not built from these ops. Its one forward runs on plain arrays
+(:func:`gru_values`, :func:`attention_values`), and a teacher-forced pass is
+recorded as a single :func:`node` whose reverse rule runs backpropagation
+through time with :func:`gru_grads` and :func:`attention_grads`;
+:func:`log_likelihood` scores token sequences on top of it. Objectives and
+oracles combine scores with ``neg``, ``exp``, ``mul`` and ``add``; the other
+elementary ops serve the tests, which rebuild the model from them.
+
+The reverse pass sums every gradient in the order a tape of one node per
+GRU step, attention and output layer did: steps from last to first.
+Floating-point addition is not associative, so another order (one GEMM over
+time, say) changes the last bits of every gradient and every trained model:
+a deliberate change of numerics, not a refactor.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ __all__ = [
     "no_grad",
     "parameter",
     "constant",
+    "node",
     "matmul",
     "matvec",
     "dot",
@@ -43,14 +57,14 @@ __all__ = [
     "stack",
     "stack_rows",
     "embedding_lookup",
-    "gru_cell",
-    "attention_weights",
-    "weighted_rows",
+    "log_likelihood",
+    "outer",
     "matvec_rows",
     "gru_values",
+    "add_into",
+    "gru_grads",
     "attention_values",
-    "weighted_rows_values",
-    "token_log_prob",
+    "attention_grads",
     "finite_difference_check",
     "FiniteDifferenceReport",
 ]
@@ -209,7 +223,7 @@ def _sigmoid_values(x):
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
-def _outer(a, b):
+def outer(a, b):
     return a[:, None] * b
 
 
@@ -233,7 +247,7 @@ def matvec(m, v):
         raise ShapeError(f"matvec: incompatible shapes {m.shape} and {v.shape}")
 
     def backward(g):
-        _accum(m, _outer(g, v.data))
+        _accum(m, outer(g, v.data))
         _accum(v, m.data.T @ g)
 
     return _make(matvec_rows(m.data, v.data), backward)
@@ -432,56 +446,6 @@ def embedding_lookup(table, index):
     return _make(table.data[index].copy(), backward)
 
 
-# ---------------------------------------------------------------------------
-# Forward values on plain arrays, shared by the fused ops below and by the
-# graph-free decoder. Leading axes are batch axes. Every matrix product goes
-# through ``matvec_rows``, one BLAS matrix-vector call per row: a row's result
-# then does not depend on the batch it sits in, and a batch of one equals the
-# unbatched op bit for bit. One GEMM over all rows would round differently.
-# ---------------------------------------------------------------------------
-
-
-def matvec_rows(m, x):
-    """``m @ x`` for every row ``x[..., :]``."""
-    if x.ndim > 1 and x.shape[-2] > 1:
-        return (x[..., None, :] @ m.T)[..., 0, :]
-    return x @ m.T  # a single row is one matrix-vector call already
-
-
-def weighted_rows_values(alpha, rows):
-    """``alpha @ rows`` for every row of weights over its own matrix."""
-    return (alpha[..., None, :] @ rows)[..., 0, :]
-
-
-def gru_values(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
-    """The GRU transition of :func:`gru_cell` on arrays; returns the new
-    state and the intermediates ``(h', z, r, r*h, c)``."""
-    z = _sigmoid_values(matvec_rows(wz, x) + matvec_rows(uz, h) + bz)
-    r = _sigmoid_values(matvec_rows(wr, x) + matvec_rows(ur, h) + br)
-    rh = r * h
-    c = np.tanh(matvec_rows(wh, x) + matvec_rows(uh, rh) + bh)
-    return (1.0 - z) * h + z * c, z, r, rh, c
-
-
-def attention_values(state, proj, w, v):
-    """The alignment weights of :func:`attention_weights` on arrays, for
-    ``proj`` [..., T, A] and ``state`` [..., H]; returns ``(alpha, t)`` with
-    ``t = tanh(proj + W state)``."""
-    t = np.tanh(proj + matvec_rows(w, state)[..., None, :])
-    e = t @ v
-    ex = np.exp(e - e.max(axis=-1, keepdims=True))
-    return ex / ex.sum(axis=-1, keepdims=True), t
-
-
-# ---------------------------------------------------------------------------
-# Fused operations. Recurrent models spend their time in a handful of fixed
-# patterns; recording those as single nodes with hand-written reverse rules
-# keeps graphs per training example small. Each fused rule is checked
-# against finite differences and against its elementary-op composition in
-# the test suite.
-# ---------------------------------------------------------------------------
-
-
 def stack_rows(vectors):
     """Stack rank-1 tensors of equal length into a rank-2 matrix."""
     vectors = [_as_tensor(v) for v in vectors]
@@ -495,116 +459,138 @@ def stack_rows(vectors):
     return _make(np.stack([v.data for v in vectors]), backward)
 
 
-def gru_cell(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
-    """Full gated-recurrent-unit transition as one node.
-
-    Computes ``z = sig(Wz x + Uz h + bz)``, ``r = sig(Wr x + Ur h + br)``,
-    ``c = tanh(Wh x + Uh (r*h) + bh)`` and returns ``(1-z)*h + z*c``.
-    """
-    x, h = _as_tensor(x), _as_tensor(h)
-    wz, uz, bz = _as_tensor(wz), _as_tensor(uz), _as_tensor(bz)
-    wr, ur, br = _as_tensor(wr), _as_tensor(ur), _as_tensor(br)
-    wh, uh, bh = _as_tensor(wh), _as_tensor(uh), _as_tensor(bh)
-    xd, hd = x.data, h.data
-    out, z, r, rh, c = gru_values(xd, hd, wz.data, uz.data, bz.data, wr.data,
-                                  ur.data, br.data, wh.data, uh.data, bh.data)
-
-    def backward(g):
-        dz = g * (c - hd)
-        da_c = (g * z) * (1.0 - c * c)
-        dh = g * (1.0 - z)
-        _accum(wh, _outer(da_c, xd))
-        _accum(uh, _outer(da_c, rh))
-        _accum(bh, da_c)
-        drh = uh.data.T @ da_c
-        dh += drh * r
-        da_r = (drh * hd) * r * (1.0 - r)
-        _accum(wr, _outer(da_r, xd))
-        _accum(ur, _outer(da_r, hd))
-        _accum(br, da_r)
-        dh += ur.data.T @ da_r
-        da_z = dz * z * (1.0 - z)
-        _accum(wz, _outer(da_z, xd))
-        _accum(uz, _outer(da_z, hd))
-        _accum(bz, da_z)
-        dh += uz.data.T @ da_z
-        _accum(h, dh)
-        _accum(x, wh.data.T @ da_c + wr.data.T @ da_r + wz.data.T @ da_z)
-
-    return _make(out, backward)
-
-
-def attention_weights(state, proj, w, v):
-    """Alignment weights: softmax over ``tanh(proj + W state) . v`` rows.
-
-    ``proj`` is the per-position projection of the encoder states (shape
-    [T, A]); ``state`` is the decoder state the energies are conditioned
-    on. Returns the simplex vector over the T positions.
-    """
-    state, proj = _as_tensor(state), _as_tensor(proj)
-    w, v = _as_tensor(w), _as_tensor(v)
-    if proj.data.ndim != 2 or proj.shape[1] != v.shape[0]:
-        raise ShapeError(
-            f"attention_weights: projection {proj.shape} does not match "
-            f"energy vector {v.shape}"
-        )
-    alpha, t = attention_values(state.data, proj.data, w.data, v.data)
-
-    def backward(g):
-        de = alpha * (g - g @ alpha)
-        dt = _outer(de, v.data)
-        _accum(v, t.T @ de)
-        dp = dt * (1.0 - t * t)
-        _accum(proj, dp)
-        dq = dp.sum(axis=0)
-        _accum(w, _outer(dq, state.data))
-        _accum(state, w.data.T @ dq)
-
-    return _make(alpha, backward)
-
-
-def weighted_rows(alpha, rows):
-    """Convex (or any) combination of matrix rows: ``alpha @ rows``."""
-    alpha, rows = _as_tensor(alpha), _as_tensor(rows)
-    if alpha.data.ndim != 1 or rows.data.ndim != 2 \
-            or alpha.shape[0] != rows.shape[0]:
-        raise ShapeError(
-            f"weighted_rows: incompatible shapes {alpha.shape} and {rows.shape}"
-        )
-
-    def backward(g):
-        _accum(alpha, rows.data @ g)
-        _accum(rows, _outer(alpha.data, g))
-
-    return _make(weighted_rows_values(alpha.data, rows.data), backward)
-
-
-def token_log_prob(logits, token, negated=False):
-    """log softmax(l)[token] with ``l`` the logits or their negation,
-    computed as logit - logsumexp. One node per emitted token."""
+def log_likelihood(logits, tokens, negated_step=0):
+    """Sum over steps t of ``log softmax(l_t)[tokens[t]]``, where ``l_t`` is
+    row t of the logits [T, V], or its negation at the 1-based step
+    ``negated_step``. The step terms are added first to last; one node."""
     logits = _as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ShapeError(f"token_log_prob: expected rank-1 logits, got "
-                         f"{logits.shape}")
-    token = int(token)
-    if not 0 <= token < logits.shape[0]:
-        raise IndexError(
-            f"token_log_prob: token {token} out of range for "
-            f"{logits.shape[0]} logits"
-        )
-    l = -logits.data if negated else logits.data
-    m = l.max()
-    ex = np.exp(l - m)
-    s = ex.sum()
-    out = l[token] - (m + np.log(s))
-    p = ex / s
+    data = logits.data
+    if data.ndim != 2 or data.shape[0] != len(tokens):
+        raise ShapeError(f"log_likelihood: {len(tokens)} tokens for logits "
+                         f"of shape {data.shape}")
+    tokens = [int(tok) for tok in tokens]
+    if tokens and not 0 <= min(tokens) <= max(tokens) < data.shape[1]:
+        raise IndexError(f"log_likelihood: token out of range for "
+                         f"{data.shape[1]} logits")
+    total = None
+    probs = []
+    for t, tok in enumerate(tokens):
+        l = -data[t] if negated_step == t + 1 else data[t]
+        m = l.max()
+        ex = np.exp(l - m)
+        s = ex.sum()
+        term = l[tok] - (m + np.log(s))
+        total = term if total is None else total + term
+        probs.append(ex / s)
 
     def backward(g):
-        dl = (-g) * p
-        dl[token] += g
-        _accum(logits, -dl if negated else dl)
+        d = np.empty_like(data)
+        for t, (tok, p) in enumerate(zip(tokens, probs)):
+            dl = (-g) * p
+            dl[tok] += g
+            d[t] = -dl if negated_step == t + 1 else dl
+        _accum(logits, d)
 
-    return _make(out, backward)
+    return _make(total, backward)
+
+
+def node(data, backward):
+    """Record a node whose reverse rule is written outside this module:
+    ``backward(g)`` returns ``(tensor, gradient)`` pairs of fresh arrays,
+    and each gradient is handed to its tensor or added to what it holds."""
+
+    def rule(g):
+        for t, grad in backward(g):
+            if t.grad is None:
+                t.grad = grad
+            else:
+                t.grad += grad
+
+    return _make(data, rule)
+
+
+# ---------------------------------------------------------------------------
+# The model's layers on plain arrays: forward values and, for one row, their
+# reverse rules. Leading axes are batch axes. Every matrix product goes
+# through ``matvec_rows``, one BLAS matrix-vector call per row: a row's result
+# then does not depend on the batch it sits in, and a batch of one equals a
+# single row bit for bit. One GEMM over all rows would round differently.
+# ---------------------------------------------------------------------------
+
+
+def matvec_rows(m, x):
+    """``m @ x`` for every row ``x[..., :]``."""
+    if x.ndim > 1 and x.shape[-2] > 1:
+        return (x[..., None, :] @ m.T)[..., 0, :]
+    return x @ m.T  # a single row is one matrix-vector call already
+
+
+def gru_values(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
+    """The GRU transition ``z = sig(Wz x + Uz h + bz)``, ``r = sig(Wr x +
+    Ur h + br)``, ``c = tanh(Wh x + Uh (r*h) + bh)``, ``h' = (1-z)*h +
+    z*c``; returns the new state and the intermediates ``(h', z, r, r*h,
+    c)``."""
+    z = _sigmoid_values(matvec_rows(wz, x) + matvec_rows(uz, h) + bz)
+    r = _sigmoid_values(matvec_rows(wr, x) + matvec_rows(ur, h) + br)
+    rh = r * h
+    c = np.tanh(matvec_rows(wh, x) + matvec_rows(uh, rh) + bh)
+    return (1.0 - z) * h + z * c, z, r, rh, c
+
+
+def add_into(sums, key, g):
+    """``sums[key] += g`` in place; the first term, a fresh array, is kept
+    as given. Terms are summed in call order."""
+    if key in sums:
+        sums[key] += g
+    else:
+        sums[key] = g
+
+
+def gru_grads(g, x, h, z, r, rh, c, weights, sums):
+    """Reverse of :func:`gru_values` for one row, given the gradient ``g`` of
+    the new state. Adds the gradients of the nine ``weights`` into ``sums``
+    under their argument positions 0-8, each as soon as it is computed, and
+    returns the gradients of ``h`` and ``x``."""
+    wz, uz, _, wr, ur, _, wh, uh, _ = weights
+    dz = g * (c - h)
+    da_c = (g * z) * (1.0 - c * c)
+    dh = g * (1.0 - z)
+    add_into(sums, 6, outer(da_c, x))
+    add_into(sums, 7, outer(da_c, rh))
+    add_into(sums, 8, da_c)
+    drh = uh.T @ da_c
+    dh += drh * r
+    da_r = (drh * h) * r * (1.0 - r)
+    add_into(sums, 3, outer(da_r, x))
+    add_into(sums, 4, outer(da_r, h))
+    add_into(sums, 5, da_r)
+    dh += ur.T @ da_r
+    da_z = dz * z * (1.0 - z)
+    add_into(sums, 0, outer(da_z, x))
+    add_into(sums, 1, outer(da_z, h))
+    add_into(sums, 2, da_z)
+    dh += uz.T @ da_z
+    return dh, wh.T @ da_c + wr.T @ da_r + wz.T @ da_z
+
+
+def attention_values(state, proj, w, v):
+    """Alignment weights ``softmax(tanh(proj + W state) . v)`` over the T
+    positions of ``proj`` [..., T, A] for ``state`` [..., H]; returns
+    ``(alpha, t)`` with ``t = tanh(proj + W state)``."""
+    t = np.tanh(proj + matvec_rows(w, state)[..., None, :])
+    e = t @ v
+    ex = np.exp(e - e.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True), t
+
+
+def attention_grads(g, alpha, t, state, w, v):
+    """Reverse of :func:`attention_values` for one row, given the gradient
+    ``g`` of ``alpha``: returns the gradients of ``v``, ``proj``, ``w`` and
+    ``state``."""
+    de = alpha * (g - g @ alpha)
+    dp = outer(de, v) * (1.0 - t * t)
+    dq = dp.sum(axis=0)
+    return t.T @ de, dp, outer(dq, state), w.T @ dq
 
 
 @dataclass

@@ -22,6 +22,9 @@ over the target only once it is complete, so an interrupted save leaves the
 previous file as it was. Loading validates the magic, the version, structural
 completeness (truncation is reported with the failing byte offset), and
 that embedding and output shapes agree with the stored vocabulary.
+:meth:`Checkpoint.to_model` then rejects a tensor set that does not fit the
+model, naming the missing, unexpected or mis-shaped tensor. Every one of
+these is a :class:`CheckpointFormatError`.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ VERSION = 1
 
 
 class CheckpointFormatError(ValueError):
-    """Malformed checkpoint file; the message includes the byte offset."""
+    """Malformed checkpoint: the message names the byte offset of a
+    structural error, or the tensor that does not fit the model."""
 
 
 @dataclass
@@ -59,9 +63,16 @@ class Checkpoint:
     version: int = VERSION
 
     def to_model(self):
+        """The model the tensors describe. A tensor that is missing,
+        unexpected or mis-shaped for the vocabulary raises
+        :class:`CheckpointFormatError` naming it."""
         from .model import ModelParams
 
-        return ModelParams.from_tensors(len(self.vocab), self.tensors)
+        try:
+            return ModelParams.from_tensors(len(self.vocab), self.tensors)
+        except (ValueError, IndexError) as exc:
+            raise CheckpointFormatError(
+                f"tensors do not fit the model: {exc}") from exc
 
 
 @contextlib.contextmanager

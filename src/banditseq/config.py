@@ -109,12 +109,14 @@ class RunConfig:
             raise ConfigError("iters must be >= 0")
         if self.valid_interval < 1:
             raise ConfigError("valid_interval must be >= 1")
-        if self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive")
+        for key in ("clip_norm", "adam_alpha", "adam_eps", "mle_alpha"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive")
+        for key in ("dropout", "adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1)")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
         if self.sgd_decay < 0:
             raise ConfigError("sgd_decay must be >= 0")
 

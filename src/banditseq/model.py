@@ -17,23 +17,31 @@ Conventions, fixed once here:
 Two output distributions share the decoder logits ``o``: the positive one is
 ``softmax(o)`` and the negative one ``softmax(-o)``, which orders candidate
 tokens exactly in reverse. Greedy decoding, sampling and pair sampling are
-policies over one graph-free decoder roll-out (:func:`rollout`). Sampling
-draws one sequence token by token from the positive distribution; pair
-sampling additionally rolls a greedy sequence, conditions *both* pair
-members on that greedy prefix, and swaps in the negative distribution at a
-single uniformly chosen position. Scoring a sample for a gradient replays it
-teacher-forced with a graph (:func:`forced_logits`).
+policies over one decoder roll-out (:func:`rollout`). Sampling draws one
+sequence token by token from the positive distribution; pair sampling
+additionally rolls a greedy sequence, conditions *both* pair members on that
+greedy prefix, and swaps in the negative distribution at a single uniformly
+chosen position.
+
+There is one forward: the encoder loop (:func:`encode_full`) and the decoder
+step run on plain arrays, for the roll-out and for scoring alike. Scoring a
+sample for a gradient replays it teacher-forced (:func:`forced_logits`) as a
+batch of one that keeps its per-step values; its reverse pass through time
+is recorded on the tape as a single node, and
+:func:`~banditseq.autodiff.log_likelihood` puts one node per scored
+sequence on top. The reverse pass sums in the order a tape of per-step
+nodes did, so its gradients equal that tape's bit for bit (see
+:mod:`banditseq.autodiff` for why the order is pinned).
 
 The roll-out is batched: greedy decoding runs a whole corpus through it,
 the samplers a batch of one. The recurrence stays sequential, but each step
 is one array operation over every sentence still running. Sources are
 grouped by length, so the encoder and the attention need no padding and no
-mask, and a row leaves the batch once its policy stops it. Every product of
-a weight matrix with a row is its own matrix-vector call
-(:func:`~banditseq.autodiff.matvec_rows`), exactly the call the graph
-makes for one sentence: one GEMM over the batch would round differently,
-and batched outputs would no longer equal the per-sentence ones bit for
-bit.
+mask, and a row leaves the batch once its policy stops it. It keeps no
+per-step values. Every product of a weight matrix with a row is its own
+matrix-vector call (:func:`~banditseq.autodiff.matvec_rows`): one GEMM
+over the batch would round differently, and batched outputs would no
+longer equal the per-sentence ones bit for bit.
 """
 
 from __future__ import annotations
@@ -45,24 +53,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor,
+    add_into,
+    attention_grads,
     attention_values,
-    attention_weights,
-    concat,
-    constant,
-    embedding_lookup,
-    gru_cell,
+    gru_grads,
     gru_values,
-    matmul,
-    matvec,
+    log_likelihood,
     matvec_rows,
-    mul,
+    node,
+    outer,
     parameter,
-    stack_rows,
-    tanh,
-    token_log_prob,
-    weighted_rows,
-    weighted_rows_values,
 )
 
 START, END, UNK = 0, 1, 2
@@ -73,12 +73,9 @@ __all__ = [
     "UNK",
     "Vocabulary",
     "ModelParams",
-    "EncodedSource",
     "SampledSequence",
     "SampledPair",
     "encode_full",
-    "attention_context",
-    "decoder_step",
     "forced_logits",
     "sequence_log_prob",
     "pair_log_prob",
@@ -226,6 +223,14 @@ class ModelParams:
     def __getitem__(self, name):
         return self.tensors[name]
 
+    def arrays(self):
+        """Parameter values by name; each GRU's nine arrays are also listed
+        under its prefix, in :func:`~banditseq.autodiff.gru_values` order."""
+        p = {name: t.data for name, t in self.tensors.items()}
+        for prefix in ("enc_fwd", "enc_bwd", "dec"):
+            p[prefix] = [p[f"{prefix}.{s}"] for s in self.GRU_SUFFIXES]
+        return p
+
     def copy_values(self):
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
@@ -234,122 +239,170 @@ class ModelParams:
             t.data[...] = arrays[name]
 
 
-@dataclass
-class EncodedSource:
-    """Encoder output plus quantities reused across decoder steps."""
-
-    states: list          # per position, concat of fwd and bwd (size 2H)
-    matrix: Tensor        # the same states stacked into [Tx, 2H]
-    att_proj: Tensor      # matrix @ att.U, precomputed, [Tx, A]
-    init_state: Tensor
-
-
-def _mask(size, dropout):
-    """Inverted-dropout mask constant, or None when dropout is off."""
-    if dropout is None:
+def _mask(shape, dropout):
+    """Inverted-dropout mask, or None when dropout is off."""
+    if dropout is None or dropout[0] <= 0.0:
         return None
     rate, rng = dropout
-    if rate <= 0.0:
-        return None
-    keep = (rng.random(size) >= rate).astype(np.float64) / (1.0 - rate)
-    return constant(keep)
+    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
 
 
-def _maybe_mask(x, m):
-    return x if m is None else mul(x, m)
+def _masked(x, mask):
+    return x if mask is None else x * mask
 
 
-def _gru(params, prefix, x, h):
-    return gru_cell(x, h,
-                    params[f"{prefix}.Wz"], params[f"{prefix}.Uz"],
-                    params[f"{prefix}.bz"],
-                    params[f"{prefix}.Wr"], params[f"{prefix}.Ur"],
-                    params[f"{prefix}.br"],
-                    params[f"{prefix}.Wh"], params[f"{prefix}.Uh"],
-                    params[f"{prefix}.bh"])
+def _check_ids(ids, vocab, what):
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        bad = ids[(ids < 0) | (ids >= vocab)][0]
+        raise IndexError(f"{what} id {bad} out of range for vocabulary size "
+                         f"{vocab}")
 
 
-def encode_full(source, params, dropout=None):
-    """Bidirectional encode; also precomputes attention projections and the
-    decoder's initial state."""
-    if len(source) == 0:
-        raise ValueError("encode: source sequence must be non-empty")
-    h_dim = params.hidden_size
-    embs = []
-    for tok in source:
-        x = embedding_lookup(params["src_emb"], tok)
-        embs.append(_maybe_mask(x, _mask(params.embed_size, dropout)))
-    zero = constant(np.zeros(h_dim))
-    fwd = []
-    h = zero
-    for x in embs:
-        h = _gru(params, "enc_fwd", x, h)
-        fwd.append(h)
-    bwd_rev = []
-    h = zero
-    for x in reversed(embs):
-        h = _gru(params, "enc_bwd", x, h)
-        bwd_rev.append(h)
-    bwd = bwd_rev[::-1]
-    states = [concat([f, b]) for f, b in zip(fwd, bwd)]
-    matrix = stack_rows(states)
-    att_proj = matmul(matrix, params["att.U"])
-    init = tanh(matvec(params["dec_init.W"], bwd[0]) + params["dec_init.b"])
-    init = _maybe_mask(init, _mask(h_dim, dropout))
-    return EncodedSource(states=states, matrix=matrix, att_proj=att_proj,
-                         init_state=init)
+def encode_full(sources, p, masks=None, record=None):
+    """Bidirectional encode of equal-length sources ``sources`` [n, L] with
+    the parameter arrays ``p`` (:meth:`ModelParams.arrays`).
 
-
-def attention_context(state, enc, params):
-    """Attention weights over the states of an :class:`EncodedSource` and
-    the resulting context.
-
-    Returns ``(context, alpha)`` where alpha is a softmax over the
-    alignment energies ``v . tanh(W state + U h_t)``.
+    Returns the encoder states [n, L, 2H], their attention projections
+    [n, L, A] and the decoder's initial states [n, H]. ``masks`` [L, E]
+    drops out source embeddings. A ``record`` list receives, per GRU step
+    in the order computed, ``(prefix, position, x, h, z, r, r*h, c)`` for
+    the reverse pass.
     """
-    alpha = attention_weights(state, enc.att_proj, params["att.W"],
-                              params["att.v"])
-    context = weighted_rows(alpha, enc.matrix)
-    return context, alpha
+    ids = np.asarray(sources, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ValueError("encode_full: sources must be equal-length and "
+                         "non-empty")
+    _check_ids(ids, len(p["src_emb"]), "source")
+    emb = _masked(p["src_emb"][ids], masks)
+    n, length = ids.shape
+    h_dim = len(p["dec_init.b"])
+    matrix = np.empty((n, length, 2 * h_dim))
+    for prefix, half, order in (
+            ("enc_fwd", slice(None, h_dim), range(length)),
+            ("enc_bwd", slice(h_dim, None), range(length - 1, -1, -1))):
+        h = np.zeros((n, h_dim))
+        for t in order:
+            x = emb[:, t]
+            gates = gru_values(x, h, *p[prefix])
+            if record is not None:
+                record.append((prefix, t, x, h, *gates[1:]))
+            h = gates[0]
+            matrix[:, t, half] = h
+    init = np.tanh(matvec_rows(p["dec_init.W"], h) + p["dec_init.b"])
+    return matrix, matrix @ p["att.U"], init
 
 
-def decoder_step(prev_id, prev_state, enc, params, dropout=None):
-    """One decoder transition: returns (logits over V, new state, alpha)."""
-    context, alpha = attention_context(prev_state, enc, params)
-    emb = embedding_lookup(params["tgt_emb"], prev_id)
-    emb = _maybe_mask(emb, _mask(params.embed_size, dropout))
-    state = _gru(params, "dec", concat([emb, context]), prev_state)
-    pre_out = concat([state, context])
-    pre_out = _maybe_mask(pre_out, _mask(3 * params.hidden_size, dropout))
-    logits = matvec(params["out.W"], pre_out) + params["out.b"]
-    return logits, state, alpha
+def _step(prev, state, matrix, proj, p, emb_mask=None, out_mask=None):
+    """One decoder step for every row: attention over the row's encoder
+    states, the GRU on [previous-token embedding; context], then the
+    output layer. Returns the logits [n, V], the new states and the values
+    the reverse pass needs: ``(alpha, tanh energies, GRU input, z, r, r*h,
+    c, output-layer input)``."""
+    alpha, energy = attention_values(state, proj, p["att.W"], p["att.v"])
+    context = (alpha[..., None, :] @ matrix)[..., 0, :]
+    x = np.concatenate([_masked(p["tgt_emb"][prev], emb_mask), context],
+                       axis=-1)
+    new_state, z, r, rh, c = gru_values(x, state, *p["dec"])
+    pre_out = _masked(np.concatenate([new_state, context], axis=-1),
+                      out_mask)
+    logits = matvec_rows(p["out.W"], pre_out) + p["out.b"]
+    return logits, new_state, (alpha, energy, x, z, r, rh, c, pre_out)
 
 
 def forced_logits(source, inputs, params, dropout=None):
-    """Roll the decoder over a fixed input-token sequence.
-
-    ``inputs[t]`` is the token fed at step t (so ``inputs[0]`` is START);
-    returns one logits tensor per step.
-    """
-    enc = encode_full(source, params, dropout=dropout)
-    state = enc.init_state
-    logits_per_step = []
+    """Logits [T, V] of the decoder fed the tokens ``inputs`` (``inputs[0]``
+    is START), as one node: the roll-out's forward for a batch of one, its
+    values kept for the node's reverse rule, :func:`_backprop`. ``dropout``
+    is ``(rate, rng)``; masks are drawn for each source position, the
+    initial state, then per step the target embedding and the output-layer
+    input."""
+    _check_ids(inputs, params.vocab_size, "input")
+    p = params.arrays()
+    e_dim, h_dim = params.embed_size, params.hidden_size
+    src_masks = _mask((len(source), e_dim), dropout)
+    encoder = []
+    matrix, proj, init = encode_full([source], p, src_masks, encoder)
+    init_mask = _mask(h_dim, dropout)
+    state = _masked(init, init_mask)
+    steps, logits = [], []
     for tok in inputs:
-        logits, state, _ = decoder_step(tok, state, enc, params,
-                                        dropout=dropout)
-        logits_per_step.append(logits)
-    return logits_per_step
+        emb_mask = _mask(e_dim, dropout)
+        out_mask = _mask(3 * h_dim, dropout)
+        row, new_state, values = _step([tok], state, matrix, proj, p,
+                                       emb_mask, out_mask)
+        steps.append((tok, emb_mask, out_mask, state, *values))
+        logits.append(row)
+        state = new_state
+
+    def backward(g):
+        return _backprop(g, params, p, source, src_masks, encoder, init,
+                         init_mask, matrix[0], steps)
+
+    return node(np.concatenate(logits), backward)
 
 
-def _forced_log_prob(logits_per_step, tokens, negated_step=0):
-    """Differentiable sum over steps of log p(tokens[t]) under the step-t
-    logits; the negative distribution applies only at the 1-based step
-    ``negated_step``."""
-    total = token_log_prob(logits_per_step[0], tokens[0], negated_step == 1)
-    for t in range(1, len(tokens)):
-        total = total + token_log_prob(logits_per_step[t], tokens[t],
-                                       negated_step == t + 1)
-    return total
+def _backprop(d_logits, params, p, source, src_masks, encoder, init,
+              init_mask, matrix, steps):
+    """Backpropagation through time for :func:`forced_logits`, from the
+    gradient ``d_logits`` [T, V] of its logits; returns ``(parameter,
+    gradient)`` pairs. Sums run in the order of a tape of per-step nodes:
+    parameter gradients from the last step to the first, the gradient of
+    decoder state s_t as (from GRU step t+1 + from attention at step t+1) +
+    from step t's output layer, embedding rows last to first into zeros.
+    """
+    h_dim, e_dim = params.hidden_size, params.embed_size
+    grads = {"tgt_emb": np.zeros_like(p["tgt_emb"])}
+    sums = {prefix: {} for prefix in ("dec", "enc_bwd", "enc_fwd")}
+    d_next = None
+    for t in reversed(range(len(steps))):
+        tok, emb_mask, out_mask, *values = steps[t]
+        state, alpha, energy, x, z, r, rh, c, pre_out = (v[0] for v in values)
+        d_out = d_logits[t]
+        add_into(grads, "out.b", d_out.copy())
+        add_into(grads, "out.W", outer(d_out, pre_out))
+        d_pre = _masked(p["out.W"].T @ d_out, out_mask)
+        d_new = d_pre[:h_dim] if d_next is None else d_next + d_pre[:h_dim]
+        d_state, d_x = gru_grads(d_new, x, state, z, r, rh, c, p["dec"],
+                                 sums["dec"])
+        grads["tgt_emb"][tok] += _masked(d_x[:e_dim], emb_mask)
+        d_context = d_pre[h_dim:] + d_x[e_dim:]
+        # the encoder states and their projections sum like parameters
+        add_into(grads, "matrix", outer(alpha, d_context))
+        d_v, d_proj, d_w, d_s = attention_grads(
+            matrix @ d_context, alpha, energy, state, p["att.W"], p["att.v"])
+        add_into(grads, "att.v", d_v)
+        add_into(grads, "proj", d_proj)
+        add_into(grads, "att.W", d_w)
+        d_next = d_state + d_s
+
+    d_init = _masked(d_next, init_mask) * (1.0 - init[0] * init[0])
+    add_into(grads, "dec_init.b", d_init)
+    add_into(grads, "dec_init.W", outer(d_init, matrix[0, h_dim:]))
+    d_matrix, d_proj = grads.pop("matrix"), grads.pop("proj")
+    d_matrix += d_proj @ p["att.U"].T
+    add_into(grads, "att.U", matrix.T @ d_proj)
+    d_matrix[0, h_dim:] += p["dec_init.W"].T @ d_init
+    # backward GRU from position 0 up, then forward GRU from the end down
+    d_x = [None] * len(source)
+    carry = None
+    for i, (prefix, pos, *values) in enumerate(reversed(encoder)):
+        x, h, z, r, rh, c = (v[0] for v in values)
+        if i == len(source):
+            carry = None
+        half = d_matrix[pos, h_dim:] if prefix == "enc_bwd" \
+            else d_matrix[pos, :h_dim]
+        carry, dx = gru_grads(half if carry is None else half + carry,
+                              x, h, z, r, rh, c, p[prefix], sums[prefix])
+        d_x[pos] = dx if d_x[pos] is None else d_x[pos] + dx
+    grads["src_emb"] = np.zeros_like(p["src_emb"])
+    for pos in reversed(range(len(source))):
+        grads["src_emb"][source[pos]] += _masked(
+            d_x[pos], None if src_masks is None else src_masks[pos])
+    for prefix, weights in sums.items():
+        for i, suffix in enumerate(ModelParams.GRU_SUFFIXES):
+            grads[f"{prefix}.{suffix}"] = weights[i]
+    return [(params[name], g) for name, g in grads.items()]
 
 
 def sequence_log_prob(source, target, params, dropout=None):
@@ -358,8 +411,8 @@ def sequence_log_prob(source, target, params, dropout=None):
     if len(target) == 0:
         raise ValueError("sequence_log_prob: target must be non-empty")
     inputs = [START] + list(target[:-1])
-    logits_per_step = forced_logits(source, inputs, params, dropout=dropout)
-    return _forced_log_prob(logits_per_step, target)
+    return log_likelihood(forced_logits(source, inputs, params, dropout),
+                          target)
 
 
 def pair_log_prob(source, pair, params):
@@ -371,9 +424,9 @@ def pair_log_prob(source, pair, params):
     pair's accumulated log-probability.
     """
     inputs = [START] + list(pair.greedy[: len(pair.tokens_pos) - 1])
-    logits_per_step = forced_logits(source, inputs, params)
-    return (_forced_log_prob(logits_per_step, pair.tokens_pos),
-            _forced_log_prob(logits_per_step, pair.tokens_neg, pair.position))
+    logits = forced_logits(source, inputs, params)
+    return (log_likelihood(logits, pair.tokens_pos),
+            log_likelihood(logits, pair.tokens_neg, pair.position))
 
 
 @dataclass
@@ -411,32 +464,6 @@ def _draw(probs, rng):
     return min(idx, len(probs) - 1)
 
 
-def _encode_values(ids, p):
-    """Graph-free :func:`encode_full` of equal-length sources ``ids``
-    [n, L] with parameter arrays ``p``; returns the encoder states
-    [n, L, 2H], their attention projections [n, L, A] and the decoder's
-    initial states [n, H]."""
-    vocab = len(p["src_emb"])
-    if ids.min() < 0 or ids.max() >= vocab:
-        bad = ids[(ids < 0) | (ids >= vocab)][0]
-        raise IndexError(f"rollout: source id {bad} out of range for "
-                         f"vocabulary size {vocab}")
-    emb = p["src_emb"][ids]
-    n, length = ids.shape
-    h_dim = len(p["dec_init.b"])
-    matrix = np.empty((n, length, 2 * h_dim))
-    h = np.zeros((n, h_dim))
-    for t in range(length):
-        h = gru_values(emb[:, t], h, *p["enc_fwd"])[0]
-        matrix[:, t, :h_dim] = h
-    h = np.zeros((n, h_dim))
-    for t in reversed(range(length)):
-        h = gru_values(emb[:, t], h, *p["enc_bwd"])[0]
-        matrix[:, t, h_dim:] = h
-    init = np.tanh(matvec_rows(p["dec_init.W"], h) + p["dec_init.b"])
-    return matrix, matrix @ p["att.U"], init
-
-
 def rollout(sources, params, max_len, policy):
     """Run the decoder over a batch of sources for up to ``max_len`` steps,
     on arrays only (no graph is recorded).
@@ -449,26 +476,16 @@ def rollout(sources, params, max_len, policy):
     Greedy decoding, sampling and pair sampling are policies over this one
     loop.
     """
-    p = {name: t.data for name, t in params.tensors.items()}
-    for prefix in ("enc_fwd", "enc_bwd", "dec"):
-        p[prefix] = [p[f"{prefix}.{s}"] for s in ModelParams.GRU_SUFFIXES]
+    p = params.arrays()
     by_length = {}
     for i, source in enumerate(sources):
-        if len(source) == 0:
-            raise ValueError("rollout: source sequences must be non-empty")
         by_length.setdefault(len(source), []).append(i)
     for rows in by_length.values():
         rows = np.array(rows)
-        ids = np.array([sources[i] for i in rows], dtype=np.int64)
-        matrix, proj, state = _encode_values(ids, p)
+        matrix, proj, state = encode_full([sources[i] for i in rows], p)
         prev = np.full(len(rows), START)
         for _ in range(max_len):
-            alpha = attention_values(state, proj, p["att.W"], p["att.v"])[0]
-            context = weighted_rows_values(alpha, matrix)
-            x = np.concatenate([p["tgt_emb"][prev], context], axis=1)
-            state = gru_values(x, state, *p["dec"])[0]
-            logits = matvec_rows(p["out.W"], np.concatenate(
-                [state, context], axis=1)) + p["out.b"]
+            logits, state, (alpha, *_) = _step(prev, state, matrix, proj, p)
             prev, keep = policy(rows, logits, alpha)
             prev = np.asarray(prev)
             keep = np.asarray(keep, dtype=bool)

@@ -367,8 +367,11 @@ class TrainingConfig:
             raise ValueError("valid_interval must be >= 1")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
+        for key in ("clip_norm", "alpha", "eps"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
         if self.sgd_decay < 0:
             raise ValueError("sgd_decay must be >= 0")
         if self.objective not in ("el", "pr"):

@@ -6,6 +6,13 @@ gradients can be computed exactly and compared against the estimators in
 :mod:`banditseq.objectives`. Their cost grows as V**max_len (sequences) and
 max_len * V**(2 max_len) (pairs), so the risk oracles refuse instances
 beyond a guard.
+
+Each sequence is scored teacher-forced, through the model's one forward and
+its single reverse-pass node (:func:`~banditseq.model.sequence_log_prob`).
+The pair oracle runs one forced pass over the greedy prefix and scores
+every outcome's two members on those logits. The risk gradients sum over
+outcomes in enumeration order, so they agree with the estimators to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -15,16 +22,14 @@ import math
 
 import numpy as np
 
-from .autodiff import Tape, exp, mul, no_grad, token_log_prob
+from .autodiff import Tape, exp, log_likelihood, mul, no_grad
 from .model import (
     END,
     START,
     SampledPair,
-    decoder_step,
-    encode_full,
     forced_logits,
-    output_log_probs,
     rollout,
+    sequence_log_prob,
 )
 
 __all__ = [
@@ -51,35 +56,24 @@ def count_sequences(vocab_size, max_len):
     return total + non_end ** max_len
 
 
-def _sequence_outcomes(source, params, max_len):
-    """``(tokens, log-prob Tensor)`` for every sampling outcome: each
-    END-terminated sequence of length <= max_len and each END-free sequence
-    of exactly max_len (the truncation cases). Decoder steps are shared
-    along common prefixes."""
-    enc = encode_full(source, params)
-    results = []
-
-    def walk(prev, state, prefix, lp):
-        logits, new_state, _ = decoder_step(prev, state, enc, params)
-        for tok in range(params.vocab_size):
-            step_lp = token_log_prob(logits, tok)
-            seq = prefix + (tok,)
-            seq_lp = step_lp if lp is None else lp + step_lp
-            if tok == END or len(seq) == max_len:
-                results.append((seq, seq_lp))
-            else:
-                walk(tok, new_state, seq, seq_lp)
-
-    walk(START, enc.init_state, (), None)
-    return results
+def _sequences(vocab_size, max_len, prefix=()):
+    """Every sampling outcome in prefix order: each END-terminated sequence
+    of length <= max_len and each END-free sequence of exactly max_len (the
+    truncation cases)."""
+    for tok in range(vocab_size):
+        seq = prefix + (tok,)
+        if tok == END or len(seq) == max_len:
+            yield seq
+        else:
+            yield from _sequences(vocab_size, max_len, seq)
 
 
 def enumerate_sequences(source, params, max_len):
     """All sampling outcomes as ``(tokens, log-probability)``; together
     their probabilities sum to one."""
     with no_grad():
-        return [(seq, float(lp.data))
-                for seq, lp in _sequence_outcomes(source, params, max_len)]
+        return [(seq, float(sequence_log_prob(source, seq, params).data))
+                for seq in _sequences(params.vocab_size, max_len)]
 
 
 def exact_risk_and_grad(source, params, delta_fn, max_len, guard=1_000_000):
@@ -92,58 +86,45 @@ def exact_risk_and_grad(source, params, delta_fn, max_len, guard=1_000_000):
                  "sequences")
     with Tape() as tape:
         risk = None
-        for tokens, lp in _sequence_outcomes(source, params, max_len):
+        for tokens in _sequences(params.vocab_size, max_len):
+            lp = sequence_log_prob(source, tokens, params)
             term = mul(exp(lp), float(delta_fn(list(tokens))))
             risk = term if risk is None else risk + term
     grads = tape.backward(risk, params.tensors)
     return float(risk.data), grads
 
 
-def _greedy_prefix(source, params, t_y):
-    """Greedy roll-out of ``t_y`` steps that does not stop at END, as in pair
-    sampling, with the positive and negative log-distributions per step."""
-    greedy, log_pos, log_neg = [], [], []
+def _pair_outcomes(source, params, t_y, guard):
+    """The greedy prefix of pair sampling (``t_y`` argmax steps, not
+    stopping at END) and every ``(position, w, w_prime, joint log-prob)``
+    outcome, both members scored on one forced pass over that prefix."""
+    vocab = params.vocab_size
+    _check_guard(t_y * vocab ** (2 * t_y), guard, "pair outcomes")
+    greedy = []
 
     def follow_argmax(_, logits, __):
-        logits = logits[0]
-        log_pos.append(output_log_probs(logits))
-        log_neg.append(output_log_probs(logits, negated=True))
-        greedy.append(int(np.argmax(logits)))
+        greedy.append(int(np.argmax(logits[0])))
         return greedy[-1:], (True,)
 
     rollout([source], params, t_y, follow_argmax)
-    return greedy, log_pos, log_neg
-
-
-def _pair_outcomes(step_pos, step_neg):
-    """Every ``(position, w, w_prime, joint log-prob)`` outcome of pair
-    sampling. The per-step tables ``[t][token]`` hold log-probabilities as
-    floats or as graph nodes; the joint is summed from them."""
-    t_y, vocab = len(step_pos), len(step_pos[0])
-    for position in range(1, t_y + 1):
-        for w in itertools.product(range(vocab), repeat=t_y):
-            lp_w = step_pos[0][w[0]]
-            for t in range(1, t_y):
-                lp_w = lp_w + step_pos[t][w[t]]
-            for w_prime in itertools.product(range(vocab), repeat=t_y):
-                lp = lp_w
-                for t in range(t_y):
-                    table = step_neg if t + 1 == position else step_pos
-                    lp = lp + table[t][w_prime[t]]
-                yield position, list(w), list(w_prime), lp
+    logits = forced_logits(source, [START] + greedy[:-1], params)
+    words = [list(w) for w in itertools.product(range(vocab), repeat=t_y)]
+    return greedy, (
+        (position, w, w_prime, log_likelihood(logits, w)
+         + log_likelihood(logits, w_prime, position))
+        for position in range(1, t_y + 1) for w in words for w_prime in words)
 
 
 def enumerate_pair_outcomes(source, params, t_y, guard=1_000_000):
     """Every (position, positive, perturbed) outcome of pair sampling with
     its probability, as ``(SampledPair, probability)`` tuples."""
-    _check_guard(t_y * params.vocab_size ** (2 * t_y), guard, "pair outcomes")
-    greedy, log_pos, log_neg = _greedy_prefix(source, params, t_y)
-    return [
-        (SampledPair(tokens_pos=w, tokens_neg=w_prime, greedy=list(greedy),
-                     position=position, log_prob=float(lp)),
-         math.exp(lp) / t_y)
-        for position, w, w_prime, lp in _pair_outcomes(log_pos, log_neg)
-    ]
+    with no_grad():
+        greedy, outcomes = _pair_outcomes(source, params, t_y, guard)
+        return [(SampledPair(tokens_pos=w, tokens_neg=w_prime,
+                             greedy=list(greedy), position=position,
+                             log_prob=float(lp.data)),
+                 math.exp(lp.data) / t_y)
+                for position, w, w_prime, lp in outcomes]
 
 
 def exact_pr_risk_and_grad(source, params, pair_delta_fn, t_y,
@@ -152,17 +133,10 @@ def exact_pr_risk_and_grad(source, params, pair_delta_fn, t_y,
     outcome. The greedy conditioning prefix is held fixed (it is locally
     constant in the parameters), matching the estimator's semantics; the
     step distributions are teacher-forced on it."""
-    vocab = params.vocab_size
-    _check_guard(t_y * vocab ** (2 * t_y), guard, "pair outcomes")
-    greedy, _, _ = _greedy_prefix(source, params, t_y)
     with Tape() as tape:
-        logits = forced_logits(source, [START] + greedy[:-1], params)
-        step_pos = [[token_log_prob(o, v) for v in range(vocab)]
-                    for o in logits]
-        step_neg = [[token_log_prob(o, v, negated=True) for v in range(vocab)]
-                    for o in logits]
         risk = None
-        for _, w, w_prime, lp in _pair_outcomes(step_pos, step_neg):
+        for _, w, w_prime, lp in _pair_outcomes(source, params, t_y,
+                                                guard)[1]:
             term = mul(exp(lp), float(pair_delta_fn(w, w_prime)) / t_y)
             risk = term if risk is None else risk + term
     grads = tape.backward(risk, params.tensors)

@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from banditseq.autodiff import constant, finite_difference_check, neg, \
-    token_log_prob
+from banditseq.autodiff import constant, finite_difference_check, \
+    log_likelihood, neg
 from banditseq.metrics import ggleu
 from banditseq.model import (
     SampledSequence,
@@ -202,7 +202,7 @@ class TestCriterion5SamplingFidelity:
 class TestCriterion6RankReversal:
     def test_negative_mode_exactly_reverses_ordering(self):
         # what pair sampling draws from (output_log_probs) and what the PR
-        # estimator scores with (token_log_prob, negated)
+        # estimator scores with (log_likelihood, negated)
         rng = np.random.default_rng(66)
         for _ in range(1000):
             size = int(rng.integers(2, 9))
@@ -212,7 +212,7 @@ class TestCriterion6RankReversal:
             pos_order = np.argsort(-output_log_probs(logits), kind="stable")
             sampled = output_log_probs(logits, negated=True)
             scored = np.array([
-                float(token_log_prob(constant(logits), v, negated=True).data)
+                float(log_likelihood(constant(logits[None]), [v], 1).data)
                 for v in range(size)])
             for negd in (sampled, scored):
                 neg_order = np.argsort(-negd, kind="stable")

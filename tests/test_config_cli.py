@@ -2,11 +2,14 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from banditseq.checkpoint import Checkpoint, save_checkpoint
 from banditseq.cli import main
 from banditseq.config import ConfigError, RunConfig, format_config, \
     load_config, parse_config
+from banditseq.model import ModelParams, Vocabulary
 
 
 class TestConfigParsing:
@@ -63,6 +66,9 @@ class TestConfigParsing:
         ("mle_batch", 0), ("max_len", 0), ("ggleu_max_n", 0),
         ("embedding_size", 0), ("hidden_size", -1), ("mle_epochs", -1),
         ("dropout", 1.0), ("dropout", -0.1), ("sgd_decay", -1.0),
+        ("adam_alpha", 0.0), ("mle_alpha", -1e-3), ("adam_beta1", 1.0),
+        ("adam_beta2", 1.0), ("adam_beta1", -0.1), ("adam_eps", 0.0),
+        ("adam_alpha", float("nan")),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -154,6 +160,24 @@ class TestCli:
                      str(out / "checkpoints" / "mle.bnsq"),
                      "--input", str(src_file), "--n", "1", "--pairs",
                      "--seed", "4"]) == 0
+
+    @pytest.mark.parametrize("broken", ["missing att.v", "mis-shaped dec.Wz"])
+    def test_checkpoint_not_fitting_model_exits_3(self, tmp_path, capsys,
+                                                  broken):
+        vocab = Vocabulary(["aa", "bb", "cc"])
+        tensors = ModelParams(len(vocab), 3, 2, seed=0).copy_values()
+        name = broken.split()[1]
+        if broken.startswith("missing"):
+            del tensors[name]
+        else:
+            tensors[name] = np.zeros((2, 4))
+        path = tmp_path / "m.bnsq"
+        save_checkpoint(path, Checkpoint(vocab=vocab, tensors=tensors))
+        src_file = tmp_path / "in.txt"
+        src_file.write_text("aa bb\n")
+        assert main(["sample", "--checkpoint", str(path), "--input",
+                     str(src_file)]) == 3
+        assert name in capsys.readouterr().err
 
     def test_missing_checkpoint_is_config_error(self, small_cfg_file,
                                                 tmp_path):

@@ -1,17 +1,35 @@
 import numpy as np
 import pytest
 
-from banditseq.autodiff import Tape, constant, finite_difference_check, \
-    matmul, no_grad, stack_rows, token_log_prob
+from banditseq.autodiff import (
+    Tape,
+    add,
+    attention_values,
+    concat,
+    constant,
+    dot,
+    embedding_lookup,
+    finite_difference_check,
+    log_likelihood,
+    logsumexp,
+    matmul,
+    matvec,
+    mul,
+    neg,
+    pick,
+    sigmoid,
+    softmax,
+    stack,
+    stack_rows,
+    tanh,
+)
 from banditseq.model import (
     END,
     START,
     UNK,
-    EncodedSource,
     ModelParams,
+    SampledPair,
     Vocabulary,
-    attention_context,
-    decoder_step,
     encode_full,
     forced_logits,
     greedy_decode,
@@ -24,7 +42,7 @@ from banditseq.model import (
 )
 from banditseq.oracles import count_sequences, enumerate_sequences
 
-from conftest import random_source, tiny_params
+from conftest import random_source, relative_gap, tiny_params
 
 
 class TestVocabulary:
@@ -100,22 +118,21 @@ class TestModelParams:
 class TestEncode:
     def test_zero_parameters_give_zero_states(self):
         params = ModelParams(6, 3, 4, init="zeros")
-        for state in encode_full([3, 4], params).states:
-            assert np.array_equal(state.data, np.zeros(8))
+        states, _, _ = encode_full([[3, 4]], params.arrays())
+        assert np.array_equal(states, np.zeros((1, 2, 8)))
 
     def test_single_token_one_state(self):
         params = tiny_params()
-        states = encode_full([4], params).states
-        assert len(states) == 1
-        assert states[0].shape == (2 * params.hidden_size,)
+        states, _, _ = encode_full([[4]], params.arrays())
+        assert states.shape == (1, 1, 2 * params.hidden_size)
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
-            encode_full([], tiny_params())
+            encode_full([[]], tiny_params().arrays())
 
     def test_unknown_id_rejected(self):
         with pytest.raises(IndexError):
-            encode_full([99], tiny_params())
+            encode_full([[99]], tiny_params().arrays())
 
     def test_reversal_pairing_with_tied_directions(self):
         # with forward and backward GRUs sharing weights, the backward half
@@ -127,66 +144,67 @@ class TestEncode:
                     params[f"enc_fwd.{kind}{gate}"].data.copy()
         h = params.hidden_size
         src = [3, 4, 5, 3]
-        fwd_on_rev = encode_full(src[::-1], params).states
-        bwd_on_src = encode_full(src, params).states
+        fwd_on_rev = encode_full([src[::-1]], params.arrays())[0][0]
+        bwd_on_src = encode_full([src], params.arrays())[0][0]
         t_x = len(src)
         for t in range(t_x):
-            backward_half = bwd_on_src[t].data[h:]
-            forward_half = fwd_on_rev[t_x - 1 - t].data[:h]
+            backward_half = bwd_on_src[t][h:]
+            forward_half = fwd_on_rev[t_x - 1 - t][:h]
             assert np.max(np.abs(backward_half - forward_half)) < 1e-12
+
+
+def _attend(state, matrix, params):
+    """Attention weights and context of decoder state(s) over encoder
+    states ``matrix``."""
+    alpha, _ = attention_values(state, matrix @ params["att.U"].data,
+                                params["att.W"].data, params["att.v"].data)
+    return (alpha[..., None, :] @ matrix)[..., 0, :], alpha
 
 
 class TestAttention:
     def test_single_state_gets_full_weight(self, rng):
         params = tiny_params()
-        enc = encode_full([4], params)
-        ctx, alpha = attention_context(enc.init_state, enc, params)
-        assert np.allclose(alpha.data, [1.0])
-        assert np.allclose(ctx.data, enc.states[0].data)
+        states, _, init = encode_full([[4]], params.arrays())
+        ctx, alpha = _attend(init, states, params)
+        assert np.allclose(alpha, [[1.0]])
+        assert np.allclose(ctx, states[:, 0])
 
     def test_identical_states_give_that_state(self, rng):
         params = tiny_params()
-        h = constant(rng.normal(size=2 * params.hidden_size))
-        matrix = stack_rows([h, h, h])
-        enc = EncodedSource(states=[h, h, h], matrix=matrix,
-                            att_proj=matmul(matrix, params["att.U"]),
-                            init_state=None)
-        state = constant(rng.normal(size=params.hidden_size))
-        ctx, alpha = attention_context(state, enc, params)
-        assert np.max(np.abs(ctx.data - h.data)) < 1e-12
+        h = rng.normal(size=2 * params.hidden_size)
+        state = rng.normal(size=params.hidden_size)
+        ctx, _ = _attend(state, np.stack([h, h, h]), params)
+        assert np.max(np.abs(ctx - h)) < 1e-12
 
     def test_weights_sum_to_one(self, rng):
         params = tiny_params(seed=2)
-        enc = encode_full(random_source(rng, length=5), params)
-        state = constant(rng.normal(size=params.hidden_size))
-        _, alpha = attention_context(state, enc, params)
-        assert abs(alpha.data.sum() - 1.0) < 1e-12
+        states, _, _ = encode_full([random_source(rng, length=5)],
+                                   params.arrays())
+        state = rng.normal(size=(1, params.hidden_size))
+        _, alpha = _attend(state, states, params)
+        assert abs(alpha.sum() - 1.0) < 1e-12
 
 
 class TestDecoderStep:
     def test_zero_parameters_uniform_logits(self):
         params = ModelParams(6, 3, 4, init="zeros")
-        enc = encode_full([3, 4], params)
-        logits, state, alpha = decoder_step(START, enc.init_state, enc, params)
-        assert np.allclose(logits.data, logits.data[0])
-        assert state.shape == (4,)
+        logits = forced_logits([3, 4], [START], params).data
+        assert logits.shape == (1, 6)
+        assert np.allclose(logits, logits[0, 0])
 
     def test_deterministic(self):
         params = tiny_params(seed=4)
-        enc = encode_full([3, 5], params)
-        a = decoder_step(3, enc.init_state, enc, params)[0].data
-        b = decoder_step(3, enc.init_state, enc, params)[0].data
+        a = forced_logits([3, 5], [3], params).data
+        b = forced_logits([3, 5], [3], params).data
         assert np.array_equal(a, b)
 
     def test_output_row_perturbation_moves_one_logit(self):
         params = tiny_params(seed=4)
-        enc = encode_full([3, 5], params)
-        logits, _, _ = decoder_step(3, enc.init_state, enc, params)
+        logits = forced_logits([3, 5], [3], params).data[0]
         delta = 0.125
         params["out.W"].data[4] += delta
-        enc2 = encode_full([3, 5], params)
-        logits2, _, _ = decoder_step(3, enc2.init_state, enc2, params)
-        diff = logits2.data - logits.data
+        logits2 = forced_logits([3, 5], [3], params).data[0]
+        diff = logits2 - logits
         # recompute the pre-output activation to predict the exact shift
         assert diff[4] != 0.0
         mask = np.ones(6, dtype=bool)
@@ -194,10 +212,16 @@ class TestDecoderStep:
         assert np.max(np.abs(diff[mask])) < 1e-15
 
 
+def _scored(logits, tok, negated):
+    """log p(tok) scored the way the estimators do, on one step."""
+    return float(log_likelihood(constant(logits[None]), [tok],
+                                1 if negated else 0).data)
+
+
 class TestOutputDistribution:
     """The positive and negative distributions as the samplers draw from
     them (``output_log_probs``) and as the estimators score them
-    (``token_log_prob``)."""
+    (``log_likelihood``)."""
 
     def test_forced_values_both_modes(self):
         logits = np.array([np.log(2.0), 0.0])
@@ -207,9 +231,8 @@ class TestOutputDistribution:
         assert np.allclose(neg, [1 / 3, 2 / 3])
         for tok in (0, 1):
             for negated, probs in ((False, pos), (True, neg)):
-                lp = token_log_prob(constant(logits), tok, negated)
-                assert float(lp.data) == pytest.approx(np.log(probs[tok]),
-                                                       abs=1e-12)
+                assert _scored(logits, tok, negated) == \
+                    pytest.approx(np.log(probs[tok]), abs=1e-12)
 
     def test_uniform_logits_identical_modes(self):
         logits = np.full(5, 1.7)
@@ -223,9 +246,7 @@ class TestOutputDistribution:
             logits = rng.normal(size=6, scale=2.0)
             pos = output_log_probs(logits)
             neg = output_log_probs(logits, negated=True)
-            scored = np.array([
-                float(token_log_prob(constant(logits), v, negated=True).data)
-                for v in range(6)])
+            scored = np.array([_scored(logits, v, True) for v in range(6)])
             pos_desc = np.argsort(-pos, kind="stable")
             assert np.array_equal(np.argsort(-neg, kind="stable"),
                                   pos_desc[::-1])
@@ -290,6 +311,134 @@ class TestSequenceLogProb:
         assert report.passed, report.max_rel_error
 
 
+def _reference_log_prob(source, inputs, tokens, params, negated_step=0,
+                        dropout=None):
+    """The model written once more as a tape graph of elementary ops, one
+    node per product and nonlinearity; masks are drawn in the model's
+    order (source positions, initial state, then per step the target
+    embedding and the output-layer input)."""
+    w = params.tensors
+    e_dim, h_dim = params.embed_size, params.hidden_size
+
+    def drop(x, size):
+        if dropout is None or dropout[0] <= 0.0:
+            return x
+        rate, gen = dropout
+        return mul(x, constant((gen.random(size) >= rate) / (1.0 - rate)))
+
+    def gru(prefix, x, h):
+        def gate(g, hh, act):
+            return act(add(add(matvec(w[f"{prefix}.W{g}"], x),
+                               matvec(w[f"{prefix}.U{g}"], hh)),
+                           w[f"{prefix}.b{g}"]))
+
+        z = gate("z", h, sigmoid)
+        cand = gate("h", mul(gate("r", h, sigmoid), h), tanh)
+        return add(mul(add(neg(z), 1.0), h), mul(z, cand))
+
+    embs = [drop(embedding_lookup(w["src_emb"], tok), e_dim)
+            for tok in source]
+    fwd, bwd = [], []
+    for prefix, steps, out in (("enc_fwd", embs, fwd),
+                               ("enc_bwd", embs[::-1], bwd)):
+        h = constant(np.zeros(h_dim))
+        for x in steps:
+            h = gru(prefix, x, h)
+            out.append(h)
+    bwd.reverse()
+    states = [concat([f, b]) for f, b in zip(fwd, bwd)]
+    proj = matmul(stack_rows(states), w["att.U"])
+    state = drop(tanh(add(matvec(w["dec_init.W"], bwd[0]), w["dec_init.b"])),
+                 h_dim)
+    total = None
+    for t, (prev, tok) in enumerate(zip(inputs, tokens)):
+        q = matvec(w["att.W"], state)
+        alpha = softmax(stack([
+            dot(w["att.v"], tanh(add(embedding_lookup(proj, i), q)))
+            for i in range(len(source))]))
+        context = mul(pick(alpha, 0), states[0])
+        for i in range(1, len(source)):
+            context = add(context, mul(pick(alpha, i), states[i]))
+        x = concat([drop(embedding_lookup(w["tgt_emb"], prev), e_dim),
+                    context])
+        state = gru("dec", x, state)
+        pre_out = drop(concat([state, context]), 3 * h_dim)
+        logits = add(matvec(w["out.W"], pre_out), w["out.b"])
+        if negated_step == t + 1:
+            logits = neg(logits)
+        term = add(pick(logits, tok), neg(logsumexp(logits)))
+        total = term if total is None else add(total, term)
+    return total
+
+
+def _value_and_grads(score, params):
+    with Tape() as tape:
+        out = score()
+    return float(out.data), tape.backward(out, params.tensors)
+
+
+class TestReverseAgainstReference:
+    """The one forward with its hand-written reverse pass against the
+    elementary-op graph: values to 1e-12, gradients to 1e-10 relative."""
+
+    def _check(self, ours, reference, params):
+        got, got_grads = _value_and_grads(ours, params)
+        want, want_grads = _value_and_grads(reference, params)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert relative_gap(got_grads, want_grads) <= 1e-10
+
+    def test_scores_match_reference(self, rng):
+        for seed in range(24):
+            params = _doubled_model(rng, 900 + seed)
+            vocab = params.vocab_size
+            source = random_source(rng, vocab_size=vocab,
+                                   length=int(rng.integers(1, 6)))
+            length = int(rng.integers(1, 7))
+            target = [int(t) for t in rng.integers(vocab, size=length)]
+            inputs = [START] + target[:-1]
+            for rate in (0.0, 0.3):
+                self._check(
+                    lambda: sequence_log_prob(
+                        source, target, params,
+                        (rate, np.random.default_rng(seed))),
+                    lambda: _reference_log_prob(
+                        source, inputs, target, params,
+                        dropout=(rate, np.random.default_rng(seed))),
+                    params)
+            greedy = [int(t) for t in rng.integers(vocab, size=length)]
+            pair = SampledPair(
+                tokens_pos=target,
+                tokens_neg=[int(t) for t in rng.integers(vocab, size=length)],
+                greedy=greedy, position=int(rng.integers(1, length + 1)),
+                log_prob=0.0)
+            fed = [START] + greedy[:-1]
+            for half, tokens, negated in ((0, pair.tokens_pos, 0),
+                                          (1, pair.tokens_neg, pair.position)):
+                self._check(
+                    lambda: pair_log_prob(source, pair, params)[half],
+                    lambda: _reference_log_prob(source, fed, tokens, params,
+                                                negated),
+                    params)
+
+    def test_negated_half_matches_finite_differences(self):
+        params = tiny_params(seed=21)
+        pair = SampledPair(tokens_pos=[4, 3, 1], tokens_neg=[3, 5, 4],
+                           greedy=[4, 3, 5], position=2, log_prob=0.0)
+        report = finite_difference_check(
+            lambda p: pair_log_prob([3, 4, 5], pair, params)[1],
+            params.tensors, step=1e-5, tolerance=1e-4)
+        assert report.passed, report.max_rel_error
+
+    def test_score_records_fixed_number_of_nodes(self):
+        params = tiny_params(seed=5)
+        counts = set()
+        for length in (1, 4, 12):
+            with Tape() as tape:
+                sequence_log_prob([3] * length, [4] * length, params)
+            counts.add(len(tape.nodes))
+        assert counts == {2}
+
+
 class TestGreedyDecode:
     def test_zero_parameters_tie_break_lowest_id(self):
         params = ModelParams(6, 3, 4, init="zeros")
@@ -347,7 +496,7 @@ def _shuffled_batch(rng, vocab, size=12):
 class TestBatchedRollout:
     def test_policy_sees_teacher_forced_logits(self, rng):
         # every row, every step: the logits the batched roll-out hands the
-        # policy equal the graph's logits replayed on what that row was fed
+        # policy equal the teacher-forced logits of what that row was fed
         stops = {"full": 0, "early": 0}
         for seed in range(20):
             params = _doubled_model(rng, 700 + seed)
@@ -367,11 +516,10 @@ class TestBatchedRollout:
             rollout(sources, params, max_len, argmax)
             for i, steps in seen.items():
                 fed = [START] + [tok for _, tok in steps[:-1]]
-                with no_grad():
-                    forced = forced_logits(sources[i], fed, params)
-                assert len(forced) == len(steps)
-                for (lg, _), want in zip(steps, forced):
-                    assert np.array_equal(lg, want.data)
+                forced = forced_logits(sources[i], fed, params)
+                assert len(forced.data) == len(steps)
+                for t, (lg, _) in enumerate(steps):
+                    assert np.array_equal(lg, forced.data[t])
                 stops["full" if len(steps) == max_len else "early"] += 1
         assert min(stops.values()) >= 20, stops
 

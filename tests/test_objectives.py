@@ -455,6 +455,8 @@ class TestBanditTrainLoop:
     @pytest.mark.parametrize("key,value", [
         ("iters", -1), ("valid_interval", 0), ("max_len", 0),
         ("clip_norm", 0.0), ("optimizer", "rmsprop"), ("sgd_decay", -1.0),
+        ("alpha", 0.0), ("alpha", -1e-4), ("beta1", 1.0), ("beta2", 1.0),
+        ("beta2", -0.5), ("eps", 0.0),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
