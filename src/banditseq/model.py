@@ -24,31 +24,36 @@ greedy prefix, and swaps in the negative distribution at a single uniformly
 chosen position.
 
 There is one forward: the encoder loop (:func:`encode_full`) and the decoder
-step run on plain arrays, for the roll-out and for scoring alike. Scoring a
-sample for a gradient replays it teacher-forced (:func:`forced_logits`) as a
-batch of one that keeps its per-step values; its reverse pass through time
-is recorded on the tape as a single node, and
-:func:`~banditseq.autodiff.log_likelihood` puts one node per scored
-sequence on top. The reverse pass sums in the order a tape of per-step
-nodes did, so its gradients equal that tape's bit for bit (see
-:mod:`banditseq.autodiff` for why the order is pinned).
+step run on plain arrays, for the roll-out and for scoring alike. A sampler
+keeps its roll-out's per-step values (:class:`Forward`) on the sample, and
+the sample is scored on those values: no second forward runs. References
+and hand-built samples, which no roll-out drew, are replayed teacher-forced
+(:func:`forced_logits`), a teacher-forcing policy over the same roll-out.
+Either way the reverse pass through time is recorded on the tape as a
+single node, and :func:`~banditseq.autodiff.log_likelihood` puts one node
+per scored sequence on top. The reverse pass sums in the order a tape of
+per-step nodes did, so its gradients equal that tape's bit for bit (see
+:mod:`banditseq.autodiff` for why the order is pinned). A kept forward
+reads the live parameter arrays, so it is valid only until the parameters
+change.
 
 The roll-out is batched: greedy decoding runs a whole corpus through it,
 the samplers a batch of one. The recurrence stays sequential, but each step
 is one array operation over every sentence still running. Sources are
 grouped by length, so the encoder and the attention need no padding and no
-mask, and a row leaves the batch once its policy stops it. It keeps no
-per-step values. Every product of a weight matrix with a row is its own
-matrix-vector call (:func:`~banditseq.autodiff.matvec_rows`): one GEMM
-over the batch would round differently, and batched outputs would no
-longer equal the per-sentence ones bit for bit.
+mask, and a row leaves the batch once its policy stops it. Only a batch of
+one keeps per-step values, and only when asked to. Every product of a
+weight matrix with a row is its own matrix-vector call
+(:func:`~banditseq.autodiff.matvec_rows`): one GEMM over the batch would
+round differently, and batched outputs would no longer equal the
+per-sentence ones bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +80,7 @@ __all__ = [
     "ModelParams",
     "SampledSequence",
     "SampledPair",
+    "Forward",
     "encode_full",
     "forced_logits",
     "sequence_log_prob",
@@ -310,47 +316,108 @@ def _step(prev, state, matrix, proj, p, emb_mask=None, out_mask=None):
     return logits, new_state, (alpha, energy, x, z, r, rh, c, pre_out)
 
 
+class Forward:
+    """The values a roll-out of one source computed, kept for the reverse
+    pass through time (:func:`_backprop`): the encoder's per-step values,
+    the decoder's initial state, the dropout masks and, per decoder step,
+    the token fed, the step's masks, its incoming state, its values and its
+    logits row. ``dropout`` is ``(rate, rng)``; masks are drawn for each
+    source position, the initial state, then per step the target embedding
+    and the output-layer input.
+
+    A record reads the live parameter arrays, so it is valid only until
+    the parameters change: score a sample before the optimizer steps.
+    """
+
+    def __init__(self, dropout=None):
+        self.dropout = dropout
+        self.encoder = []
+        self.steps = []
+        self.logits = []
+
+    @property
+    def inputs(self):
+        """The tokens fed to the decoder, one per step."""
+        return [step[0] for step in self.steps]
+
+    def encode(self, source, params, p):
+        if self.encoder:
+            raise ValueError("a Forward records one roll-out only")
+        self.params, self.p, self.source = params, p, source
+        self.src_masks = _mask((len(source), params.embed_size), self.dropout)
+        matrix, proj, self.init = encode_full([source], p, self.src_masks,
+                                              self.encoder)
+        self.matrix = matrix[0]
+        self.init_mask = _mask(params.hidden_size, self.dropout)
+        return matrix, proj, _masked(self.init, self.init_mask)
+
+    def step(self, prev, state, matrix, proj, p):
+        emb_mask = _mask(self.params.embed_size, self.dropout)
+        out_mask = _mask(3 * self.params.hidden_size, self.dropout)
+        logits, new_state, values = _step(prev, state, matrix, proj, p,
+                                          emb_mask, out_mask)
+        self.steps.append((int(prev[0]), emb_mask, out_mask, state, *values))
+        self.logits.append(logits)
+        return logits, new_state, values[0]
+
+
+def _logits_node(forward):
+    """The logits [T, V] of a kept forward as one node whose reverse rule
+    is :func:`_backprop`."""
+    return node(np.concatenate(forward.logits),
+                lambda g: _backprop(g, forward))
+
+
 def forced_logits(source, inputs, params, dropout=None):
-    """Logits [T, V] of the decoder fed the tokens ``inputs`` (``inputs[0]``
-    is START), as one node: the roll-out's forward for a batch of one, its
-    values kept for the node's reverse rule, :func:`_backprop`. ``dropout``
-    is ``(rate, rng)``; masks are drawn for each source position, the
-    initial state, then per step the target embedding and the output-layer
-    input."""
+    """Logits [T, V] of the decoder fed the tokens ``inputs`` (START, then
+    the tokens after it), as one node: a teacher-forcing policy over
+    :func:`rollout` for a batch of one, its values kept (:class:`Forward`)
+    for the node's reverse rule, :func:`_backprop`. ``dropout`` is
+    ``(rate, rng)``; see :class:`Forward` for the order masks are drawn
+    in. The node is valid only until the parameters change."""
+    if len(inputs) == 0:
+        raise ValueError("forced_logits: inputs must be non-empty")
+    if inputs[0] != START:
+        raise ValueError(f"forced_logits: inputs must begin with START, "
+                         f"got {inputs[0]}")
     _check_ids(inputs, params.vocab_size, "input")
-    p = params.arrays()
-    e_dim, h_dim = params.embed_size, params.hidden_size
-    src_masks = _mask((len(source), e_dim), dropout)
-    encoder = []
-    matrix, proj, init = encode_full([source], p, src_masks, encoder)
-    init_mask = _mask(h_dim, dropout)
-    state = _masked(init, init_mask)
-    steps, logits = [], []
-    for tok in inputs:
-        emb_mask = _mask(e_dim, dropout)
-        out_mask = _mask(3 * h_dim, dropout)
-        row, new_state, values = _step([tok], state, matrix, proj, p,
-                                       emb_mask, out_mask)
-        steps.append((tok, emb_mask, out_mask, state, *values))
-        logits.append(row)
-        state = new_state
+    forward = Forward(dropout)
+    following = iter(list(inputs[1:]))
 
-    def backward(g):
-        return _backprop(g, params, p, source, src_masks, encoder, init,
-                         init_mask, matrix[0], steps)
+    def teacher(*_):
+        # the last step's returned token is never fed
+        return [next(following, END)], [True]
 
-    return node(np.concatenate(logits), backward)
+    rollout([source], params, len(inputs), teacher, forward)
+    return _logits_node(forward)
 
 
-def _backprop(d_logits, params, p, source, src_masks, encoder, init,
-              init_mask, matrix, steps):
-    """Backpropagation through time for :func:`forced_logits`, from the
+def _kept_logits(source, inputs, params, dropout, forward):
+    """The logits of the decoder fed ``inputs``: read off the kept
+    ``forward`` of the roll-out that fed them, or, with none, replayed
+    teacher-forced (:func:`forced_logits`)."""
+    if forward is None:
+        return forced_logits(source, inputs, params, dropout)
+    if dropout is not None:
+        raise ValueError("a kept forward has no dropout; replay instead")
+    if forward.params is not params or \
+            list(forward.source) != list(source) or forward.inputs != inputs:
+        raise ValueError("the kept forward did not feed these tokens from "
+                         "this source with these parameters")
+    return _logits_node(forward)
+
+
+def _backprop(d_logits, forward):
+    """Backpropagation through time over a kept :class:`Forward`, from the
     gradient ``d_logits`` [T, V] of its logits; returns ``(parameter,
     gradient)`` pairs. Sums run in the order of a tape of per-step nodes:
     parameter gradients from the last step to the first, the gradient of
     decoder state s_t as (from GRU step t+1 + from attention at step t+1) +
     from step t's output layer, embedding rows last to first into zeros.
     """
+    params, p, source = forward.params, forward.p, forward.source
+    matrix, init, init_mask = forward.matrix, forward.init, forward.init_mask
+    src_masks, steps = forward.src_masks, forward.steps
     h_dim, e_dim = params.hidden_size, params.embed_size
     grads = {"tgt_emb": np.zeros_like(p["tgt_emb"])}
     sums = {prefix: {} for prefix in ("dec", "enc_bwd", "enc_fwd")}
@@ -386,7 +453,7 @@ def _backprop(d_logits, params, p, source, src_masks, encoder, init,
     # backward GRU from position 0 up, then forward GRU from the end down
     d_x = [None] * len(source)
     carry = None
-    for i, (prefix, pos, *values) in enumerate(reversed(encoder)):
+    for i, (prefix, pos, *values) in enumerate(reversed(forward.encoder)):
         x, h, z, r, rh, c = (v[0] for v in values)
         if i == len(source):
             carry = None
@@ -405,48 +472,64 @@ def _backprop(d_logits, params, p, source, src_masks, encoder, init,
     return [(params[name], g) for name, g in grads.items()]
 
 
-def sequence_log_prob(source, target, params, dropout=None):
-    """Differentiable log-probability of ``target`` teacher-forced on its
-    own prefix: sum over steps of log p(y_t | y_<t, x)."""
+def sequence_log_prob(source, target, params, dropout=None, forward=None):
+    """Differentiable log-probability of ``target`` conditioned on its own
+    prefix: sum over steps of log p(y_t | y_<t, x).
+
+    ``forward`` is the kept forward of the roll-out that drew ``target``
+    (:attr:`SampledSequence.forward`); the score then runs on its values
+    and no second forward is computed. Without one, ``target`` is replayed
+    teacher-forced (:func:`forced_logits`), as for references. A kept
+    forward is valid only until the parameters change, and one that fed
+    other tokens than ``[START] + target[:-1]`` raises ValueError.
+    """
     if len(target) == 0:
         raise ValueError("sequence_log_prob: target must be non-empty")
     inputs = [START] + list(target[:-1])
-    return log_likelihood(forced_logits(source, inputs, params, dropout),
-                          target)
+    return log_likelihood(
+        _kept_logits(source, inputs, params, dropout, forward), target)
 
 
 def pair_log_prob(source, pair, params):
-    """Recompute both halves of a sampled pair's joint log-probability.
+    """Both halves of a sampled pair's joint log-probability.
 
     Both members are conditioned on the recorded greedy prefix; the
     negative distribution applies only at the recorded perturbation
-    position. Returns ``(lp_pos, lp_perturbed)`` whose sum reproduces the
-    pair's accumulated log-probability.
+    position. The halves are scored on the pair's kept forward
+    (:attr:`SampledPair.forward`), valid until the parameters change, or
+    replayed teacher-forced on the greedy prefix when it has none. Returns
+    ``(lp_pos, lp_perturbed)`` whose sum reproduces the pair's accumulated
+    log-probability.
     """
     inputs = [START] + list(pair.greedy[: len(pair.tokens_pos) - 1])
-    logits = forced_logits(source, inputs, params)
+    logits = _kept_logits(source, inputs, params, None, pair.forward)
     return (log_likelihood(logits, pair.tokens_pos),
             log_likelihood(logits, pair.tokens_neg, pair.position))
 
 
 @dataclass
 class SampledSequence:
-    """A sequence drawn token-by-token from the model, with its log-prob."""
+    """A sequence drawn token-by-token from the model, with its log-prob
+    and the kept forward of the roll-out that drew it (None when built by
+    hand); the forward takes no part in comparisons."""
 
     tokens: list
     log_prob: float
+    forward: Forward = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class SampledPair:
     """A positive sample and a one-position perturbation, both conditioned
-    on the same greedy prefix."""
+    on the same greedy prefix, with the kept forward of the roll-out that
+    fed that prefix."""
 
     tokens_pos: list
     tokens_neg: list
     greedy: list
     position: int      # 1-based step at which the perturbation was drawn
     log_prob: float
+    forward: Forward = field(default=None, compare=False, repr=False)
 
 
 def output_log_probs(logits, negated=False):
@@ -464,28 +547,44 @@ def _draw(probs, rng):
     return min(idx, len(probs) - 1)
 
 
-def rollout(sources, params, max_len, policy):
+def rollout(sources, params, max_len, policy, record=None):
     """Run the decoder over a batch of sources for up to ``max_len`` steps,
     on arrays only (no graph is recorded).
 
     Sources of equal length run together, one array operation per step for
-    all of them. Each step calls ``policy(rows, logits, alpha)`` with the
-    indices into ``sources`` of the rows still running, their logits
-    [n, V] and attention weights [n, T]. The policy returns the tokens fed
-    to those rows' next step and a boolean mask of the rows that go on.
-    Greedy decoding, sampling and pair sampling are policies over this one
-    loop.
+    all of them. Every row is fed START at its first step. Each step
+    calls ``policy(rows, logits, alpha)`` with the indices into
+    ``sources`` of the rows still running, their logits [n, V] and
+    attention weights [n, T]. The policy returns the tokens fed to those
+    rows' next step and a boolean mask of the rows that go on. Greedy
+    decoding, sampling, pair sampling and teacher forcing are policies over
+    this one loop.
+
+    A ``record`` (:class:`Forward`), valid for a batch of one source only,
+    keeps every value the roll-out computes for the reverse pass; it is
+    valid until the parameters change. Without one nothing is kept.
     """
+    if record is not None and len(sources) != 1:
+        raise ValueError(f"rollout: a record keeps the forward of one "
+                         f"source, got {len(sources)}")
     p = params.arrays()
     by_length = {}
     for i, source in enumerate(sources):
         by_length.setdefault(len(source), []).append(i)
     for rows in by_length.values():
         rows = np.array(rows)
-        matrix, proj, state = encode_full([sources[i] for i in rows], p)
+        if record is None:
+            matrix, proj, state = encode_full([sources[i] for i in rows], p)
+        else:
+            matrix, proj, state = record.encode(sources[0], params, p)
         prev = np.full(len(rows), START)
         for _ in range(max_len):
-            logits, state, (alpha, *_) = _step(prev, state, matrix, proj, p)
+            if record is None:
+                logits, state, (alpha, *_) = _step(prev, state, matrix,
+                                                   proj, p)
+            else:
+                logits, state, alpha = record.step(prev, state, matrix,
+                                                   proj, p)
             prev, keep = policy(rows, logits, alpha)
             prev = np.asarray(prev)
             keep = np.asarray(keep, dtype=bool)
@@ -523,7 +622,9 @@ def greedy_decode(sources, params, max_len, return_attention=False):
 def sample_sequence(source, params, max_len, rng):
     """Draw one sequence from the positive distribution, conditioning each
     step on the tokens already drawn; accumulates the log-probability and
-    stops after END or ``max_len`` tokens."""
+    stops after END or ``max_len`` tokens. The roll-out's values are kept
+    on the sample (``forward``) for scoring it before the parameters
+    change."""
     tokens = []
     log_prob = 0.0
 
@@ -535,8 +636,9 @@ def sample_sequence(source, params, max_len, rng):
         tokens.append(tok)
         return (tok,), (tok != END,)
 
-    rollout([source], params, max_len, draw)
-    return SampledSequence(tokens=tokens, log_prob=log_prob)
+    forward = Forward()
+    rollout([source], params, max_len, draw, forward)
+    return SampledSequence(tokens=tokens, log_prob=log_prob, forward=forward)
 
 
 def sample_pair(source, params, max_len, rng):
@@ -548,7 +650,9 @@ def sample_pair(source, params, max_len, rng):
     positive one elsewhere — and feeds the greedy token, which extends the
     shared conditioning prefix. All ``max_len`` steps are taken; END does
     not stop the roll-out here, feedback simply ignores anything an END
-    precedes. The joint log-probability accumulates every factor.
+    precedes. The joint log-probability accumulates every factor. The
+    roll-out's values are kept on the pair (``forward``) for scoring it
+    before the parameters change.
     """
     if max_len < 1:
         raise ValueError("sample_pair: max_len must be >= 1")
@@ -577,6 +681,8 @@ def sample_pair(source, params, max_len, rng):
         greedy.append(int(np.argmax(logits)))
         return greedy[-1:], (True,)
 
-    rollout([source], params, max_len, draw_pair)
+    forward = Forward()
+    rollout([source], params, max_len, draw_pair, forward)
     return SampledPair(tokens_pos=tokens_pos, tokens_neg=tokens_neg,
-                       greedy=greedy, position=position, log_prob=log_prob)
+                       greedy=greedy, position=position, log_prob=log_prob,
+                       forward=forward)

@@ -55,7 +55,6 @@ __all__ = [
     "BanditResult",
     "bandit_train_loop",
     "AntitheticTracker",
-    "antithetic_variance_identity",
 ]
 
 
@@ -79,20 +78,28 @@ def mle_loss_and_grad(source, reference, params, dropout=None):
 
 def el_gradient(source, sample, params):
     """Score of one sampled sequence for the expected-loss estimator: the
-    gradient of its log-probability, teacher-forced on its own prefix."""
+    gradient of its log-probability. A sample drawn by
+    :func:`~banditseq.model.sample_sequence` is scored on the values its
+    roll-out kept, with no second forward; that record is valid only until
+    the parameters change, so score a sample before the optimizer steps. A
+    sample with no kept forward is replayed teacher-forced on its own
+    prefix."""
     with Tape() as tape:
-        lp = sequence_log_prob(source, sample.tokens, params)
+        lp = sequence_log_prob(source, sample.tokens, params,
+                               forward=sample.forward)
     return tape.backward(lp, params.tensors)
 
 
 def pr_gradient(source, pair, params):
     """Score of one sampled pair for the pairwise-ranking estimator.
 
-    Both halves of the joint log-probability are recomputed teacher-forced
-    on the pair's recorded greedy prefix, with the negative distribution
-    applied only at the recorded perturbation position. Returns
-    ``(score, (g_pos, g_neg))``: the parts are the separate gradients of
-    the two halves (the antithetic variates) and the score is their sum.
+    Both halves of the joint log-probability are scored on the pair's
+    recorded greedy prefix, with the negative distribution applied only at
+    the recorded perturbation position: on the values the pair's roll-out
+    kept (valid only until the parameters change), or replayed
+    teacher-forced when it kept none. Returns ``(score, (g_pos, g_neg))``:
+    the parts are the separate gradients of the two halves (the antithetic
+    variates) and the score is their sum.
     """
     with Tape() as tape:
         lp_pos, lp_neg = pair_log_prob(source, pair, params)
@@ -239,12 +246,14 @@ def grad_norm(grads):
     return math.sqrt(total)
 
 
-def clip_gradient(grads, max_norm):
+def clip_gradient(grads, max_norm, norm=None):
     """Scale the whole map down to ``max_norm`` when its global L2 norm
-    exceeds it; otherwise return it unchanged."""
+    exceeds it; otherwise return it unchanged (the same object). ``norm``
+    is that norm when the caller has already computed it."""
     if max_norm <= 0:
         raise ValueError("clip_gradient: max_norm must be positive")
-    norm = grad_norm(grads)
+    if norm is None:
+        norm = grad_norm(grads)
     if norm <= max_norm:
         return grads
     scale = max_norm / norm
@@ -327,18 +336,6 @@ class AntitheticTracker(CoMoments):
         return total / sum(co.size for co in self.co_xy.values())
 
 
-def antithetic_variance_identity(x1, x2):
-    """Empirical check quantities for the averaged-pair estimator: returns
-    ``(var of (x1+x2)/2, (var x1 + var x2 + 2 cov) / 4)`` using population
-    moments, for which the identity is exact."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    lhs = np.var((x1 + x2) / 2.0)
-    cov = np.mean((x1 - x1.mean()) * (x2 - x2.mean()))
-    rhs = 0.25 * (np.var(x1) + np.var(x2) + 2.0 * cov)
-    return float(lhs), float(rhs)
-
-
 @dataclass
 class TrainingConfig:
     """Knobs of the bandit update loop."""
@@ -401,7 +398,9 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
     Per iteration: observe a source sentence from ``stream`` (an iterator
     of ``(sentence_id, source_ids)``), sample an output or pair, obtain the
     scalar feedback, compute the score, scale it by the feedback through
-    the configured control variate, clip, and take an optimizer step.
+    the configured control variate, clip, and take an optimizer step. The
+    score runs on the values the sample's roll-out kept, which are valid
+    only until the parameters change, so it always comes before the step.
     ``validate_fn``, when given, maps the current parameters to a metric
     dict whose "ggleu" entry drives best-iterate selection (online-to-batch
     conversion); it runs every ``valid_interval`` iterations and at the
@@ -474,7 +473,7 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
                 f"non-finite gradient at iteration {k} "
                 f"(objective={config.objective}, feedback={delta!r})"
             )
-        clipped = clip_gradient(grads, config.clip_norm)
+        clipped = clip_gradient(grads, config.clip_norm, norm)
         step(params, clipped, opt_state)
         window_feedback.append(delta)
         window_norms.append(norm)

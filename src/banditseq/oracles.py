@@ -9,8 +9,8 @@ beyond a guard.
 
 Each sequence is scored teacher-forced, through the model's one forward and
 its single reverse-pass node (:func:`~banditseq.model.sequence_log_prob`).
-The pair oracle runs one forced pass over the greedy prefix and scores
-every outcome's two members on those logits. The risk gradients sum over
+The pair oracle keeps the forward of the roll-out that finds the greedy
+prefix and scores every outcome's two members on its logits. The risk gradients sum over
 outcomes in enumeration order, so they agree with the estimators to
 rounding, not bit for bit.
 """
@@ -25,9 +25,9 @@ import numpy as np
 from .autodiff import Tape, exp, log_likelihood, mul, no_grad
 from .model import (
     END,
-    START,
+    Forward,
     SampledPair,
-    forced_logits,
+    _logits_node,
     rollout,
     sequence_log_prob,
 )
@@ -97,7 +97,7 @@ def exact_risk_and_grad(source, params, delta_fn, max_len, guard=1_000_000):
 def _pair_outcomes(source, params, t_y, guard):
     """The greedy prefix of pair sampling (``t_y`` argmax steps, not
     stopping at END) and every ``(position, w, w_prime, joint log-prob)``
-    outcome, both members scored on one forced pass over that prefix."""
+    outcome, both members scored on the logits that roll-out kept."""
     vocab = params.vocab_size
     _check_guard(t_y * vocab ** (2 * t_y), guard, "pair outcomes")
     greedy = []
@@ -106,8 +106,9 @@ def _pair_outcomes(source, params, t_y, guard):
         greedy.append(int(np.argmax(logits[0])))
         return greedy[-1:], (True,)
 
-    rollout([source], params, t_y, follow_argmax)
-    logits = forced_logits(source, [START] + greedy[:-1], params)
+    forward = Forward()
+    rollout([source], params, t_y, follow_argmax, forward)
+    logits = _logits_node(forward)
     words = [list(w) for w in itertools.product(range(vocab), repeat=t_y)]
     return greedy, (
         (position, w, w_prime, log_likelihood(logits, w)

@@ -33,3 +33,15 @@ def relative_gap(got, want):
     num = max_abs_diff(got, want)
     den = max(max_abs(want), 1e-12)
     return num / den
+
+
+def antithetic_variance_identity(x1, x2):
+    """Empirical check quantities for the averaged-pair estimator: returns
+    ``(var of (x1+x2)/2, (var x1 + var x2 + 2 cov) / 4)`` using population
+    moments, for which the identity is exact."""
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    lhs = np.var((x1 + x2) / 2.0)
+    cov = np.mean((x1 - x1.mean()) * (x2 - x2.mean()))
+    rhs = 0.25 * (np.var(x1) + np.var(x2) + 2.0 * cov)
+    return float(lhs), float(rhs)

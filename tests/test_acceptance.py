@@ -28,7 +28,6 @@ from banditseq.model import (
 )
 from banditseq.objectives import (
     ControlVariateState,
-    antithetic_variance_identity,
     apply_baseline_cv,
     el_gradient,
     pairwise_feedback,
@@ -41,7 +40,8 @@ from banditseq.oracles import (
     exact_risk_and_grad,
 )
 
-from conftest import relative_gap, tiny_params
+from conftest import antithetic_variance_identity, relative_gap, \
+    tiny_params
 from test_metrics import brute_force_ggleu
 
 

@@ -6,14 +6,14 @@ from banditseq.objectives import (
     AntitheticTracker,
     ControlVariateState,
     TrainingConfig,
-    antithetic_variance_identity,
     apply_baseline_cv,
     apply_score_function_cv,
     el_gradient,
 )
 from banditseq.oracles import enumerate_sequences
 
-from conftest import max_abs, relative_gap, tiny_params
+from conftest import antithetic_variance_identity, max_abs, relative_gap, \
+    tiny_params
 
 
 def _flatten(grads):

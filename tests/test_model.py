@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from banditseq import model
 from banditseq.autodiff import (
     Tape,
     add,
@@ -27,6 +30,7 @@ from banditseq.model import (
     END,
     START,
     UNK,
+    Forward,
     ModelParams,
     SampledPair,
     Vocabulary,
@@ -40,6 +44,7 @@ from banditseq.model import (
     sample_sequence,
     sequence_log_prob,
 )
+from banditseq.objectives import el_gradient, pr_gradient
 from banditseq.oracles import count_sequences, enumerate_sequences
 
 from conftest import random_source, relative_gap, tiny_params
@@ -192,18 +197,23 @@ class TestDecoderStep:
         assert logits.shape == (1, 6)
         assert np.allclose(logits, logits[0, 0])
 
+    def test_inputs_must_begin_with_start(self):
+        params = tiny_params(seed=4)
+        with pytest.raises(ValueError):
+            forced_logits([3, 5], [3], params)
+
     def test_deterministic(self):
         params = tiny_params(seed=4)
-        a = forced_logits([3, 5], [3], params).data
-        b = forced_logits([3, 5], [3], params).data
+        a = forced_logits([3, 5], [START], params).data
+        b = forced_logits([3, 5], [START], params).data
         assert np.array_equal(a, b)
 
     def test_output_row_perturbation_moves_one_logit(self):
         params = tiny_params(seed=4)
-        logits = forced_logits([3, 5], [3], params).data[0]
+        logits = forced_logits([3, 5], [START], params).data[0]
         delta = 0.125
         params["out.W"].data[4] += delta
-        logits2 = forced_logits([3, 5], [3], params).data[0]
+        logits2 = forced_logits([3, 5], [START], params).data[0]
         diff = logits2 - logits
         # recompute the pre-output activation to predict the exact shift
         assert diff[4] != 0.0
@@ -663,3 +673,99 @@ class TestSamplePairs:
         pair = sample_pair([3, 4], params, 4, rng)
         assert len(pair.tokens_pos) == 4
         assert len(pair.greedy) == 4
+
+
+def _battery_model(rng, seed):
+    """A random tiny model: V 6-13, E 1-5, H 1-6, doubled weights and an
+    END bias, so samples vary in length and greedy tokens change."""
+    vocab = int(rng.integers(6, 14))
+    params = tiny_params(vocab_size=vocab, embed_size=int(rng.integers(1, 6)),
+                         hidden_size=int(rng.integers(1, 7)), seed=seed)
+    for t in params.tensors.values():
+        t.data *= 2.0
+    params["out.b"].data[END] += rng.uniform(0.0, 1.0)
+    return params
+
+
+def _assert_same_maps(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestKeptForward:
+    """A sample is scored on the values its roll-out kept; that must equal
+    the teacher-forced replay bit for bit."""
+
+    def test_kept_score_equals_replay(self, rng, monkeypatch):
+        lengths = set()
+        for seed in range(30):
+            params = _battery_model(rng, 900 + seed)
+            src = random_source(rng, vocab_size=params.vocab_size,
+                                length=int(rng.integers(1, 9)))
+            max_len = int(rng.integers(1, 9))
+            sample = sample_sequence(src, params, max_len, rng)
+            pair = sample_pair(src, params, max_len, rng)
+            lengths.add(len(sample.tokens))
+            hand_built = replace(sample, forward=None), \
+                replace(pair, forward=None)
+            with Tape():
+                replayed = (el_gradient(src, hand_built[0], params),
+                            pr_gradient(src, hand_built[1], params),
+                            sequence_log_prob(src, sample.tokens, params),
+                            pair_log_prob(src, hand_built[1], params))
+            with monkeypatch.context() as patched, Tape():
+                # the kept score must not run the encoder again
+                patched.setattr(model, "encode_full", None)
+                kept = (el_gradient(src, sample, params),
+                        pr_gradient(src, pair, params),
+                        sequence_log_prob(src, sample.tokens, params,
+                                          forward=sample.forward),
+                        pair_log_prob(src, pair, params))
+            _assert_same_maps(kept[0], replayed[0])
+            _assert_same_maps(kept[1][0], replayed[1][0])
+            for half in (0, 1):
+                _assert_same_maps(kept[1][1][half], replayed[1][1][half])
+                assert kept[3][half].data == replayed[3][half].data
+            assert kept[2].data == replayed[2].data
+            assert abs(float(kept[2].data) - sample.log_prob) < 1e-10
+        assert len(lengths) >= 4, lengths
+
+    def test_kept_forward_of_other_tokens_rejected(self):
+        params = tiny_params(seed=13)
+        pair = sample_pair([3, 4], params, 4, np.random.default_rng(3))
+        sample = sample_sequence([3, 4], params, 4, np.random.default_rng(3))
+        with pytest.raises(ValueError):
+            sequence_log_prob([3, 4], sample.tokens + [3], params,
+                              forward=sample.forward)
+        with pytest.raises(ValueError):
+            sequence_log_prob([3, 5], sample.tokens, params,
+                              forward=sample.forward)
+        changed = [(pair.greedy[0] + 1) % params.vocab_size] + pair.greedy[1:]
+        with pytest.raises(ValueError):
+            pr_gradient([3, 4], replace(pair, greedy=changed), params)
+        with pytest.raises(ValueError):
+            el_gradient([3, 4], sample, tiny_params(seed=13))
+        with pytest.raises(ValueError):
+            sequence_log_prob([3, 4], sample.tokens, params,
+                              dropout=(0.5, np.random.default_rng(0)),
+                              forward=sample.forward)
+
+    def test_record_needs_one_source(self):
+        params = tiny_params(seed=13)
+        with pytest.raises(ValueError):
+            rollout([[3], [4]], params, 3,
+                    lambda rows, logits, alpha: (logits.argmax(axis=1),
+                                                 [True] * len(rows)),
+                    Forward())
+
+    def test_same_seed_samples_compare_equal(self):
+        params = tiny_params(seed=13)
+        draws = [(sample_sequence([3, 4], params, 5, np.random.default_rng(7)),
+                  sample_pair([3, 4], params, 5, np.random.default_rng(7)))
+                 for _ in range(2)]
+        for a, b in zip(*draws):
+            assert a.forward is not None and b.forward is not None
+            assert a.forward is not b.forward
+            assert a == b
+            assert "forward" not in repr(a)

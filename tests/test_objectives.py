@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditseq import model, objectives
 from banditseq.autodiff import Tape, finite_difference_check, neg
 from banditseq.model import (
     END,
@@ -218,6 +219,14 @@ class TestClipGradient:
     def test_invalid_norm(self):
         with pytest.raises(ValueError):
             clip_gradient({"a": np.zeros(1)}, 0.0)
+
+    def test_given_norm_used(self, rng):
+        grads = {"a": rng.normal(size=4, scale=5),
+                 "b": rng.normal(size=(2, 3), scale=5)}
+        norm = grad_norm(grads)
+        assert clip_gradient(grads, 2 * norm, norm) is grads
+        assert max_abs_diff(clip_gradient(grads, 1.0, norm),
+                            clip_gradient(grads, 1.0)) == 0.0
 
 
 class TestAdam:
@@ -439,6 +448,38 @@ class TestBanditTrainLoop:
             moved.append(params.copy_values())
         assert max_abs_diff(moved[0], before) > 0.0
         assert max_abs_diff(moved[0], moved[1]) == 0.0
+
+    @pytest.mark.parametrize("objective", ["el", "pr"])
+    def test_one_encoder_call_per_update(self, objective, monkeypatch):
+        # the score runs on the values the sampler's roll-out kept; a
+        # teacher-forced replay would encode the source a second time
+        calls = []
+        encode_full = model.encode_full
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return encode_full(*args, **kwargs)
+
+        monkeypatch.setattr(model, "encode_full", counted)
+        params, cfg = self._setup(objective=objective, iters=5)
+        bandit_train_loop(cfg, params, _toy_stream([[3, 4], [5]]),
+                          lambda sid, *samples: -0.3 * len(samples[0]))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("clip_norm", [1e6, 1e-6])
+    def test_gradient_norm_computed_once_per_update(self, clip_norm,
+                                                    monkeypatch):
+        calls = []
+
+        def counted(grads):
+            calls.append(1)
+            return grad_norm(grads)
+
+        monkeypatch.setattr(objectives, "grad_norm", counted)
+        params, cfg = self._setup(iters=6, clip_norm=clip_norm)
+        bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
+                          lambda sid, toks: -0.5)
+        assert len(calls) == 6
 
     def test_sgd_fallback(self):
         params, cfg = self._setup(iters=3, optimizer="sgd")
