@@ -10,18 +10,32 @@ discarded after backward). Operations called while no tape is active, or
 inside :func:`no_grad`, compute values only.
 
 The model is not built from these ops. Its one forward runs on plain arrays
-(:func:`gru_values`, :func:`attention_values`), and a teacher-forced pass is
+(:func:`gru_values`, :func:`attention_values`), and a scored pass is
 recorded as a single :func:`node` whose reverse rule runs backpropagation
-through time with :func:`gru_grads` and :func:`attention_grads`;
+through time with :func:`gru_grads`, :func:`attention_grads` and
+:func:`step_sum`;
 :func:`log_likelihood` scores token sequences on top of it. Objectives and
 oracles combine scores with ``neg``, ``exp``, ``mul`` and ``add``; the other
 elementary ops serve the tests, which rebuild the model from them.
 
 The reverse pass sums every gradient in the order a tape of one node per
 GRU step, attention and output layer did: steps from last to first.
-Floating-point addition is not associative, so another order (one GEMM over
-time, say) changes the last bits of every gradient and every trained model:
-a deliberate change of numerics, not a refactor.
+Floating-point addition is not associative, so another order changes the
+last bits of every gradient and every trained model: a deliberate change of
+numerics, not a refactor. The loop through time therefore computes only the
+recurrent chain (state gradients and per-step deltas), and each weight
+gradient is then one :func:`step_sum` over the stacked steps. That is
+numpy's ``einsum`` without ``optimize`` over C-ordered steps, reversed: the
+step axis is the outermost one, walked last step first, and each step's
+rounded product is added into the output in turn, which is the tape's
+order exactly. Three things break it. A BLAS GEMM (``@``, ``tensordot``,
+``einsum(..., optimize=True)``) splits and reorders the sum over steps.
+``np.add.reduce`` over the step axis sums pairwise. And a step axis that is
+innermost or of positive stride (a Fortran-ordered or unreversed stack)
+lets ``einsum``'s reduction loop keep several partial sums. The one
+difference from a per-step loop is the sign of zero: ``einsum`` starts
+from +0.0, so an entry whose terms are all -0.0 reads +0.0, which compares
+equal.
 """
 
 from __future__ import annotations
@@ -58,10 +72,9 @@ __all__ = [
     "stack_rows",
     "embedding_lookup",
     "log_likelihood",
-    "outer",
     "matvec_rows",
     "gru_values",
-    "add_into",
+    "step_sum",
     "gru_grads",
     "attention_values",
     "attention_grads",
@@ -223,10 +236,6 @@ def _sigmoid_values(x):
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
-def outer(a, b):
-    return a[:, None] * b
-
-
 def matmul(a, b):
     """Rank-2 matrix product with the standard reverse rules."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -247,7 +256,7 @@ def matvec(m, v):
         raise ShapeError(f"matvec: incompatible shapes {m.shape} and {v.shape}")
 
     def backward(g):
-        _accum(m, outer(g, v.data))
+        _accum(m, g[:, None] * v.data)
         _accum(v, m.data.T @ g)
 
     return _make(matvec_rows(m.data, v.data), backward)
@@ -537,40 +546,37 @@ def gru_values(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
     return (1.0 - z) * h + z * c, z, r, rh, c
 
 
-def add_into(sums, key, g):
-    """``sums[key] += g`` in place; the first term, a fresh array, is kept
-    as given. Terms are summed in call order."""
-    if key in sums:
-        sums[key] += g
-    else:
-        sums[key] = g
+def step_sum(terms, inputs=None):
+    """Sum over the leading step axis of ``terms`` [T, ...] or, given
+    ``inputs`` [T, J], of the outer products ``terms[t] x inputs[t]``: one
+    rounded term per step added into the sum, from the last step to the
+    first. Equals the loop ``acc += terms[t][:, None] * inputs[t]`` for
+    t = T-1, ..., 0 bit for bit, up to the sign of an all-zero entry; the
+    module docstring says why the order holds."""
+    terms = np.ascontiguousarray(terms)[::-1]
+    if inputs is None:
+        return np.einsum("t...->...", terms)
+    return np.einsum("ti,tj->ij", terms, np.ascontiguousarray(inputs)[::-1])
 
 
-def gru_grads(g, x, h, z, r, rh, c, weights, sums):
+def gru_grads(g, h, z, r, c, weights):
     """Reverse of :func:`gru_values` for one row, given the gradient ``g`` of
-    the new state. Adds the gradients of the nine ``weights`` into ``sums``
-    under their argument positions 0-8, each as soon as it is computed, and
-    returns the gradients of ``h`` and ``x``."""
+    the new state: returns the gradients of ``h`` and ``x`` and the deltas
+    ``(da_z, da_r, da_c)`` of the three gates' pre-activations. A gate's
+    weight gradients are its delta times the step's ``x`` (W), ``h`` (Uz,
+    Ur) or ``r*h`` (Uh), and the delta itself (b), summed over steps with
+    :func:`step_sum`."""
     wz, uz, _, wr, ur, _, wh, uh, _ = weights
     dz = g * (c - h)
     da_c = (g * z) * (1.0 - c * c)
     dh = g * (1.0 - z)
-    add_into(sums, 6, outer(da_c, x))
-    add_into(sums, 7, outer(da_c, rh))
-    add_into(sums, 8, da_c)
     drh = uh.T @ da_c
     dh += drh * r
     da_r = (drh * h) * r * (1.0 - r)
-    add_into(sums, 3, outer(da_r, x))
-    add_into(sums, 4, outer(da_r, h))
-    add_into(sums, 5, da_r)
     dh += ur.T @ da_r
     da_z = dz * z * (1.0 - z)
-    add_into(sums, 0, outer(da_z, x))
-    add_into(sums, 1, outer(da_z, h))
-    add_into(sums, 2, da_z)
     dh += uz.T @ da_z
-    return dh, wh.T @ da_c + wr.T @ da_r + wz.T @ da_z
+    return dh, wh.T @ da_c + wr.T @ da_r + wz.T @ da_z, (da_z, da_r, da_c)
 
 
 def attention_values(state, proj, w, v):
@@ -583,14 +589,16 @@ def attention_values(state, proj, w, v):
     return ex / ex.sum(axis=-1, keepdims=True), t
 
 
-def attention_grads(g, alpha, t, state, w, v):
+def attention_grads(g, alpha, t, w, v):
     """Reverse of :func:`attention_values` for one row, given the gradient
-    ``g`` of ``alpha``: returns the gradients of ``v``, ``proj``, ``w`` and
-    ``state``."""
+    ``g`` of ``alpha``: returns the gradients of ``v`` and ``proj``, the
+    gradient ``dq`` of ``W state``, and the gradient of ``state``. The
+    gradient of ``W`` is ``dq`` times the state, summed over steps with
+    :func:`step_sum`."""
     de = alpha * (g - g @ alpha)
-    dp = outer(de, v) * (1.0 - t * t)
+    dp = (de[:, None] * v) * (1.0 - t * t)
     dq = dp.sum(axis=0)
-    return t.T @ de, dp, outer(dq, state), w.T @ dq
+    return t.T @ de, dp, dq, w.T @ dq
 
 
 @dataclass

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .config import ConfigError
 
 __all__ = [
@@ -204,14 +205,14 @@ def corpus_paths(data_dir, domain, split):
 
 
 def write_corpus(corpus, data_dir):
-    """One sentence per line, whitespace-joined, parallel src/tgt files."""
+    """One sentence per line, whitespace-joined, parallel src/tgt files.
+    Both files are replaced only once both are completely written."""
     src_path, tgt_path = corpus_paths(data_dir, corpus.domain, corpus.split)
-    with open(src_path, "w", encoding="utf-8") as fh:
-        for src, _ in corpus.pairs:
-            fh.write(" ".join(src) + "\n")
-    with open(tgt_path, "w", encoding="utf-8") as fh:
-        for _, tgt in corpus.pairs:
-            fh.write(" ".join(tgt) + "\n")
+    with atomic_open(src_path, "w", encoding="utf-8") as src_fh, \
+            atomic_open(tgt_path, "w", encoding="utf-8") as tgt_fh:
+        for src, tgt in corpus.pairs:
+            src_fh.write(" ".join(src) + "\n")
+            tgt_fh.write(" ".join(tgt) + "\n")
     return src_path, tgt_path
 
 

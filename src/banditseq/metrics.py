@@ -52,6 +52,11 @@ def ngram_counts(tokens, max_n):
     return counts
 
 
+def _check_max_n(what, max_n):
+    if max_n < 1:
+        raise ValueError(f"{what}: max_n must be >= 1, got {max_n}")
+
+
 def _pooled_match_stats(hypothesis, reference, max_n):
     hyp = ngram_counts(hypothesis, max_n)
     ref = ngram_counts(reference, max_n)
@@ -65,6 +70,7 @@ def ggleu(hypothesis, reference, max_n=4):
     >>> ggleu("a b c".split(), "a b d".split())
     0.5
     """
+    _check_max_n("ggleu", max_n)
     if len(reference) == 0:
         raise ValueError("ggleu: reference must be non-empty")
     if len(hypothesis) == 0:
@@ -77,6 +83,7 @@ def ggleu(hypothesis, reference, max_n=4):
 
 def corpus_ggleu(hypotheses, references, max_n=4):
     """gGLEU with match/total counts pooled over a whole corpus."""
+    _check_max_n("corpus_ggleu", max_n)
     if len(hypotheses) != len(references):
         raise ValueError(
             f"corpus_ggleu: got {len(hypotheses)} hypotheses for "
@@ -98,6 +105,7 @@ def corpus_ggleu(hypotheses, references, max_n=4):
 def corpus_bleu(hypotheses, references, max_n=4):
     """Corpus-level BLEU: geometric mean of modified n-gram precisions
     times the brevity penalty. Zero if any order has zero matches."""
+    _check_max_n("corpus_bleu", max_n)
     if len(hypotheses) != len(references):
         raise ValueError(
             f"corpus_bleu: got {len(hypotheses)} hypotheses for "
@@ -141,6 +149,7 @@ class FeedbackOracle:
     def __init__(self, kind, references, max_n=4, clean=False):
         if kind not in self.KINDS:
             raise ValueError(f"unknown feedback kind {kind!r}")
+        _check_max_n("FeedbackOracle", max_n)
         self.kind = kind
         self.references = dict(references)
         self.max_n = max_n

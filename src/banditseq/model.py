@@ -31,11 +31,13 @@ and hand-built samples, which no roll-out drew, are replayed teacher-forced
 (:func:`forced_logits`), a teacher-forcing policy over the same roll-out.
 Either way the reverse pass through time is recorded on the tape as a
 single node, and :func:`~banditseq.autodiff.log_likelihood` puts one node
-per scored sequence on top. The reverse pass sums in the order a tape of
-per-step nodes did, so its gradients equal that tape's bit for bit (see
-:mod:`banditseq.autodiff` for why the order is pinned). A kept forward
-reads the live parameter arrays, so it is valid only until the parameters
-change.
+per scored sequence on top. The reverse pass loops through time only for
+the recurrent chain and then sums each weight gradient over the stacked
+steps in one call (:func:`~banditseq.autodiff.step_sum`). It sums in the
+order a tape of per-step nodes did, so its gradients equal that tape's bit
+for bit (see :mod:`banditseq.autodiff` for why the order is pinned and
+what keeps it). A kept forward reads the live parameter arrays, so it is
+valid only until the parameters change.
 
 The roll-out is batched: greedy decoding runs a whole corpus through it,
 the samplers a batch of one. The recurrence stays sequential, but each step
@@ -58,7 +60,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    add_into,
     attention_grads,
     attention_values,
     gru_grads,
@@ -66,8 +67,8 @@ from .autodiff import (
     log_likelihood,
     matvec_rows,
     node,
-    outer,
     parameter,
+    step_sum,
 )
 
 START, END, UNK = 0, 1, 2
@@ -139,7 +140,11 @@ class Vocabulary:
         return tuple(self._tokens)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        """One token per line in id order, replacing ``path`` only once the
+        whole file is written."""
+        from .checkpoint import atomic_open  # checkpoint imports this module
+
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             for tok in self._tokens:
                 fh.write(tok + "\n")
 
@@ -407,68 +412,95 @@ def _kept_logits(source, inputs, params, dropout, forward):
     return _logits_node(forward)
 
 
+def _gru_weight_grads(prefix, deltas, x, h, rh, grads):
+    """The nine weight gradients of GRU ``prefix`` from its per-step gate
+    deltas ``(da_z, da_r, da_c)`` and inputs ``x``, ``h`` and ``r*h``, each
+    stacked by step."""
+    for gate, delta, recurrent in zip("zrh", deltas, (h, h, rh)):
+        grads[f"{prefix}.W{gate}"] = step_sum(delta, x)
+        grads[f"{prefix}.U{gate}"] = step_sum(delta, recurrent)
+        grads[f"{prefix}.b{gate}"] = step_sum(delta)
+
+
 def _backprop(d_logits, forward):
     """Backpropagation through time over a kept :class:`Forward`, from the
     gradient ``d_logits`` [T, V] of its logits; returns ``(parameter,
-    gradient)`` pairs. Sums run in the order of a tape of per-step nodes:
-    parameter gradients from the last step to the first, the gradient of
-    decoder state s_t as (from GRU step t+1 + from attention at step t+1) +
-    from step t's output layer, embedding rows last to first into zeros.
+    gradient)`` pairs.
+
+    The decoder loop, then the encoder loops, compute only the recurrent
+    chain: state gradients, gate deltas, the context gradient and
+    attention's. They keep the per-step deltas, and after each loop every
+    weight gradient is one :func:`~banditseq.autodiff.step_sum` of deltas
+    against the forward's stacked inputs. Sums run in the order of a tape
+    of per-step nodes: parameter gradients from the last step to the first,
+    the gradient of decoder state s_t as (from GRU step t+1 + from
+    attention at step t+1) + from step t's output layer, embedding rows
+    last to first into zeros.
     """
     params, p, source = forward.params, forward.p, forward.source
     matrix, init, init_mask = forward.matrix, forward.init, forward.init_mask
-    src_masks, steps = forward.src_masks, forward.steps
     h_dim, e_dim = params.hidden_size, params.embed_size
-    grads = {"tgt_emb": np.zeros_like(p["tgt_emb"])}
-    sums = {prefix: {} for prefix in ("dec", "enc_bwd", "enc_fwd")}
+    tokens, emb_masks, out_masks, *values = zip(*forward.steps)
+    state, alpha, energy, x, z, r, rh, c, pre_out = (
+        np.concatenate(v) for v in values)
+    n_steps, length = alpha.shape
+    d_pre = (d_logits[:, None, :] @ p["out.W"])[:, 0]
+    if out_masks[0] is not None:
+        d_pre *= np.stack(out_masks)
+    grads = {"tgt_emb": np.zeros_like(p["tgt_emb"]),
+             "out.b": step_sum(d_logits),
+             "out.W": step_sum(d_logits, pre_out)}
+    deltas = np.empty((3, n_steps, h_dim))
+    d_context = np.empty((n_steps, 2 * h_dim))
+    d_v, d_q = np.empty((2, n_steps, h_dim))
+    d_proj = np.empty((n_steps, length, h_dim))
     d_next = None
-    for t in reversed(range(len(steps))):
-        tok, emb_mask, out_mask, *values = steps[t]
-        state, alpha, energy, x, z, r, rh, c, pre_out = (v[0] for v in values)
-        d_out = d_logits[t]
-        add_into(grads, "out.b", d_out.copy())
-        add_into(grads, "out.W", outer(d_out, pre_out))
-        d_pre = _masked(p["out.W"].T @ d_out, out_mask)
-        d_new = d_pre[:h_dim] if d_next is None else d_next + d_pre[:h_dim]
-        d_state, d_x = gru_grads(d_new, x, state, z, r, rh, c, p["dec"],
-                                 sums["dec"])
-        grads["tgt_emb"][tok] += _masked(d_x[:e_dim], emb_mask)
-        d_context = d_pre[h_dim:] + d_x[e_dim:]
-        # the encoder states and their projections sum like parameters
-        add_into(grads, "matrix", outer(alpha, d_context))
-        d_v, d_proj, d_w, d_s = attention_grads(
-            matrix @ d_context, alpha, energy, state, p["att.W"], p["att.v"])
-        add_into(grads, "att.v", d_v)
-        add_into(grads, "proj", d_proj)
-        add_into(grads, "att.W", d_w)
+    for t in reversed(range(n_steps)):
+        d_new = d_pre[t, :h_dim] if d_next is None \
+            else d_next + d_pre[t, :h_dim]
+        d_state, d_x, deltas[:, t] = gru_grads(d_new, state[t], z[t], r[t],
+                                               c[t], p["dec"])
+        grads["tgt_emb"][tokens[t]] += _masked(d_x[:e_dim], emb_masks[t])
+        d_context[t] = d_pre[t, h_dim:] + d_x[e_dim:]
+        d_v[t], d_proj[t], d_q[t], d_s = attention_grads(
+            matrix @ d_context[t], alpha[t], energy[t], p["att.W"],
+            p["att.v"])
         d_next = d_state + d_s
+    _gru_weight_grads("dec", deltas, x, state, rh, grads)
+    grads["att.v"] = step_sum(d_v)
+    grads["att.W"] = step_sum(d_q, state)
 
     d_init = _masked(d_next, init_mask) * (1.0 - init[0] * init[0])
-    add_into(grads, "dec_init.b", d_init)
-    add_into(grads, "dec_init.W", outer(d_init, matrix[0, h_dim:]))
-    d_matrix, d_proj = grads.pop("matrix"), grads.pop("proj")
+    grads["dec_init.b"] = d_init
+    grads["dec_init.W"] = d_init[:, None] * matrix[0, h_dim:]
+    # the encoder states and their projections sum like parameters
+    d_matrix = step_sum(alpha, d_context)
+    d_proj = step_sum(d_proj)
     d_matrix += d_proj @ p["att.U"].T
-    add_into(grads, "att.U", matrix.T @ d_proj)
+    grads["att.U"] = matrix.T @ d_proj
     d_matrix[0, h_dim:] += p["dec_init.W"].T @ d_init
-    # backward GRU from position 0 up, then forward GRU from the end down
-    d_x = [None] * len(source)
-    carry = None
-    for i, (prefix, pos, *values) in enumerate(reversed(forward.encoder)):
-        x, h, z, r, rh, c = (v[0] for v in values)
-        if i == len(source):
-            carry = None
-        half = d_matrix[pos, h_dim:] if prefix == "enc_bwd" \
-            else d_matrix[pos, :h_dim]
-        carry, dx = gru_grads(half if carry is None else half + carry,
-                              x, h, z, r, rh, c, p[prefix], sums[prefix])
-        d_x[pos] = dx if d_x[pos] is None else d_x[pos] + dx
+    # backward GRU from position 0 up, then forward GRU from the end down;
+    # a GRU's deltas and inputs are stacked in the order it ran its steps
+    d_src = []
+    for prefix, half, records in (
+            ("enc_bwd", slice(h_dim, None), forward.encoder[len(source):]),
+            ("enc_fwd", slice(None, h_dim), forward.encoder[:len(source)])):
+        positions, *values = zip(*(record[1:] for record in records))
+        x, h, z, r, rh, c = (np.concatenate(v) for v in values)
+        deltas = np.empty((3, len(source), h_dim))
+        d_x = np.empty((len(source), e_dim))  # by source position
+        carry = None
+        for k in reversed(range(len(source))):
+            g = d_matrix[positions[k], half]
+            carry, d_x[positions[k]], deltas[:, k] = gru_grads(
+                g if carry is None else g + carry, h[k], z[k], r[k], c[k],
+                p[prefix])
+        _gru_weight_grads(prefix, deltas, x, h, rh, grads)
+        d_src.append(d_x)
+    d_src = _masked(d_src[0] + d_src[1], forward.src_masks)
     grads["src_emb"] = np.zeros_like(p["src_emb"])
     for pos in reversed(range(len(source))):
-        grads["src_emb"][source[pos]] += _masked(
-            d_x[pos], None if src_masks is None else src_masks[pos])
-    for prefix, weights in sums.items():
-        for i, suffix in enumerate(ModelParams.GRU_SUFFIXES):
-            grads[f"{prefix}.{suffix}"] = weights[i]
+        grads["src_emb"][source[pos]] += d_src[pos]
     return [(params[name], g) for name, g in grads.items()]
 
 

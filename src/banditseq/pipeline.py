@@ -270,14 +270,16 @@ def write_metrics_csv(path, rows):
 
 
 def _write_decoded(out_dir, tag, domain, hyps, hyps_unk):
+    """Write the decoded outputs, without and with UNK replacement; both
+    files are replaced only once both are completely written."""
     os.makedirs(os.path.join(out_dir, "decoded"), exist_ok=True)
     base = os.path.join(out_dir, "decoded", f"{tag}.{domain}")
-    with open(base + ".txt", "w", encoding="utf-8") as fh:
+    with atomic_open(base + ".txt", "w", encoding="utf-8") as fh, \
+            atomic_open(base + ".unk.txt", "w", encoding="utf-8") as unk_fh:
         for toks in hyps:
             fh.write(" ".join(toks) + "\n")
-    with open(base + ".unk.txt", "w", encoding="utf-8") as fh:
         for toks in hyps_unk:
-            fh.write(" ".join(toks) + "\n")
+            unk_fh.write(" ".join(toks) + "\n")
 
 
 def _load_corpora(data_dir):

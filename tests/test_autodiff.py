@@ -25,9 +25,12 @@ from banditseq.autodiff import (
     softmax,
     stack,
     stack_rows,
+    step_sum,
     tanh,
     vsum,
 )
+
+from conftest import outer
 
 
 def grad_of(build, params):
@@ -361,3 +364,78 @@ def test_forward_values_stay_finite(rng):
         x = constant(rng.normal(scale=3.0, size=4))
         for op in (tanh, sigmoid, neg, softmax):
             assert np.isfinite(op(x).data).all()
+
+
+def _step_loop(terms, inputs=None):
+    """``acc += term`` per step, last step first: the order of the tape."""
+    acc = None
+    for t in reversed(range(len(terms))):
+        term = terms[t] if inputs is None else outer(terms[t], inputs[t])
+        acc = term.copy() if acc is None else acc + term
+    return acc
+
+
+def _step_case(rng):
+    """Per-step terms and inputs whose sums round differently in every
+    other order: magnitudes 1e-8 to 1e8, exact zeros, axes of size 1."""
+    steps = int(rng.choice([1, rng.integers(1, 41)], p=[0.2, 0.8]))
+    rows, cols = (int(rng.choice([1, 2, rng.integers(1, 301)]))
+                  for _ in range(2))
+    terms, inputs = (rng.standard_normal((steps, n))
+                     * 10.0 ** rng.uniform(-8, 8, size=(steps, n))
+                     for n in (rows, cols))
+    terms[rng.random(terms.shape) < 0.1] = 0.0
+    inputs[rng.random(inputs.shape) < 0.1] = 0.0
+    return terms, inputs
+
+
+_VIEWS = {
+    "c": lambda a: a,
+    "reversed": lambda a: a[::-1],
+    "fortran": np.asfortranarray,
+    "fortran reversed": lambda a: np.asfortranarray(a)[::-1],
+}
+
+
+class TestStepSum:
+    """Weight gradients are summed over steps by ``step_sum``; it must add
+    the steps in the tape's order, last to first, bit for bit."""
+
+    @pytest.mark.parametrize("view", sorted(_VIEWS))
+    def test_equals_per_step_loop(self, view):
+        rng = np.random.default_rng(sorted(_VIEWS).index(view))
+        shapes = set()
+        for _ in range(600):
+            terms, inputs = (_VIEWS[view](a) for a in _step_case(rng))
+            shapes.add((len(terms) == 1, terms.shape[1] == 1,
+                        inputs.shape[1] == 1))
+            assert np.array_equal(step_sum(terms, inputs),
+                                  _step_loop(terms, inputs))
+            assert np.array_equal(step_sum(terms), _step_loop(terms))
+        assert len(shapes) == 8
+
+    def test_sums_higher_rank_terms(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            shape = [int(rng.integers(1, 41)), int(rng.choice([1, 8])),
+                     int(rng.choice([1, 64]))]
+            terms = rng.standard_normal(shape) * 10.0 ** rng.uniform(
+                -8, 8, size=shape)
+            terms[rng.random(shape) < 0.1] = 0.0
+            assert np.array_equal(step_sum(terms), _step_loop(terms))
+
+    def test_another_order_rounds_differently(self):
+        """The cases above tell the orders apart: summing the steps first
+        to last misses at least one of them."""
+        rng = np.random.default_rng(0)
+        cases = [_step_case(rng) for _ in range(200)]
+        assert not all(np.array_equal(step_sum(t, x), _step_loop(t[::-1],
+                                                                 x[::-1]))
+                       for t, x in cases)
+
+    def test_sign_of_zero_is_the_one_difference(self):
+        terms = np.array([[-1.0], [-2.0]])
+        inputs = np.zeros((2, 1))
+        got, want = step_sum(terms, inputs), _step_loop(terms, inputs)
+        assert np.array_equal(got, want)
+        assert not np.signbit(got[0, 0]) and np.signbit(want[0, 0])

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from banditseq.config import ConfigError
@@ -178,6 +180,19 @@ class TestCorpusFiles:
         a = (tmp_path / "x" / "a.test.src").read_bytes()
         b = (tmp_path / "y" / "a.test.src").read_bytes()
         assert a == b
+
+    def test_failed_write_keeps_previous_files(self, tmp_path):
+        corpus = gen_data(small_spec(seed=5))["b", "valid"]
+        paths = write_corpus(corpus, tmp_path)
+        before = [open(path, "rb").read() for path in paths]
+        # a target that is not text fails the write after many lines of both
+        # files are written
+        broken = Corpus(pairs=corpus.pairs * 50 + [(["a"], [1])],
+                        domain="b", split="valid")
+        with pytest.raises(TypeError):
+            write_corpus(broken, tmp_path)
+        assert [open(path, "rb").read() for path in paths] == before
+        assert sorted(os.listdir(tmp_path)) == ["b.valid.src", "b.valid.tgt"]
 
     def test_length_mismatch_rejected(self, tmp_path):
         (tmp_path / "x.src").write_text("a b\nc d\n")

@@ -171,6 +171,19 @@ class TestCorpusBleu:
                                       * math.sqrt((2 / 2) * (1 / 1)))
 
 
+@pytest.mark.parametrize("score", [
+    lambda n: ggleu(["a"], ["a"], n),
+    lambda n: ggleu([], ["a"], n),
+    lambda n: corpus_ggleu([["a"]], [["a"]], n),
+    lambda n: corpus_bleu([["a"]], [["a"]], n),
+    lambda n: FeedbackOracle("ggleu-loss", {0: ["a"]}, n),
+])
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_max_n_below_one_rejected(score, max_n):
+    with pytest.raises(ValueError, match="max_n"):
+        score(max_n)
+
+
 class TestCleanHypothesis:
     def test_cuts_at_end_and_drops_start(self):
         assert clean_hypothesis([0, 5, 3, 1, 4]) == [5, 3]

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -44,10 +45,11 @@ from banditseq.model import (
     sample_sequence,
     sequence_log_prob,
 )
-from banditseq.objectives import el_gradient, pr_gradient
+from banditseq.objectives import el_gradient, mle_loss_and_grad, pr_gradient
 from banditseq.oracles import count_sequences, enumerate_sequences
 
-from conftest import random_source, relative_gap, tiny_params
+from conftest import random_source, reference_backprop, relative_gap, \
+    tiny_params
 
 
 class TestVocabulary:
@@ -89,6 +91,16 @@ class TestVocabulary:
         vocab.save(path)
         loaded = Vocabulary.load(path)
         assert loaded.tokens == vocab.tokens
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        Vocabulary.from_corpus([["a", "b", "a"]]).save(path)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails part-way
+        with pytest.raises(UnicodeEncodeError):
+            Vocabulary([f"t{i}" for i in range(5000)] + ["\ud800"]).save(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["vocab.txt"]
 
 
 class TestModelParams:
@@ -769,3 +781,58 @@ class TestKeptForward:
             assert a.forward is not b.forward
             assert a == b
             assert "forward" not in repr(a)
+
+
+def _scores_by_both_passes(monkeypatch, src, sample, pair, reference, seed,
+                           params):
+    """The EL score, both PR halves and an MLE gradient under dropout 0.3,
+    computed with the model's reverse pass and again with the per-step
+    order oracle (``conftest.reference_backprop``) on the same forwards."""
+    def scores():
+        return (el_gradient(src, sample, params),
+                *pr_gradient(src, pair, params)[1],
+                mle_loss_and_grad(src, reference, params,
+                                  (0.3, np.random.default_rng(seed)))[1])
+
+    ours = scores()
+    with monkeypatch.context() as patched:
+        patched.setattr(model, "_backprop", reference_backprop)
+        oracle = scores()
+    return ours, oracle
+
+
+class TestReverseOrder:
+    """The reverse pass sums each weight gradient over the stacked steps;
+    it must equal the per-step loop it replaced bit for bit."""
+
+    def test_equals_per_step_order_on_tiny_models(self, rng, monkeypatch):
+        lengths = set()
+        for seed in range(32):
+            params = _battery_model(rng, 700 + seed)
+            src = random_source(rng, vocab_size=params.vocab_size,
+                                length=int(rng.integers(1, 9)))
+            max_len = int(rng.integers(1, 9))
+            sample = sample_sequence(src, params, max_len, rng)
+            pair = sample_pair(src, params, max_len, rng)
+            reference = [int(t) for t in rng.integers(
+                params.vocab_size, size=int(rng.integers(1, 9)))]
+            lengths.add(len(sample.tokens))
+            ours, oracle = _scores_by_both_passes(
+                monkeypatch, src, sample, pair, reference, seed, params)
+            for got, want in zip(ours, oracle):
+                _assert_same_maps(got, want)
+        assert len(lengths) >= 4, lengths
+
+    def test_equals_per_step_order_at_default_size(self, rng, monkeypatch):
+        params = ModelParams(195, seed=3)
+        for t in params.tensors.values():
+            t.data *= 2.0
+        src = random_source(rng, vocab_size=195, length=8)
+        sample = sample_sequence(src, params, 20, rng)
+        pair = sample_pair(src, params, 20, rng)
+        assert len(pair.greedy) == 20
+        reference = [int(t) for t in rng.integers(3, 195, size=20)]
+        ours, oracle = _scores_by_both_passes(
+            monkeypatch, src, sample, pair, reference, 1, params)
+        for got, want in zip(ours, oracle):
+            _assert_same_maps(got, want)

@@ -8,6 +8,7 @@ from banditseq.config import ConfigError, RunConfig
 from banditseq.data import Corpus
 from banditseq.model import Vocabulary
 from banditseq.pipeline import (
+    _write_decoded,
     derive_seed,
     evaluate_on_corpus,
     run_pipeline,
@@ -69,6 +70,23 @@ class TestWriteMetricsCsv:
             write_metrics_csv(path, rows)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["metrics.csv"]
+
+
+class TestWriteDecoded:
+    def test_failed_write_keeps_previous_files(self, tmp_path):
+        hyps = [["a", "b"], ["c"]]
+        _write_decoded(tmp_path, "seed", "b", hyps, hyps)
+        decoded = tmp_path / "decoded"
+        names = sorted(os.listdir(decoded))
+        before = [(decoded / name).read_bytes() for name in names]
+        # the UNK-replaced outputs come last; a token that is not text
+        # fails them after both files have many lines
+        with pytest.raises(TypeError):
+            _write_decoded(tmp_path, "seed", "b", hyps * 1000,
+                           hyps * 1000 + [[1]])
+        assert [(decoded / name).read_bytes() for name in names] == before
+        assert names == ["seed.b.txt", "seed.b.unk.txt"]
+        assert sorted(os.listdir(decoded)) == names
 
 
 class TestDeriveSeed:
