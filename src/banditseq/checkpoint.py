@@ -13,15 +13,15 @@ Layout (all integers little-endian):
                        u32 name-len + UTF-8 name
                        u32 rank, rank x u64 dims
                        float64 values, row-major
-    optimizer flag   u8 (0 or 1)
-    optimizer block  tensor block with the same encoding, present iff flag=1
+    reserved         u8, always 0
 
-Tensors are written in sorted-name order so save -> load -> save is byte
-identical. Saving writes a temporary file next to the target and renames it
-over the target only once it is complete, so an interrupted save leaves the
-previous file as it was. Loading validates the magic, the version, structural
-completeness (truncation is reported with the failing byte offset), and
-that embedding and output shapes agree with the stored vocabulary.
+Tensors are written in sorted-name order, each name once, so save -> load
+-> save is byte identical. Saving writes a temporary file next to the target
+and renames it over the target only once it is complete, so an interrupted
+save leaves the previous file as it was. Loading validates the magic, the
+version, structural completeness (truncation, a repeated tensor name and a
+non-zero reserved byte are reported with the failing byte offset), and that
+embedding and output shapes agree with the stored vocabulary.
 :meth:`Checkpoint.to_model` then rejects a tensor set that does not fit the
 model, naming the missing, unexpected or mis-shaped tensor. Every one of
 these is a :class:`CheckpointFormatError`.
@@ -52,15 +52,13 @@ class CheckpointFormatError(ValueError):
 
 @dataclass
 class Checkpoint:
-    """Everything needed to restore a model (and optionally its optimizer)."""
+    """Everything needed to restore a model."""
 
     vocab: Vocabulary
     tensors: dict
     iteration: int = 0
     seed: int = 0
     config_hash: str = ""
-    optimizer: dict | None = None
-    version: int = VERSION
 
     def to_model(self):
         """The model the tensors describe. A tensor that is missing,
@@ -100,26 +98,24 @@ def _write_string(fh, text):
 def _write_tensor_block(fh, tensors):
     fh.write(struct.pack("<I", len(tensors)))
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
+        arr = np.asarray(tensors[name], dtype="<f8")
         _write_string(fh, name)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes())
+        fh.write(arr.tobytes())
 
 
 def save_checkpoint(path, ckpt):
     with atomic_open(path) as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IQQ", ckpt.version, ckpt.iteration, ckpt.seed))
+        fh.write(struct.pack("<IQQ", VERSION, ckpt.iteration, ckpt.seed))
         _write_string(fh, ckpt.config_hash)
         tokens = ckpt.vocab.tokens
         fh.write(struct.pack("<I", len(tokens)))
         for tok in tokens:
             _write_string(fh, tok)
         _write_tensor_block(fh, ckpt.tensors)
-        fh.write(struct.pack("<B", ckpt.optimizer is not None))
-        if ckpt.optimizer is not None:
-            _write_tensor_block(fh, ckpt.optimizer)
+        fh.write(b"\0")  # reserved
     return path
 
 
@@ -154,12 +150,16 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise CheckpointFormatError(f"bad UTF-8 in {what}: {exc}")
 
-    def tensor_block(self, what):
-        count = self.u32(f"{what} count")
+    def tensor_block(self):
+        count = self.u32("tensor count")
         tensors = {}
         for i in range(count):
-            name = self.string(f"{what} tensor {i} name")
-            rank = self.u32(f"{what} tensor {name!r} rank")
+            start = self.offset
+            name = self.string(f"tensor {i} name")
+            if name in tensors:
+                raise CheckpointFormatError(
+                    f"repeated tensor name {name!r} at offset {start}")
+            rank = self.u32(f"tensor {name!r} rank")
             if rank > 8:
                 raise CheckpointFormatError(
                     f"implausible rank {rank} for tensor {name!r} at offset "
@@ -200,25 +200,24 @@ def load_checkpoint(path):
             "vocabulary does not start with the reserved tokens"
         )
     vocab = Vocabulary(tokens[3:])
-    tensors = r.tensor_block("parameter")
-    flag = r.u8("optimizer flag")
-    optimizer = r.tensor_block("optimizer") if flag == 1 else None
+    tensors = r.tensor_block()
+    reserved = r.u8("reserved byte")
+    if reserved != 0:
+        raise CheckpointFormatError(
+            f"reserved byte {reserved} at offset {r.offset - 1}, expected 0")
     if r.offset != len(data):
         raise CheckpointFormatError(
             f"{len(data) - r.offset} trailing bytes after offset {r.offset}"
         )
     _check_vocab_consistency(tensors, len(vocab))
     return Checkpoint(vocab=vocab, tensors=tensors, iteration=iteration,
-                      seed=seed, config_hash=config_hash, optimizer=optimizer,
-                      version=version)
+                      seed=seed, config_hash=config_hash)
 
 
 def _check_vocab_consistency(tensors, vocab_size):
-    for name, rows in (("src_emb", 0), ("tgt_emb", 0), ("out.W", 0),
-                       ("out.b", 0)):
-        if name in tensors and tensors[name].shape[rows] != vocab_size:
+    for name in ("src_emb", "tgt_emb", "out.W", "out.b"):
+        if name in tensors and tensors[name].shape[:1] != (vocab_size,):
             raise CheckpointFormatError(
-                f"tensor {name!r} has leading dimension "
-                f"{tensors[name].shape[rows]} but the vocabulary holds "
-                f"{vocab_size} tokens"
+                f"tensor {name!r} has shape {tensors[name].shape} but needs "
+                f"one row per token of the {vocab_size}-token vocabulary"
             )

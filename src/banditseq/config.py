@@ -48,7 +48,7 @@ class RunConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    optimizer: str = "adam"
+    optimizer: str = "adam"          # bandit stage only: MLE uses Adam
     sgd_decay: float = 0.0
     mle_alpha: float = 1e-3
     mle_epochs: int = 2

@@ -98,7 +98,6 @@ class Vocabulary:
     """Bijection between token strings and ids with three reserved slots."""
 
     RESERVED = ("<s>", "</s>", "<unk>")
-    START_ID, END_ID, UNK_ID = START, END, UNK
 
     def __init__(self, tokens=()):
         for tok in tokens:
@@ -126,7 +125,7 @@ class Vocabulary:
         return len(self._tokens)
 
     def id_of(self, token):
-        return self._ids.get(token, self.UNK_ID)
+        return self._ids.get(token, UNK)
 
     def encode(self, tokens):
         return [self.id_of(t) for t in tokens]
@@ -657,6 +656,8 @@ def sample_sequence(source, params, max_len, rng):
     stops after END or ``max_len`` tokens. The roll-out's values are kept
     on the sample (``forward``) for scoring it before the parameters
     change."""
+    if max_len < 1:
+        raise ValueError("sample_sequence: max_len must be >= 1")
     tokens = []
     log_prob = 0.0
 

@@ -178,13 +178,10 @@ class BanditRunOutcome:
 
     run: int
     objective: str
-    cv_mode: str
     best_iteration: int
-    best_valid_score: float
     rows: list
     test_scores: dict = field(default_factory=dict)
     oracle_calls: int = 0
-    checkpoint_path: str = ""
 
 
 @dataclass
@@ -194,7 +191,6 @@ class PipelineResult:
     data_dir: str
     vocab: Vocabulary = None
     seed_test_scores: dict = field(default_factory=dict)
-    mle_rows: list = field(default_factory=list)
     runs: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     metrics_path: str = ""
@@ -248,9 +244,7 @@ def _train_bandit_run(cfg, vocab, seed_values, corpora, run_idx):
     return BanditRunOutcome(
         run=run_idx + 1,
         objective=cfg.objective,
-        cv_mode=cfg.cv_mode,
         best_iteration=result.best_iteration,
-        best_valid_score=result.best_score,
         rows=result.rows,
         oracle_calls=oracle.calls,
     ), params
@@ -355,7 +349,6 @@ def run_pipeline(cfg):
             raise ConfigError("train-mle requires the build-vocab stage")
         params, mle_rows = train_mle(cfg, vocab, corpora["a", "train"],
                                      corpora["a", "valid"])
-        result.mle_rows = mle_rows
         for row in mle_rows:
             result.rows.append({"run": 0, **row})
         save_checkpoint(seed_path, Checkpoint(
@@ -391,12 +384,11 @@ def run_pipeline(cfg):
             outcome, best_params = _train_bandit_run(cfg, vocab, seed_values,
                                                      corpora, run_idx)
             tag = f"{cfg.objective}-{cfg.cv_mode}-run{outcome.run}"
-            ckpt_path = os.path.join(out_dir, "checkpoints", tag + ".bnsq")
-            save_checkpoint(ckpt_path, Checkpoint(
-                vocab=vocab, tensors=best_params.copy_values(),
-                iteration=outcome.best_iteration, seed=cfg.seed,
-                config_hash=chash))
-            outcome.checkpoint_path = ckpt_path
+            save_checkpoint(
+                os.path.join(out_dir, "checkpoints", tag + ".bnsq"),
+                Checkpoint(vocab=vocab, tensors=best_params.copy_values(),
+                           iteration=outcome.best_iteration, seed=cfg.seed,
+                           config_hash=chash))
             for row in outcome.rows:
                 result.rows.append({"run": outcome.run, **row})
             result.runs.append(outcome)

@@ -161,7 +161,8 @@ class TestCli:
                      "--input", str(src_file), "--n", "1", "--pairs",
                      "--seed", "4"]) == 0
 
-    @pytest.mark.parametrize("broken", ["missing att.v", "mis-shaped dec.Wz"])
+    @pytest.mark.parametrize("broken", ["missing att.v", "mis-shaped dec.Wz",
+                                        "rank-0 out.b"])
     def test_checkpoint_not_fitting_model_exits_3(self, tmp_path, capsys,
                                                   broken):
         vocab = Vocabulary(["aa", "bb", "cc"])
@@ -169,6 +170,8 @@ class TestCli:
         name = broken.split()[1]
         if broken.startswith("missing"):
             del tensors[name]
+        elif broken.startswith("rank-0"):
+            tensors[name] = np.float64(0.0)
         else:
             tensors[name] = np.zeros((2, 4))
         path = tmp_path / "m.bnsq"

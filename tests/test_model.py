@@ -559,6 +559,17 @@ class TestBatchedRollout:
             assert greedy_decode(sources, params, 6) == \
                 [tokens for tokens, _ in batch]
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one_rejected(self, max_len):
+        params = tiny_params(seed=19)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="greedy_decode: max_len"):
+            greedy_decode([[3, 4]], params, max_len)
+        with pytest.raises(ValueError, match="sample_sequence: max_len"):
+            sample_sequence([3, 4], params, max_len, rng)
+        with pytest.raises(ValueError, match="sample_pair: max_len"):
+            sample_pair([3, 4], params, max_len, rng)
+
     def test_empty_batch_and_empty_source(self):
         params = tiny_params(seed=19)
         assert greedy_decode([], params, 4) == []
