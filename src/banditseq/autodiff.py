@@ -6,8 +6,8 @@ numpy float64 arrays; scalars are shape-() arrays. There is no broadcasting
 except scalar-with-tensor, which keeps every reverse rule a one-liner.
 
 A graph is recorded on the active :class:`Tape` (one per training example,
-discarded after backward). Operations called while no tape is active, or
-inside :func:`no_grad`, compute values only.
+discarded after backward). Operations called while no tape is active
+compute values only.
 
 The model is not built from these ops. Its one forward runs on plain arrays
 (:func:`gru_values`, :func:`attention_values`), and a scored pass is
@@ -49,7 +49,6 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Tape",
-    "no_grad",
     "parameter",
     "constant",
     "node",
@@ -111,19 +110,6 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape})"
 
-    # Operator sugar; subtraction is add(neg(..)) so the op set stays minimal.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
 
 _state = threading.local()
 
@@ -172,19 +158,6 @@ class Tape:
             out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
             p.grad = None
         return out
-
-
-class no_grad:
-    """Context manager that suspends graph recording."""
-
-    def __enter__(self):
-        self._outer = _active_tape()
-        _state.tape = None
-        return self
-
-    def __exit__(self, *exc):
-        _state.tape = self._outer
-        return False
 
 
 def parameter(name, data):
@@ -631,8 +604,7 @@ def finite_difference_check(f, params, step=1e-5, tolerance=1e-4):
     analytic = tape.backward(out, params)
 
     def evaluate():
-        with no_grad():
-            val = float(f(params).data)
+        val = float(f(params).data)
         if not np.isfinite(val):
             raise ValueError(
                 "finite_difference_check: f evaluated to a non-finite value"

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_config
 from .model import ModelParams, sample_pair, sample_sequence, \
     sequence_log_prob
 from .objectives import TrainingDiverged
@@ -42,13 +42,9 @@ def _load_cfg(args, extra=None):
                  "out_dir": getattr(args, "out", None)}
     if extra:
         overrides.update(extra)
-    overrides = {k: v for k, v in overrides.items() if v is not None}
     if args.config:
         return load_config(args.config, overrides=overrides)
-    text = ""
-    from .config import parse_config
-
-    return parse_config(text, overrides=overrides)
+    return parse_config("", overrides=overrides)
 
 
 def _stage_cfg(args, stages, extra=None):
@@ -103,6 +99,7 @@ def cmd_evaluate(args):
         scores = result.seed_test_scores[split]
         line = ", ".join(f"{m}={scores[m]:.4f}" for m in sorted(scores))
         print(f"{split}: {line}")
+    print(f"metrics written to {result.metrics_path}")
     return 0
 
 

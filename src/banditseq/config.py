@@ -25,7 +25,7 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_OBJECTIVES = ("mle", "el", "pr")
+_OBJECTIVES = ("el", "pr")
 _CV_MODES = ("none", "baseline", "sf")
 _PAIR_KINDS = {"bin": "binary", "binary": "binary",
                "cont": "continuous", "continuous": "continuous"}
@@ -154,11 +154,11 @@ def parse_config(text, overrides=None):
 def _convert(key, value, lineno):
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "bool" or kind is bool:
+        if kind == "bool":
             return _parse_bool(value)
-        if kind == "int" or kind is int:
+        if kind == "int":
             return int(value)
-        if kind == "float" or kind is float:
+        if kind == "float":
             return float(value)
         return value
     except ValueError as exc:

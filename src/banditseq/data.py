@@ -142,25 +142,25 @@ def _swap_even_pairs(tokens):
     return out
 
 
-def _sentence(rng, spec, band_idx, weight, lexicon, alt_lexicon, swap,
-              src_tokens):
+def _sentence(rng, spec, band, weight, lexicon, alt_band, swap, src_tokens):
+    """One sentence pair. ``band`` lists the band's source tokens, the last
+    of ``src_tokens``; ``alt_band`` maps each to its alternative image, or
+    is None where the split is not ambiguous."""
     length = int(rng.integers(spec.min_len, spec.max_len + 1))
-    v = spec.src_vocab_size
-    n_band = len(band_idx)
-    band_set = None if alt_lexicon is None else set(
-        src_tokens[i] for i in band_idx)
+    n_band = len(band)
+    n_rest = len(src_tokens) - n_band
     src = []
     for _ in range(length):
-        if n_band == v or (n_band and rng.random() < weight):
-            tok = src_tokens[band_idx[int(rng.integers(n_band))]]
+        if n_rest == 0 or (n_band and rng.random() < weight):
+            tok = band[int(rng.integers(n_band))]
         else:
-            tok = src_tokens[int(rng.integers(v - n_band))]
+            tok = src_tokens[int(rng.integers(n_rest))]
         src.append(tok)
     tgt = []
     for tok in src:
-        if band_set is not None and tok in band_set \
+        if alt_band is not None and tok in alt_band \
                 and rng.random() < spec.ambiguity:
-            tgt.append(alt_lexicon[tok])
+            tgt.append(alt_band[tok])
         else:
             tgt.append(lexicon[tok])
     if swap:
@@ -177,7 +177,6 @@ def gen_data(spec):
     spec.validate()
     lex_a, lex_b, band = task_lexicons(spec)
     src_tokens = _token_names("s", spec.src_vocab_size)
-    band_idx = list(range(spec.src_vocab_size - len(band), spec.src_vocab_size))
     domains = {
         "a": (spec.sizes_a, spec.band_weight_a, lex_a, spec.swap_a),
         "b": (spec.sizes_b, spec.band_weight_b, lex_b, spec.swap_b),
@@ -190,9 +189,9 @@ def gen_data(spec):
             )
             ambiguous = domain == "a" and split == "train" \
                 and spec.ambiguity > 0.0
-            alt = lex_b if ambiguous else None
+            alt_band = {tok: lex_b[tok] for tok in band} if ambiguous else None
             pairs = [
-                _sentence(rng, spec, band_idx, weight, lexicon, alt, swap,
+                _sentence(rng, spec, band, weight, lexicon, alt_band, swap,
                           src_tokens)
                 for _ in range(size)
             ]

@@ -57,28 +57,13 @@ def _check_max_n(what, max_n):
         raise ValueError(f"{what}: max_n must be >= 1, got {max_n}")
 
 
-def _pooled_match_stats(hypothesis, reference, max_n):
-    hyp = ngram_counts(hypothesis, max_n)
-    ref = ngram_counts(reference, max_n)
-    matches = sum(min(c, ref[g]) for g, c in hyp.items())
-    return matches, sum(hyp.values()), sum(ref.values())
-
-
 def ggleu(hypothesis, reference, max_n=4):
     """min(precision, recall) over pooled n-gram matches up to ``max_n``.
 
     >>> ggleu("a b c".split(), "a b d".split())
     0.5
     """
-    _check_max_n("ggleu", max_n)
-    if len(reference) == 0:
-        raise ValueError("ggleu: reference must be non-empty")
-    if len(hypothesis) == 0:
-        return 0.0
-    matches, hyp_total, ref_total = _pooled_match_stats(hypothesis, reference, max_n)
-    if matches == 0:
-        return 0.0
-    return min(matches / hyp_total, matches / ref_total)
+    return corpus_ggleu([hypothesis], [reference], max_n)
 
 
 def corpus_ggleu(hypotheses, references, max_n=4):
@@ -93,10 +78,11 @@ def corpus_ggleu(hypotheses, references, max_n=4):
     for hyp, ref in zip(hypotheses, references):
         if len(ref) == 0:
             raise ValueError("corpus_ggleu: references must be non-empty")
-        m, ht, rt = _pooled_match_stats(hyp, ref, max_n)
-        matches += m
-        hyp_total += ht
-        ref_total += rt
+        hyp_counts = ngram_counts(hyp, max_n)
+        ref_counts = ngram_counts(ref, max_n)
+        matches += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        hyp_total += sum(hyp_counts.values())
+        ref_total += sum(ref_counts.values())
     if matches == 0 or hyp_total == 0:
         return 0.0
     return min(matches / hyp_total, matches / ref_total)
@@ -119,11 +105,10 @@ def corpus_bleu(hypotheses, references, max_n=4):
             raise ValueError("corpus_bleu: references must be non-empty")
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_n = Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
-            ref_n = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
-            matches[n - 1] += sum(min(c, ref_n[g]) for g, c in hyp_n.items())
-            totals[n - 1] += sum(hyp_n.values())
+        ref_counts = ngram_counts(ref, max_n)
+        for gram, count in ngram_counts(hyp, max_n).items():
+            matches[len(gram) - 1] += min(count, ref_counts[gram])
+            totals[len(gram) - 1] += count
     # orders the corpus is too short to contain contribute nothing; an order
     # that exists but has no matches zeroes the whole score
     present = [(m, t) for m, t in zip(matches, totals) if t > 0]

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tape, exp, log_likelihood, mul, no_grad
+from .autodiff import Tape, add, exp, log_likelihood, mul
 from .model import (
     END,
     Forward,
@@ -71,9 +71,8 @@ def _sequences(vocab_size, max_len, prefix=()):
 def enumerate_sequences(source, params, max_len):
     """All sampling outcomes as ``(tokens, log-probability)``; together
     their probabilities sum to one."""
-    with no_grad():
-        return [(seq, float(sequence_log_prob(source, seq, params).data))
-                for seq in _sequences(params.vocab_size, max_len)]
+    return [(seq, float(sequence_log_prob(source, seq, params).data))
+            for seq in _sequences(params.vocab_size, max_len)]
 
 
 def exact_risk_and_grad(source, params, delta_fn, max_len, guard=1_000_000):
@@ -89,7 +88,7 @@ def exact_risk_and_grad(source, params, delta_fn, max_len, guard=1_000_000):
         for tokens in _sequences(params.vocab_size, max_len):
             lp = sequence_log_prob(source, tokens, params)
             term = mul(exp(lp), float(delta_fn(list(tokens))))
-            risk = term if risk is None else risk + term
+            risk = term if risk is None else add(risk, term)
     grads = tape.backward(risk, params.tensors)
     return float(risk.data), grads
 
@@ -111,21 +110,20 @@ def _pair_outcomes(source, params, t_y, guard):
     logits = _logits_node(forward)
     words = [list(w) for w in itertools.product(range(vocab), repeat=t_y)]
     return greedy, (
-        (position, w, w_prime, log_likelihood(logits, w)
-         + log_likelihood(logits, w_prime, position))
+        (position, w, w_prime, add(log_likelihood(logits, w),
+                                   log_likelihood(logits, w_prime, position)))
         for position in range(1, t_y + 1) for w in words for w_prime in words)
 
 
 def enumerate_pair_outcomes(source, params, t_y, guard=1_000_000):
     """Every (position, positive, perturbed) outcome of pair sampling with
     its probability, as ``(SampledPair, probability)`` tuples."""
-    with no_grad():
-        greedy, outcomes = _pair_outcomes(source, params, t_y, guard)
-        return [(SampledPair(tokens_pos=w, tokens_neg=w_prime,
-                             greedy=list(greedy), position=position,
-                             log_prob=float(lp.data)),
-                 math.exp(lp.data) / t_y)
-                for position, w, w_prime, lp in outcomes]
+    greedy, outcomes = _pair_outcomes(source, params, t_y, guard)
+    return [(SampledPair(tokens_pos=w, tokens_neg=w_prime,
+                         greedy=list(greedy), position=position,
+                         log_prob=float(lp.data)),
+             math.exp(lp.data) / t_y)
+            for position, w, w_prime, lp in outcomes]
 
 
 def exact_pr_risk_and_grad(source, params, pair_delta_fn, t_y,
@@ -139,6 +137,6 @@ def exact_pr_risk_and_grad(source, params, pair_delta_fn, t_y,
         for _, w, w_prime, lp in _pair_outcomes(source, params, t_y,
                                                 guard)[1]:
             term = mul(exp(lp), float(pair_delta_fn(w, w_prime)) / t_y)
-            risk = term if risk is None else risk + term
+            risk = term if risk is None else add(risk, term)
     grads = tape.backward(risk, params.tensors)
     return float(risk.data), grads

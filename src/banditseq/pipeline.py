@@ -10,7 +10,9 @@ Stages (selected by the ``stages`` config key):
 * ``evaluate``     greedy-decode both test sets for the seed model and every
                    run's selected checkpoint; write decoded outputs (raw and
                    UNK-replaced) and a metrics CSV including mean/std rows
-                   across runs
+                   across runs. As the only stage, it names the decoded
+                   files and the CSV (``metrics.<stem>.csv``) after the
+                   seed checkpoint's file stem
 
 All randomness descends from the single config seed through fixed
 per-stage offsets, so a rerun with the same config is byte-identical.
@@ -22,7 +24,7 @@ import csv
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,7 +179,6 @@ class BanditRunOutcome:
     """One adaptation run: its log, selection, and test scores."""
 
     run: int
-    objective: str
     best_iteration: int
     rows: list
     test_scores: dict = field(default_factory=dict)
@@ -186,9 +187,7 @@ class BanditRunOutcome:
 
 @dataclass
 class PipelineResult:
-    cfg: object
     out_dir: str
-    data_dir: str
     vocab: Vocabulary = None
     seed_test_scores: dict = field(default_factory=dict)
     runs: list = field(default_factory=list)
@@ -209,13 +208,9 @@ def _train_bandit_run(cfg, vocab, seed_values, corpora, run_idx):
     train_b = corpora["b", "train"]
     sources = [vocab.encode(src) for src in train_b.sources]
     references = {i: vocab.encode(tgt) for i, (_, tgt) in enumerate(train_b.pairs)}
-    if cfg.objective == "el":
-        oracle = FeedbackOracle("ggleu-loss", references, max_n=cfg.ggleu_max_n,
-                                clean=True)
-    else:
-        kind = "pair-binary" if cfg.pair_feedback == "binary" else "pair-continuous"
-        oracle = FeedbackOracle(kind, references, max_n=cfg.ggleu_max_n,
-                                clean=True)
+    kind = "ggleu-loss" if cfg.objective == "el" \
+        else f"pair-{cfg.pair_feedback}"
+    oracle = FeedbackOracle(kind, references, max_n=cfg.ggleu_max_n, clean=True)
     stream = _corpus_stream(sources,
                             derive_seed(cfg.seed, _SEED_BANDIT_STREAM, run_idx))
     validate = _make_validator(vocab, corpora["b", "valid"], cfg.max_len,
@@ -243,7 +238,6 @@ def _train_bandit_run(cfg, vocab, seed_values, corpora, run_idx):
     params.load_values(result.best_values)
     return BanditRunOutcome(
         run=run_idx + 1,
-        objective=cfg.objective,
         best_iteration=result.best_iteration,
         rows=result.rows,
         oracle_calls=oracle.calls,
@@ -309,7 +303,12 @@ def task_spec_from_config(cfg):
 
 
 def config_hash(cfg):
-    return hashlib.sha256(format_config(cfg).encode("utf-8")).hexdigest()
+    """Digest of the settings that shape the experiment. Where files are
+    read and written and which stages run are left out, so a model trained
+    in one go or stage by stage, into any directory, hashes the same."""
+    settings = replace(cfg, out_dir="", data_dir="", seed_checkpoint="",
+                       stages="")
+    return hashlib.sha256(format_config(settings).encode("utf-8")).hexdigest()
 
 
 def run_pipeline(cfg):
@@ -324,7 +323,7 @@ def run_pipeline(cfg):
     unknown = set(stages) - known
     if unknown:
         raise ConfigError(f"unknown stages: {sorted(unknown)}")
-    result = PipelineResult(cfg=cfg, out_dir=out_dir, data_dir=data_dir)
+    result = PipelineResult(out_dir=out_dir)
     chash = config_hash(cfg)
 
     if "gen-data" in stages:
@@ -343,6 +342,12 @@ def run_pipeline(cfg):
 
     seed_path = cfg.seed_checkpoint or os.path.join(out_dir, "checkpoints",
                                                     "mle.bnsq")
+    # A checkpoint evaluated on its own names its outputs after its file, so
+    # that they replace no file another invocation wrote.
+    seed_tag, metrics_name = "seed", "metrics.csv"
+    if set(stages) == {"evaluate"}:
+        seed_tag = os.path.splitext(os.path.basename(seed_path))[0]
+        metrics_name = f"metrics.{seed_tag}.csv"
     params = None
     if "train-mle" in stages:
         if vocab is None:
@@ -367,19 +372,14 @@ def run_pipeline(cfg):
     result.seed_checkpoint_path = seed_path
     if params is None:
         result.metrics_path = write_metrics_csv(
-            os.path.join(out_dir, "metrics.csv"), result.rows)
+            os.path.join(out_dir, metrics_name), result.rows)
         return result
     seed_values = params.copy_values()
 
     # (tag, run, iteration, parameters, test scores) of every model that
     # the evaluate stage decodes: the seed first, then each run's selection
-    models = [("seed", 0, 0, params, result.seed_test_scores)]
+    models = [(seed_tag, 0, 0, params, result.seed_test_scores)]
     if "train-bandit" in stages:
-        if cfg.objective not in ("el", "pr"):
-            raise ConfigError(
-                "train-bandit requires objective = el or pr; "
-                "mle is the pretraining stage"
-            )
         for run_idx in range(cfg.runs):
             outcome, best_params = _train_bandit_run(cfg, vocab, seed_values,
                                                      corpora, run_idx)
@@ -422,5 +422,5 @@ def run_pipeline(cfg):
                                 "value": math.sqrt(var)})
 
     result.metrics_path = write_metrics_csv(
-        os.path.join(out_dir, "metrics.csv"), result.rows)
+        os.path.join(out_dir, metrics_name), result.rows)
     return result

@@ -18,7 +18,6 @@ from banditseq.autodiff import (
     matvec,
     mul,
     neg,
-    no_grad,
     parameter,
     pick,
     sigmoid,
@@ -200,13 +199,6 @@ class TestBackward:
             return g["x"]
 
         assert np.array_equal(run(), run())
-
-    def test_no_grad_suppresses_recording(self):
-        with Tape() as tape:
-            x = parameter("x", np.array([1.0]))
-            with no_grad():
-                mul(x, x)
-        assert tape.nodes == []
 
 
 class TestFiniteDifferenceCheck:

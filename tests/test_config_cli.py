@@ -189,3 +189,47 @@ class TestCli:
         code = main(["train-bandit", "--config", str(small_cfg_file),
                      "--out", str(out), "--iters", "2"])
         assert code == 2  # no seed checkpoint yet
+
+    def test_seed_checkpoint_same_staged_or_whole(self, small_cfg_file,
+                                                  tmp_path):
+        # the config hash covers the settings, not where files go or which
+        # stages one invocation runs
+        cfg = str(small_cfg_file)
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        assert main(["gen-data", "--config", cfg, "--out", str(staged)]) == 0
+        assert main(["train-mle", "--config", cfg, "--out", str(staged)]) == 0
+        assert main(["pipeline", "--config", cfg, "--out", str(whole)]) == 0
+        seed = Path("checkpoints") / "mle.bnsq"
+        assert (staged / seed).read_bytes() == (whole / seed).read_bytes()
+
+    def test_pipeline_train_bandit_evaluate(self, small_cfg_file, tmp_path,
+                                            capsys):
+        cfg, out = str(small_cfg_file), tmp_path / "out"
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            f"metrics written to {out}/metrics.csv\n"
+
+        assert main(["train-bandit", "--config", cfg, "--out", str(out),
+                     "--objective", "pr", "--cv", "sf", "--pair-feedback",
+                     "bin", "--iters", "4"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"run 1: best iteration \d+, domain-B test "
+                            r"ggleu \d\.\d{4}", printed[0])
+        assert printed[1:] == [f"metrics written to {out}/metrics.csv"]
+
+        # evaluating a checkpoint on its own replaces no file written before
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        ckpt = out / "checkpoints" / "pr-sf-run1.bnsq"
+        assert main(["evaluate", "--config", cfg, "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 0
+        after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert [p for p, blob in before.items() if after[p] != blob] == []
+        written = out / "metrics.pr-sf-run1.csv"
+        assert set(after) - set(before) == {written}
+        assert len(written.read_text().splitlines()) == 9
+        printed = capsys.readouterr().out.splitlines()
+        metric = r"=\d\.\d{4}"
+        for line, split in zip(printed, ("test_a", "test_b")):
+            assert re.fullmatch(f"{split}: bleu{metric}, bleu_unk{metric}, "
+                                f"ggleu{metric}, ggleu_unk{metric}", line)
+        assert printed[2:] == [f"metrics written to {written}"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditseq import model, objectives
-from banditseq.autodiff import Tape, finite_difference_check, neg
+from banditseq.autodiff import Tape, add, finite_difference_check, neg
 from banditseq.model import (
     END,
     ModelParams,
@@ -162,7 +162,7 @@ class TestPrGradient:
             score, (g_pos, _) = pr_gradient([3, 4], pair, params)
             with Tape() as tape:
                 lp_pos, lp_neg = pair_log_prob([3, 4], pair, params)
-                joint = lp_pos + lp_neg
+                joint = add(lp_pos, lp_neg)
             want = tape.backward(joint, params.tensors)
             assert max_abs_diff(score, want) <= 1e-12
             assert max_abs_diff(g_pos, tape.backward(lp_pos, params.tensors)) \

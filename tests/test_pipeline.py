@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from banditseq.config import ConfigError, RunConfig
+from banditseq.config import ConfigError, RunConfig, parse_config
 from banditseq.data import Corpus
 from banditseq.model import Vocabulary
 from banditseq.pipeline import (
     _write_decoded,
+    config_hash,
     derive_seed,
     evaluate_on_corpus,
     run_pipeline,
@@ -182,18 +183,24 @@ class TestRunPipeline:
         )
         result = run_pipeline(second)
         assert len(result.runs) == 1
-        assert result.runs[0].objective == "pr"
         assert (tmp_path / "two" / "checkpoints" / "pr-none-run1.bnsq").exists()
+
+    def test_config_hash_covers_settings_not_paths(self, tmp_path):
+        cfg = tiny_run_config(tmp_path / "out")
+        moved = tiny_run_config(tmp_path / "elsewhere", stages="train-mle",
+                                data_dir="d", seed_checkpoint="s.bnsq")
+        assert config_hash(moved) == config_hash(cfg)
+        assert config_hash(tiny_run_config(tmp_path / "out", hidden_size=9)) \
+            != config_hash(cfg)
 
     def test_missing_data_is_config_error(self, tmp_path):
         cfg = tiny_run_config(tmp_path / "out", stages="train-mle")
         with pytest.raises(ConfigError, match="missing corpus"):
             run_pipeline(cfg)
 
-    def test_mle_objective_rejected_for_bandit(self, tmp_path):
-        cfg = tiny_run_config(tmp_path / "out", objective="mle")
-        with pytest.raises(ConfigError, match="train-bandit"):
-            run_pipeline(cfg)
+    def test_mle_objective_rejected_for_bandit(self):
+        with pytest.raises(ConfigError, match="objective"):
+            parse_config("objective = mle\n")
 
     def test_unknown_stage_rejected(self, tmp_path):
         cfg = tiny_run_config(tmp_path / "out", stages="gen-data,fly-to-moon")
