@@ -61,7 +61,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "exp",
-    "log",
     "softmax",
     "logsumexp",
     "pick",
@@ -307,17 +306,6 @@ def exp(a):
         _accum(a, g * y)
 
     return _make(y, backward)
-
-
-def log(a):
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise ValueError("log: domain error, operand has non-positive entries")
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), backward)
 
 
 def softmax(a):

@@ -151,7 +151,8 @@ def cmd_grad_check(args):
 def cmd_pipeline(args):
     cfg = _load_cfg(args)
     result = pl.run_pipeline(cfg)
-    print(f"metrics written to {result.metrics_path}")
+    if result.metrics_path:
+        print(f"metrics written to {result.metrics_path}")
     return 0
 
 

@@ -100,7 +100,8 @@ class RunConfig:
             raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}, "
                               f"got {self.optimizer!r}")
         for key in ("embedding_size", "hidden_size", "max_len", "mle_batch",
-                    "ggleu_max_n"):
+                    "ggleu_max_n", "min_sent_len", "train_a", "valid_a",
+                    "test_a", "train_b", "valid_b", "test_b"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.mle_epochs < 0:
@@ -112,13 +113,31 @@ class RunConfig:
         for key in ("clip_norm", "adam_alpha", "adam_eps", "mle_alpha"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive")
-        for key in ("dropout", "adam_beta1", "adam_beta2"):
+        for key in ("dropout", "adam_beta1", "adam_beta2", "ambiguity"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1)")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.sgd_decay < 0:
             raise ConfigError("sgd_decay must be >= 0")
+        if self.src_vocab_size < 2:
+            raise ConfigError("src_vocab_size must be >= 2")
+        if self.min_sent_len > self.max_sent_len:
+            raise ConfigError(f"min_sent_len {self.min_sent_len} exceeds "
+                              f"max_sent_len {self.max_sent_len}")
+        if not 0.0 <= self.overlap <= 1.0:
+            raise ConfigError(f"overlap must be in [0, 1], got {self.overlap}")
+        if self.band_size == 1:
+            raise ConfigError(
+                "a bijection cannot differ from another in exactly one entry; "
+                "choose an overlap giving a shifted band of 0 or >= 2 entries"
+            )
+
+    @property
+    def band_size(self):
+        """Source tokens whose image domain B shifts: the last
+        ``band_size`` of the ``src_vocab_size``."""
+        return round((1.0 - self.overlap) * self.src_vocab_size)
 
     def stage_list(self):
         return [s.strip() for s in self.stages.split(",") if s.strip()]

@@ -15,8 +15,9 @@ both alternatives, so sampled outputs actually explore the domain-B
 choices; weak feedback has something to reinforce. Validation and test
 references in both domains stay canonical (pure per-domain lexicons).
 
-Generation is a pure function of the spec: identical specs give
-byte-identical corpus files.
+Generation is a pure function of a :class:`~banditseq.config.RunConfig`'s
+synthetic-task keys and its ``seed``: equal values give byte-identical
+corpus files. The config checks those keys when it is built.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_open
-from .config import ConfigError
 
 __all__ = [
-    "SyntheticTaskSpec",
     "Corpus",
     "task_lexicons",
     "gen_data",
@@ -41,51 +40,6 @@ __all__ = [
 SPLITS = ("train", "valid", "test")
 _DOMAIN_OFFSET = {"a": 100, "b": 200}
 _SPLIT_OFFSET = {"train": 1, "valid": 2, "test": 3}
-
-
-@dataclass(frozen=True)
-class SyntheticTaskSpec:
-    """Everything the corpus generator needs, seed included."""
-
-    src_vocab_size: int = 96
-    overlap: float = 0.7
-    band_weight_a: float = 0.1
-    band_weight_b: float = 0.5
-    ambiguity: float = 0.25
-    swap_a: bool = True
-    swap_b: bool = True
-    min_len: int = 3
-    max_len: int = 8
-    sizes_a: tuple = (10000, 1000, 1000)
-    sizes_b: tuple = (2000, 500, 500)
-    seed: int = 0
-
-    def validate(self):
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ConfigError(f"overlap must be in [0, 1], got {self.overlap}")
-        if not 0.0 <= self.ambiguity < 1.0:
-            raise ConfigError(
-                f"ambiguity must be in [0, 1), got {self.ambiguity}"
-            )
-        if self.src_vocab_size < 2:
-            raise ConfigError("src_vocab_size must be at least 2")
-        if not 1 <= self.min_len <= self.max_len:
-            raise ConfigError(
-                f"need 1 <= min_len <= max_len, got {self.min_len}..{self.max_len}"
-            )
-        if len(self.sizes_a) != 3 or len(self.sizes_b) != 3:
-            raise ConfigError("sizes_a and sizes_b must each give train/valid/test")
-        if any(s < 1 for s in self.sizes_a + self.sizes_b):
-            raise ConfigError("all split sizes must be positive")
-        if self.band_size == 1:
-            raise ConfigError(
-                "a bijection cannot differ from another in exactly one entry; "
-                "choose an overlap giving a shifted band of 0 or >= 2 entries"
-            )
-
-    @property
-    def band_size(self):
-        return round((1.0 - self.overlap) * self.src_vocab_size)
 
 
 @dataclass
@@ -113,7 +67,7 @@ def _token_names(prefix, count):
     return [f"{prefix}{i:0{width}d}" for i in range(count)]
 
 
-def task_lexicons(spec):
+def task_lexicons(cfg):
     """Both domains' source->target bijections and the shifted band.
 
     Domain A maps source token i to a seeded random permutation of the
@@ -121,14 +75,13 @@ def task_lexicons(spec):
     ``band_size`` source tokens), whose images are rotated one step, so the
     two lexicons differ on exactly that many entries.
     """
-    spec.validate()
-    v = spec.src_vocab_size
+    v = cfg.src_vocab_size
     src = _token_names("s", v)
     tgt = _token_names("t", v)
-    rng = np.random.default_rng([spec.seed, 7])
+    rng = np.random.default_rng([cfg.seed, 7])
     perm = rng.permutation(v)
     lex_a = {src[i]: tgt[perm[i]] for i in range(v)}
-    band = src[v - spec.band_size:] if spec.band_size else []
+    band = src[v - cfg.band_size:] if cfg.band_size else []
     lex_b = dict(lex_a)
     for j, s in enumerate(band):
         lex_b[s] = lex_a[band[(j + 1) % len(band)]]
@@ -142,11 +95,11 @@ def _swap_even_pairs(tokens):
     return out
 
 
-def _sentence(rng, spec, band, weight, lexicon, alt_band, swap, src_tokens):
+def _sentence(rng, cfg, band, weight, lexicon, alt_band, swap, src_tokens):
     """One sentence pair. ``band`` lists the band's source tokens, the last
     of ``src_tokens``; ``alt_band`` maps each to its alternative image, or
     is None where the split is not ambiguous."""
-    length = int(rng.integers(spec.min_len, spec.max_len + 1))
+    length = int(rng.integers(cfg.min_sent_len, cfg.max_sent_len + 1))
     n_band = len(band)
     n_rest = len(src_tokens) - n_band
     src = []
@@ -159,7 +112,7 @@ def _sentence(rng, spec, band, weight, lexicon, alt_band, swap, src_tokens):
     tgt = []
     for tok in src:
         if alt_band is not None and tok in alt_band \
-                and rng.random() < spec.ambiguity:
+                and rng.random() < cfg.ambiguity:
             tgt.append(alt_band[tok])
         else:
             tgt.append(lexicon[tok])
@@ -168,30 +121,31 @@ def _sentence(rng, spec, band, weight, lexicon, alt_band, swap, src_tokens):
     return src, tgt
 
 
-def gen_data(spec):
+def gen_data(cfg):
     """Deterministic corpora for both domains, keyed by (domain, split).
 
     Only domain A's training split carries the band ambiguity; all other
     splits translate through their domain's lexicon exactly.
     """
-    spec.validate()
-    lex_a, lex_b, band = task_lexicons(spec)
-    src_tokens = _token_names("s", spec.src_vocab_size)
+    lex_a, lex_b, band = task_lexicons(cfg)
+    src_tokens = _token_names("s", cfg.src_vocab_size)
     domains = {
-        "a": (spec.sizes_a, spec.band_weight_a, lex_a, spec.swap_a),
-        "b": (spec.sizes_b, spec.band_weight_b, lex_b, spec.swap_b),
+        "a": ((cfg.train_a, cfg.valid_a, cfg.test_a), cfg.band_weight_a,
+              lex_a, cfg.swap_a),
+        "b": ((cfg.train_b, cfg.valid_b, cfg.test_b), cfg.band_weight_b,
+              lex_b, cfg.swap_b),
     }
     corpora = {}
     for domain, (sizes, weight, lexicon, swap) in domains.items():
         for split, size in zip(SPLITS, sizes):
             rng = np.random.default_rng(
-                [spec.seed, _DOMAIN_OFFSET[domain], _SPLIT_OFFSET[split]]
+                [cfg.seed, _DOMAIN_OFFSET[domain], _SPLIT_OFFSET[split]]
             )
             ambiguous = domain == "a" and split == "train" \
-                and spec.ambiguity > 0.0
+                and cfg.ambiguity > 0.0
             alt_band = {tok: lex_b[tok] for tok in band} if ambiguous else None
             pairs = [
-                _sentence(rng, spec, band, weight, lexicon, alt_band, swap,
+                _sentence(rng, cfg, band, weight, lexicon, alt_band, swap,
                           src_tokens)
                 for _ in range(size)
             ]

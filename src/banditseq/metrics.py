@@ -9,7 +9,11 @@ used for final evaluation only.
 
 Feedback oracles close over a reference store and hand the learner nothing
 but a scalar; they also count how often they were consulted, which lets the
-harness verify that references never leak elsewhere.
+harness verify that references never leak elsewhere. Pairwise feedback is
+oriented so that positive values mean the positive member was ranked
+*worse* than the perturbation (a misranking): binary feedback fires 1 on
+misrankings only, continuous feedback is the signed loss difference.
+Minimizing the resulting risk suppresses misranked pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from collections import Counter
 
 from .model import END, START
-from .objectives import pairwise_feedback
 
 __all__ = [
     "ngram_counts",
@@ -26,6 +29,7 @@ __all__ = [
     "corpus_ggleu",
     "corpus_bleu",
     "clean_hypothesis",
+    "pairwise_feedback",
     "FeedbackOracle",
 ]
 
@@ -119,14 +123,33 @@ def corpus_bleu(hypotheses, references, max_n=4):
     return brevity * math.exp(log_precision)
 
 
+def pairwise_feedback(delta_pos, delta_neg, kind):
+    """Combine two task losses into pairwise feedback.
+
+    ``delta_pos`` belongs to the positive-distribution sample, ``delta_neg``
+    to the perturbed one. Binary feedback is 1.0 exactly when the positive
+    member scored worse (a misranking; ties give 0). Continuous feedback is
+    the signed difference ``delta_pos - delta_neg``, positive on
+    misrankings.
+    """
+    if not (math.isfinite(delta_pos) and math.isfinite(delta_neg)):
+        raise ValueError("pairwise_feedback: losses must be finite")
+    if kind == "binary":
+        return 1.0 if delta_pos > delta_neg else 0.0
+    if kind == "continuous":
+        return delta_pos - delta_neg
+    raise ValueError(f"unknown pairwise feedback kind {kind!r}")
+
+
 class FeedbackOracle:
     """Scores sampled outputs against hidden references.
 
     ``kind`` selects the signal: ``ggleu-loss`` returns the task loss
     -gGLEU(sample, reference) for one sample; ``pair-binary`` and
-    ``pair-continuous`` compare two samples via
-    :func:`banditseq.objectives.pairwise_feedback`. ``calls`` counts every
-    consultation so reference isolation can be audited.
+    ``pair-continuous`` compare a (positive, perturbed) pair of samples via
+    :func:`pairwise_feedback`. With ``clean`` each sample is trimmed by
+    :func:`clean_hypothesis` first. ``calls`` counts every consultation so
+    reference isolation can be audited.
     """
 
     KINDS = ("ggleu-loss", "pair-binary", "pair-continuous")
@@ -141,34 +164,17 @@ class FeedbackOracle:
         self.clean = clean
         self.calls = 0
 
-    def _reference(self, sentence_id):
+    def __call__(self, sentence_id, *samples):
+        self.calls += 1
         try:
-            return self.references[sentence_id]
+            ref = self.references[sentence_id]
         except KeyError:
             raise KeyError(f"no reference stored for sentence id {sentence_id!r}")
-
-    def _prepare(self, tokens):
-        return clean_hypothesis(tokens) if self.clean else tokens
-
-    def loss(self, sentence_id, tokens):
-        """Task loss of one sample: -gGLEU against the hidden reference."""
-        self.calls += 1
-        hyp = self._prepare(tokens)
-        return -ggleu(hyp, self._reference(sentence_id), self.max_n)
-
-    def pair_loss(self, sentence_id, tokens_pos, tokens_neg):
-        """Pairwise feedback for (positive sample, perturbed sample)."""
-        self.calls += 1
-        ref = self._reference(sentence_id)
-        d_pos = -ggleu(self._prepare(tokens_pos), ref, self.max_n)
-        d_neg = -ggleu(self._prepare(tokens_neg), ref, self.max_n)
-        kind = "binary" if self.kind == "pair-binary" else "continuous"
-        return pairwise_feedback(d_pos, d_neg, kind)
-
-    def __call__(self, sentence_id, *samples):
+        losses = [-ggleu(clean_hypothesis(tokens) if self.clean else tokens,
+                         ref, self.max_n) for tokens in samples]
         if self.kind == "ggleu-loss":
-            (tokens,) = samples
-            return self.loss(sentence_id, tokens)
-        tokens_pos, tokens_neg = samples
-        return self.pair_loss(sentence_id, tokens_pos, tokens_neg)
-
+            (loss,) = losses
+            return loss
+        delta_pos, delta_neg = losses
+        return pairwise_feedback(delta_pos, delta_neg,
+                                 self.kind.removeprefix("pair-"))

@@ -89,6 +89,7 @@ __all__ = [
     "output_log_probs",
     "rollout",
     "greedy_decode",
+    "greedy_rollout",
     "sample_sequence",
     "sample_pair",
 ]
@@ -674,35 +675,50 @@ def sample_sequence(source, params, max_len, rng):
     return SampledSequence(tokens=tokens, log_prob=log_prob, forward=forward)
 
 
+def greedy_rollout(source, params, max_len):
+    """The roll-out that conditions pair sampling: ``max_len`` argmax
+    steps (ties -> lowest id) that do not stop at END. Returns the greedy
+    tokens and the roll-out's kept :class:`Forward`, whose logits rows are
+    the step distributions both pair members are drawn from; it is valid
+    until the parameters change."""
+    greedy = []
+
+    def follow_argmax(_, logits, __):
+        greedy.append(int(np.argmax(logits[0])))
+        return greedy[-1:], (True,)
+
+    forward = Forward()
+    rollout([source], params, max_len, follow_argmax, forward)
+    return greedy, forward
+
+
 def sample_pair(source, params, max_len, rng):
-    """Draw a (positive, perturbed) pair conditioned on the greedy roll-out.
+    """Draw a (positive, perturbed) pair conditioned on the greedy roll-out
+    (:func:`greedy_rollout`).
 
     A perturbation position i is drawn uniformly from 1..max_len first.
-    Each step then draws the positive member's token, draws the perturbed
-    member's token — from the negative distribution at step i, from the
-    positive one elsewhere — and feeds the greedy token, which extends the
-    shared conditioning prefix. All ``max_len`` steps are taken; END does
-    not stop the roll-out here, feedback simply ignores anything an END
-    precedes. The joint log-probability accumulates every factor. The
-    roll-out's values are kept on the pair (``forward``) for scoring it
-    before the parameters change.
+    Each step's logits then give the positive member's token and the
+    perturbed member's token — from the negative distribution at step i,
+    from the positive one elsewhere — both conditioned on the greedy
+    prefix. All ``max_len`` steps are taken; END does not stop the roll-out
+    here, feedback simply ignores anything an END precedes. The joint
+    log-probability accumulates every factor. The roll-out's values are
+    kept on the pair (``forward``) for scoring it before the parameters
+    change.
     """
     if max_len < 1:
         raise ValueError("sample_pair: max_len must be >= 1")
+    greedy, forward = greedy_rollout(source, params, max_len)
     position = int(rng.integers(1, max_len + 1))
     tokens_pos = []
     tokens_neg = []
-    greedy = []
     log_prob = 0.0
-
-    def draw_pair(_, logits, __):
-        nonlocal log_prob
-        logits = logits[0]
+    for step, (logits,) in enumerate(forward.logits, start=1):
         log_p_pos = output_log_probs(logits)
         p_pos = np.exp(log_p_pos)
         w = _draw(p_pos, rng)
         log_prob += float(log_p_pos[w])
-        if len(greedy) + 1 == position:
+        if step == position:
             log_p_neg = output_log_probs(logits, negated=True)
             w_prime = _draw(np.exp(log_p_neg), rng)
             log_prob += float(log_p_neg[w_prime])
@@ -711,11 +727,6 @@ def sample_pair(source, params, max_len, rng):
             log_prob += float(log_p_pos[w_prime])
         tokens_pos.append(w)
         tokens_neg.append(w_prime)
-        greedy.append(int(np.argmax(logits)))
-        return greedy[-1:], (True,)
-
-    forward = Forward()
-    rollout([source], params, max_len, draw_pair, forward)
     return SampledPair(tokens_pos=tokens_pos, tokens_neg=tokens_neg,
                        greedy=greedy, position=position, log_prob=log_prob,
                        forward=forward)

@@ -11,11 +11,6 @@ estimators are unbiased for the corresponding expected-risk objectives,
 which the enumeration oracles in :mod:`banditseq.oracles` make checkable on
 tiny instances.
 
-Pairwise feedback is oriented so that positive values mean the positive
-member was ranked *worse* than the perturbation (a misranking): binary
-feedback fires 1 on misrankings only, continuous feedback is the signed
-loss difference. Minimizing the resulting risk suppresses misranked pairs.
-
 Control variates reduce estimator variance without touching its mean. The
 running-average baseline scales the score by the recentered feedback; the
 score-function variate subtracts ``chat * d(log p)/d(theta)`` with a
@@ -40,7 +35,6 @@ __all__ = [
     "mle_loss_and_grad",
     "el_gradient",
     "pr_gradient",
-    "pairwise_feedback",
     "CoMoments",
     "ControlVariateState",
     "apply_baseline_cv",
@@ -107,24 +101,6 @@ def pr_gradient(source, pair, params):
     g_neg = tape.backward(lp_neg, params.tensors)
     score = {name: g_pos[name] + g_neg[name] for name in g_pos}
     return score, (g_pos, g_neg)
-
-
-def pairwise_feedback(delta_pos, delta_neg, kind):
-    """Combine two task losses into pairwise feedback.
-
-    ``delta_pos`` belongs to the positive-distribution sample, ``delta_neg``
-    to the perturbed one. Binary feedback is 1.0 exactly when the positive
-    member scored worse (a misranking; ties give 0). Continuous feedback is
-    the signed difference ``delta_pos - delta_neg``, positive on
-    misrankings.
-    """
-    if not (math.isfinite(delta_pos) and math.isfinite(delta_neg)):
-        raise ValueError("pairwise_feedback: losses must be finite")
-    if kind == "binary":
-        return 1.0 if delta_pos > delta_neg else 0.0
-    if kind == "continuous":
-        return delta_pos - delta_neg
-    raise ValueError(f"unknown pairwise feedback kind {kind!r}")
 
 
 class CoMoments:

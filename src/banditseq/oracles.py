@@ -20,17 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from .autodiff import Tape, add, exp, log_likelihood, mul
-from .model import (
-    END,
-    Forward,
-    SampledPair,
-    _logits_node,
-    rollout,
-    sequence_log_prob,
-)
+from .model import END, SampledPair, _logits_node, greedy_rollout, \
+    sequence_log_prob
 
 __all__ = [
     "count_sequences",
@@ -94,19 +86,13 @@ def exact_risk_and_grad(source, params, delta_fn, max_len, guard=1_000_000):
 
 
 def _pair_outcomes(source, params, t_y, guard):
-    """The greedy prefix of pair sampling (``t_y`` argmax steps, not
-    stopping at END) and every ``(position, w, w_prime, joint log-prob)``
-    outcome, both members scored on the logits that roll-out kept."""
+    """The greedy prefix of pair sampling
+    (:func:`~banditseq.model.greedy_rollout`) and every ``(position, w,
+    w_prime, joint log-prob)`` outcome, both members scored on the logits
+    that roll-out kept."""
     vocab = params.vocab_size
     _check_guard(t_y * vocab ** (2 * t_y), guard, "pair outcomes")
-    greedy = []
-
-    def follow_argmax(_, logits, __):
-        greedy.append(int(np.argmax(logits[0])))
-        return greedy[-1:], (True,)
-
-    forward = Forward()
-    rollout([source], params, t_y, follow_argmax, forward)
+    greedy, forward = greedy_rollout(source, params, t_y)
     logits = _logits_node(forward)
     words = [list(w) for w in itertools.product(range(vocab), repeat=t_y)]
     return greedy, (

@@ -9,10 +9,15 @@ Stages (selected by the ``stages`` config key):
                    references stay behind the feedback oracle
 * ``evaluate``     greedy-decode both test sets for the seed model and every
                    run's selected checkpoint; write decoded outputs (raw and
-                   UNK-replaced) and a metrics CSV including mean/std rows
-                   across runs. As the only stage, it names the decoded
-                   files and the CSV (``metrics.<stem>.csv``) after the
-                   seed checkpoint's file stem
+                   UNK-replaced) and mean/std rows across runs. As the only
+                   stage, it names the decoded files after the seed
+                   checkpoint's file stem
+
+An invocation writes its metric rows to ``metrics.<objective>-<cv_mode>.csv``
+when it runs ``train-bandit`` without ``train-mle``, to ``metrics.<stem>.csv``
+when ``evaluate`` is its only stage, and to ``metrics.csv`` otherwise, so
+that the stage commands replace no rows another one wrote. An invocation
+with no rows writes no metrics file.
 
 All randomness descends from the single config seed through fixed
 per-stage offsets, so a rerun with the same config is byte-identical.
@@ -31,12 +36,13 @@ import numpy as np
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, \
     save_checkpoint
 from .config import ConfigError, format_config
-from .data import SPLITS, SyntheticTaskSpec, corpus_paths, gen_data, \
-    read_parallel, write_corpus
+from .data import SPLITS, corpus_paths, gen_data, read_parallel, \
+    write_corpus
 from .metrics import FeedbackOracle, clean_hypothesis, corpus_bleu, corpus_ggleu
 from .model import END, ModelParams, START, UNK, Vocabulary, greedy_decode
-from .objectives import OptimizerState, TrainingConfig, adam_update, \
-    bandit_train_loop, clip_gradient, mle_loss_and_grad
+from .objectives import OptimizerState, TrainingConfig, TrainingDiverged, \
+    adam_update, bandit_train_loop, clip_gradient, grad_norm, \
+    mle_loss_and_grad
 
 __all__ = [
     "derive_seed",
@@ -158,7 +164,12 @@ def train_mle(cfg, vocab, train_corpus, valid_corpus):
                         acc[name] += grads[name]
             scale = 1.0 / len(batch)
             grads = {name: g * scale for name, g in acc.items()}
-            grads = clip_gradient(grads, cfg.clip_norm)
+            norm = grad_norm(grads)
+            if not math.isfinite(norm):
+                raise TrainingDiverged(
+                    f"non-finite gradient at MLE update {updates + 1} "
+                    f"(epoch {epoch})")
+            grads = clip_gradient(grads, cfg.clip_norm, norm)
             adam_update(params, grads, opt)
             updates += 1
         scores = validate(params)
@@ -286,20 +297,10 @@ def _load_corpora(data_dir):
 
 
 def task_spec_from_config(cfg):
-    return SyntheticTaskSpec(
-        src_vocab_size=cfg.src_vocab_size,
-        overlap=cfg.overlap,
-        band_weight_a=cfg.band_weight_a,
-        band_weight_b=cfg.band_weight_b,
-        ambiguity=cfg.ambiguity,
-        swap_a=cfg.swap_a,
-        swap_b=cfg.swap_b,
-        min_len=cfg.min_sent_len,
-        max_len=cfg.max_sent_len,
-        sizes_a=(cfg.train_a, cfg.valid_a, cfg.test_a),
-        sizes_b=(cfg.train_b, cfg.valid_b, cfg.test_b),
-        seed=cfg.seed,
-    )
+    """The synthetic task of ``cfg``: the config itself, whose task keys
+    :func:`~banditseq.data.gen_data` reads. Kept for the benchmark's
+    workloads, which call it."""
+    return cfg
 
 
 def config_hash(cfg):
@@ -327,7 +328,7 @@ def run_pipeline(cfg):
     chash = config_hash(cfg)
 
     if "gen-data" in stages:
-        corpora = gen_data(task_spec_from_config(cfg))
+        corpora = gen_data(cfg)
         for corpus in corpora.values():
             write_corpus(corpus, data_dir)
     else:
@@ -342,12 +343,14 @@ def run_pipeline(cfg):
 
     seed_path = cfg.seed_checkpoint or os.path.join(out_dir, "checkpoints",
                                                     "mle.bnsq")
-    # A checkpoint evaluated on its own names its outputs after its file, so
-    # that they replace no file another invocation wrote.
+    # named so that no invocation replaces the outputs another one wrote
+    run_prefix = f"{cfg.objective}-{cfg.cv_mode}"
     seed_tag, metrics_name = "seed", "metrics.csv"
     if set(stages) == {"evaluate"}:
         seed_tag = os.path.splitext(os.path.basename(seed_path))[0]
         metrics_name = f"metrics.{seed_tag}.csv"
+    elif "train-bandit" in stages and "train-mle" not in stages:
+        metrics_name = f"metrics.{run_prefix}.csv"
     params = None
     if "train-mle" in stages:
         if vocab is None:
@@ -371,8 +374,6 @@ def run_pipeline(cfg):
     result.vocab = vocab
     result.seed_checkpoint_path = seed_path
     if params is None:
-        result.metrics_path = write_metrics_csv(
-            os.path.join(out_dir, metrics_name), result.rows)
         return result
     seed_values = params.copy_values()
 
@@ -383,7 +384,7 @@ def run_pipeline(cfg):
         for run_idx in range(cfg.runs):
             outcome, best_params = _train_bandit_run(cfg, vocab, seed_values,
                                                      corpora, run_idx)
-            tag = f"{cfg.objective}-{cfg.cv_mode}-run{outcome.run}"
+            tag = f"{run_prefix}-run{outcome.run}"
             save_checkpoint(
                 os.path.join(out_dir, "checkpoints", tag + ".bnsq"),
                 Checkpoint(vocab=vocab, tensors=best_params.copy_values(),
@@ -421,6 +422,7 @@ def run_pipeline(cfg):
                                 "split": split, "metric": metric,
                                 "value": math.sqrt(var)})
 
-    result.metrics_path = write_metrics_csv(
-        os.path.join(out_dir, metrics_name), result.rows)
+    if result.rows:
+        result.metrics_path = write_metrics_csv(
+            os.path.join(out_dir, metrics_name), result.rows)
     return result

@@ -19,7 +19,7 @@ import pytest
 
 from banditseq.autodiff import constant, finite_difference_check, \
     log_likelihood, neg
-from banditseq.metrics import ggleu
+from banditseq.metrics import ggleu, pairwise_feedback
 from banditseq.model import (
     SampledSequence,
     output_log_probs,
@@ -30,7 +30,6 @@ from banditseq.objectives import (
     ControlVariateState,
     apply_baseline_cv,
     el_gradient,
-    pairwise_feedback,
     pr_gradient,
 )
 from banditseq.oracles import (

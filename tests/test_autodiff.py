@@ -11,7 +11,6 @@ from banditseq.autodiff import (
     embedding_lookup,
     exp,
     finite_difference_check,
-    log,
     log_likelihood,
     logsumexp,
     matmul,
@@ -82,10 +81,6 @@ class TestElementwise:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             add(constant(np.zeros(2)), constant(np.zeros(3)))
-
-    def test_log_domain_error(self):
-        with pytest.raises(ValueError, match="domain"):
-            log(constant(np.array([1.0, 0.0])))
 
     def test_scalar_broadcast_gradient_reduces(self):
         s = parameter("s", np.array(2.0))
@@ -230,11 +225,9 @@ class TestFiniteDifferenceCheck:
 
 # Builders for the randomized per-op sweep. Each returns (params, f) where
 # f maps the parameter dict to a scalar output.
-def _unary(op, positive=False):
+def _unary(op):
     def build(rng):
-        data = rng.uniform(0.5, 2.0, size=4) if positive \
-            else rng.normal(size=4)
-        x = parameter("x", data)
+        x = parameter("x", rng.normal(size=4))
         return {"x": x}, lambda p: vsum(op(p["x"]))
 
     return build
@@ -324,7 +317,6 @@ OP_BUILDERS = {
     "tanh": _unary(tanh),
     "sigmoid": _unary(sigmoid),
     "exp": _unary(exp),
-    "log": _unary(log, positive=True),
     "neg": _unary(neg),
     "add": _binary(add),
     "mul": _binary(mul),

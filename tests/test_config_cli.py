@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from banditseq import pipeline
 from banditseq.checkpoint import Checkpoint, save_checkpoint
 from banditseq.cli import main
 from banditseq.config import ConfigError, RunConfig, format_config, \
@@ -73,6 +74,16 @@ class TestConfigParsing:
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("text,key", [
+        ("overlap = 1.5", "overlap"),
+        ("min_sent_len = 9\nmax_sent_len = 8", "min_sent_len"),
+        ("train_b = 0", "train_b"),
+        ("src_vocab_size = 20\noverlap = 0.95", "bijection"),  # band of 1
+    ], ids=["overlap", "sent_len_order", "split_size", "band_of_one"])
+    def test_bad_task_key_rejected_when_parsed(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text + "\n")
 
     def test_overrides_win(self):
         cfg = parse_config("seed = 1\n", overrides={"seed": 5})
@@ -215,7 +226,7 @@ class TestCli:
         printed = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"run 1: best iteration \d+, domain-B test "
                             r"ggleu \d\.\d{4}", printed[0])
-        assert printed[1:] == [f"metrics written to {out}/metrics.csv"]
+        assert printed[1:] == [f"metrics written to {out}/metrics.pr-sf.csv"]
 
         # evaluating a checkpoint on its own replaces no file written before
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
@@ -233,3 +244,52 @@ class TestCli:
             assert re.fullmatch(f"{split}: bleu{metric}, bleu_unk{metric}, "
                                 f"ggleu{metric}, ggleu_unk{metric}", line)
         assert printed[2:] == [f"metrics written to {written}"]
+
+    def test_readme_stage_by_stage_flow(self, small_cfg_file, tmp_path,
+                                        capsys):
+        # each stage command keeps the metric rows the earlier ones wrote
+        cfg, out = str(small_cfg_file), tmp_path / "out"
+        common = ["--config", cfg, "--out", str(out)]
+
+        def metrics_files():
+            return {p.name: p.read_bytes() for p in out.glob("metrics*.csv")}
+
+        assert main(["gen-data", *common]) == 0
+        assert main(["build-vocab", *common]) == 0
+        assert metrics_files() == {}
+        assert main(["train-mle", *common]) == 0
+        kept = metrics_files()
+        assert list(kept) == ["metrics.csv"]
+        assert b",mle_loss," in kept["metrics.csv"]
+        for objective, cv in (("el", "baseline"), ("pr", "sf")):
+            capsys.readouterr()
+            assert main(["train-bandit", *common, "--objective", objective,
+                         "--cv", cv, "--iters", "2"]) == 0
+            name = f"metrics.{objective}-{cv}.csv"
+            assert capsys.readouterr().out.splitlines()[-1] == \
+                f"metrics written to {out / name}"
+            written = metrics_files()
+            assert set(written) == {*kept, name}
+            assert {n: written[n] for n in kept} == kept
+            kept = written
+        assert main(["evaluate", *common, "--checkpoint",
+                     str(out / "checkpoints" / "el-baseline-run1.bnsq")]) == 0
+        written = metrics_files()
+        assert set(written) == {*kept, "metrics.el-baseline-run1.csv"}
+        assert {n: written[n] for n in kept} == kept
+
+    def test_non_finite_mle_gradient_exits_4(self, small_cfg_file, tmp_path,
+                                             capsys, monkeypatch):
+        cfg, out = str(small_cfg_file), tmp_path / "out"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        loss_and_grad = pipeline.mle_loss_and_grad
+
+        def nan_gradient(*args, **kwargs):
+            loss, grads = loss_and_grad(*args, **kwargs)
+            grads["out.b"] = grads["out.b"] * np.nan
+            return loss, grads
+
+        monkeypatch.setattr(pipeline, "mle_loss_and_grad", nan_gradient)
+        assert main(["train-mle", "--config", cfg, "--out", str(out)]) == 4
+        assert "non-finite gradient at MLE update 1" in capsys.readouterr().err
+        assert not (out / "checkpoints" / "mle.bnsq").exists()

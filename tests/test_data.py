@@ -3,10 +3,9 @@ import os
 
 import pytest
 
-from banditseq.config import ConfigError
+from banditseq.config import ConfigError, RunConfig
 from banditseq.data import (
     Corpus,
-    SyntheticTaskSpec,
     corpus_paths,
     gen_data,
     read_parallel,
@@ -16,12 +15,12 @@ from banditseq.data import (
 from banditseq.metrics import corpus_ggleu
 
 
-SMALL = dict(src_vocab_size=20, sizes_a=(40, 10, 10), sizes_b=(20, 5, 5))
+SMALL = dict(seed=0, src_vocab_size=20, train_a=40, valid_a=10, test_a=10,
+             train_b=20, valid_b=5, test_b=5)
 
 
 def small_spec(**kwargs):
-    merged = {**SMALL, **kwargs}
-    return SyntheticTaskSpec(**merged)
+    return RunConfig(**{**SMALL, **kwargs})
 
 
 class TestLexicons:
@@ -51,7 +50,7 @@ class TestLexicons:
 
     def test_bad_overlap_rejected(self):
         with pytest.raises(ConfigError):
-            small_spec(overlap=1.5).validate()
+            small_spec(overlap=1.5)
 
 
 class TestGenData:
@@ -67,7 +66,7 @@ class TestGenData:
         assert len(corpora["b", "test"]) == 5
 
     def test_lengths_within_bounds(self):
-        corpora = gen_data(small_spec(min_len=2, max_len=5))
+        corpora = gen_data(small_spec(min_sent_len=2, max_sent_len=5))
         for corpus in corpora.values():
             for src, tgt in corpus.pairs:
                 assert 2 <= len(src) <= 5
@@ -86,8 +85,8 @@ class TestGenData:
 
     def test_ambiguity_only_in_domain_a_train(self):
         spec = small_spec(overlap=0.7, ambiguity=0.5, swap_a=False,
-                          swap_b=False, sizes_a=(400, 100, 100),
-                          sizes_b=(100, 50, 50))
+                          swap_b=False, train_a=400, valid_a=100,
+                          test_a=100, train_b=100, valid_b=50, test_b=50)
         lex_a, lex_b, band = task_lexicons(spec)
         band_set = set(band)
         corpora = gen_data(spec)
@@ -111,7 +110,7 @@ class TestGenData:
 
     def test_ambiguous_band_targets_come_from_domain_b(self):
         spec = small_spec(overlap=0.7, ambiguity=0.5, swap_a=False,
-                          sizes_a=(400, 10, 10))
+                          train_a=400)
         lex_a, lex_b, band = task_lexicons(spec)
         band_set = set(band)
         corpora = gen_data(spec)
@@ -122,7 +121,7 @@ class TestGenData:
 
     def test_bad_ambiguity_rejected(self):
         with pytest.raises(ConfigError, match="ambiguity"):
-            small_spec(ambiguity=1.0).validate()
+            small_spec(ambiguity=1.0)
 
     def test_no_swap_keeps_order(self):
         spec = small_spec(swap_a=False, swap_b=False)
@@ -151,7 +150,7 @@ class TestGenData:
 
     def test_band_heavier_in_domain_b(self):
         spec = small_spec(overlap=0.7, band_weight_a=0.1, band_weight_b=0.6,
-                          sizes_a=(300, 10, 10), sizes_b=(300, 5, 5))
+                          train_a=300, train_b=300)
         _, _, band = task_lexicons(spec)
         corpora = gen_data(spec)
         band_set = set(band)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import replace
 
@@ -689,6 +690,24 @@ class TestSamplePairs:
             elif len(greedy) > 1:
                 outcomes["stopped mid-way"] += 1
         assert min(outcomes.values()) >= 5, outcomes
+
+    def test_draws_pinned(self):
+        # tokens, greedy prefix, position and log-probability of fixed-seed
+        # draws: a change to the roll-out or to the order of the draws
+        # changes them
+        rng = np.random.default_rng(21)
+        digest = hashlib.sha256()
+        for seed in range(50):
+            params = _battery_model(rng, 500 + seed)
+            src = random_source(rng, vocab_size=params.vocab_size,
+                                length=int(rng.integers(1, 5)))
+            pair = sample_pair(src, params, int(rng.integers(1, 9)),
+                               np.random.default_rng(seed))
+            digest.update(repr((pair.tokens_pos, pair.tokens_neg,
+                                pair.greedy, pair.position,
+                                repr(pair.log_prob))).encode())
+        assert digest.hexdigest() == \
+            "b6304c323eff942c997cab79bb5b522c6a38b3b96ff6a03a7a874a277f037d26"
 
     def test_runs_full_length_even_past_end(self, rng):
         # pair sampling never stops early; END can appear mid-sequence

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from banditseq import model, objectives
 from banditseq.autodiff import Tape, add, finite_difference_check, neg
+from banditseq.metrics import pairwise_feedback
 from banditseq.model import (
     END,
     ModelParams,
@@ -30,7 +31,6 @@ from banditseq.objectives import (
     el_gradient,
     grad_norm,
     mle_loss_and_grad,
-    pairwise_feedback,
     pr_gradient,
     sgd_update,
 )
