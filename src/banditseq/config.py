@@ -125,8 +125,10 @@ class RunConfig:
         if self.min_sent_len > self.max_sent_len:
             raise ConfigError(f"min_sent_len {self.min_sent_len} exceeds "
                               f"max_sent_len {self.max_sent_len}")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ConfigError(f"overlap must be in [0, 1], got {self.overlap}")
+        for key in ("overlap", "band_weight_a", "band_weight_b"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(
+                    f"{key} must be in [0, 1], got {getattr(self, key)}")
         if self.band_size == 1:
             raise ConfigError(
                 "a bijection cannot differ from another in exactly one entry; "

@@ -5,7 +5,9 @@ all orders 1..max_n, and the score is the minimum of precision and recall
 over those pooled counts. It lives in [0, 1], needs no smoothing, and has
 no brevity penalty (recall covers short outputs). Corpus BLEU is the usual
 geometric mean of corpus-level modified precisions times a brevity penalty,
-used for final evaluation only.
+used for final evaluation only. Both corpus scores take either side as token
+lists or as a :class:`CorpusCounts`, so a corpus scored more than once
+(references at every validation, hypotheses by both scores) is counted once.
 
 Feedback oracles close over a reference store and hand the learner nothing
 but a scalar; they also count how often they were consulted, which lets the
@@ -20,11 +22,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 
 from .model import END, START
 
 __all__ = [
     "ngram_counts",
+    "CorpusCounts",
     "ggleu",
     "corpus_ggleu",
     "corpus_bleu",
@@ -48,17 +52,59 @@ def clean_hypothesis(tokens):
 
 
 def ngram_counts(tokens, max_n):
-    """Multiset of all n-grams of ``tokens`` for 1 <= n <= max_n."""
-    counts = Counter()
-    for n in range(1, max_n + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i:i + n])] += 1
-    return counts
+    """Multiset of all n-grams of ``tokens`` for 1 <= n <= max_n, inserted
+    shortest first and left to right."""
+    tails = [tokens[i:] for i in range(max_n)]
+    return Counter(chain.from_iterable(
+        zip(*tails[:n]) for n in range(1, max_n + 1)))
 
 
 def _check_max_n(what, max_n):
     if max_n < 1:
         raise ValueError(f"{what}: max_n must be >= 1, got {max_n}")
+
+
+class CorpusCounts:
+    """The n-gram counts of a corpus, counted once so that several scores
+    can share them: per-sentence ``counts`` and ``lengths``, and
+    ``order_totals``, the corpus's number of n-grams of each order
+    1..max_n. The corpus scores take one in place of a token-list corpus
+    scored with the same ``max_n``."""
+
+    def __init__(self, sentences, max_n):
+        _check_max_n("CorpusCounts", max_n)
+        self.max_n = max_n
+        self.counts = [ngram_counts(tokens, max_n) for tokens in sentences]
+        self.lengths = [len(tokens) for tokens in sentences]
+        self.order_totals = [sum(max(0, length - n + 1)
+                                 for length in self.lengths)
+                             for n in range(1, max_n + 1)]
+
+    def __len__(self):
+        return len(self.counts)
+
+
+def _counted_pair(what, hypotheses, references, max_n):
+    """Check a corpus pair and return both sides as :class:`CorpusCounts`,
+    counting the sides that are token lists."""
+    _check_max_n(what, max_n)
+    if len(hypotheses) != len(references):
+        raise ValueError(
+            f"{what}: got {len(hypotheses)} hypotheses for "
+            f"{len(references)} references"
+        )
+    counted = []
+    for side in (hypotheses, references):
+        if not isinstance(side, CorpusCounts):
+            side = CorpusCounts(side, max_n)
+        elif side.max_n != max_n:
+            raise ValueError(f"{what}: counts for max_n {side.max_n} "
+                             f"scored with max_n {max_n}")
+        counted.append(side)
+    hyps, refs = counted
+    if 0 in refs.lengths:
+        raise ValueError(f"{what}: references must be non-empty")
+    return hyps, refs
 
 
 def ggleu(hypothesis, reference, max_n=4):
@@ -71,54 +117,37 @@ def ggleu(hypothesis, reference, max_n=4):
 
 
 def corpus_ggleu(hypotheses, references, max_n=4):
-    """gGLEU with match/total counts pooled over a whole corpus."""
-    _check_max_n("corpus_ggleu", max_n)
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"corpus_ggleu: got {len(hypotheses)} hypotheses for "
-            f"{len(references)} references"
-        )
-    matches = hyp_total = ref_total = 0
-    for hyp, ref in zip(hypotheses, references):
-        if len(ref) == 0:
-            raise ValueError("corpus_ggleu: references must be non-empty")
-        hyp_counts = ngram_counts(hyp, max_n)
-        ref_counts = ngram_counts(ref, max_n)
-        matches += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        hyp_total += sum(hyp_counts.values())
-        ref_total += sum(ref_counts.values())
+    """gGLEU with match/total counts pooled over a whole corpus. Either
+    side may be a :class:`CorpusCounts`."""
+    hyps, refs = _counted_pair("corpus_ggleu", hypotheses, references, max_n)
+    matches = 0
+    for hyp_counts, ref_counts in zip(hyps.counts, refs.counts):
+        for gram, count in hyp_counts.items():
+            if gram in ref_counts:
+                matches += min(count, ref_counts[gram])
+    hyp_total = sum(hyps.order_totals)
     if matches == 0 or hyp_total == 0:
         return 0.0
-    return min(matches / hyp_total, matches / ref_total)
+    return min(matches / hyp_total, matches / sum(refs.order_totals))
 
 
 def corpus_bleu(hypotheses, references, max_n=4):
     """Corpus-level BLEU: geometric mean of modified n-gram precisions
-    times the brevity penalty. Zero if any order has zero matches."""
-    _check_max_n("corpus_bleu", max_n)
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"corpus_bleu: got {len(hypotheses)} hypotheses for "
-            f"{len(references)} references"
-        )
+    times the brevity penalty. Zero if any order has zero matches. Either
+    side may be a :class:`CorpusCounts`."""
+    hyps, refs = _counted_pair("corpus_bleu", hypotheses, references, max_n)
     matches = [0] * max_n
-    totals = [0] * max_n
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        if len(ref) == 0:
-            raise ValueError("corpus_bleu: references must be non-empty")
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        ref_counts = ngram_counts(ref, max_n)
-        for gram, count in ngram_counts(hyp, max_n).items():
-            matches[len(gram) - 1] += min(count, ref_counts[gram])
-            totals[len(gram) - 1] += count
+    for hyp_counts, ref_counts in zip(hyps.counts, refs.counts):
+        for gram, count in hyp_counts.items():
+            if gram in ref_counts:
+                matches[len(gram) - 1] += min(count, ref_counts[gram])
     # orders the corpus is too short to contain contribute nothing; an order
     # that exists but has no matches zeroes the whole score
-    present = [(m, t) for m, t in zip(matches, totals) if t > 0]
+    present = [(m, t) for m, t in zip(matches, hyps.order_totals) if t > 0]
     if not present or any(m == 0 for m, _ in present):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in present) / len(present)
+    hyp_len, ref_len = sum(hyps.lengths), sum(refs.lengths)
     brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return brevity * math.exp(log_precision)
 

@@ -38,7 +38,8 @@ from .checkpoint import Checkpoint, atomic_open, load_checkpoint, \
 from .config import ConfigError, format_config
 from .data import SPLITS, corpus_paths, gen_data, read_parallel, \
     write_corpus
-from .metrics import FeedbackOracle, clean_hypothesis, corpus_bleu, corpus_ggleu
+from .metrics import CorpusCounts, FeedbackOracle, clean_hypothesis, \
+    corpus_bleu, corpus_ggleu
 from .model import END, ModelParams, START, UNK, Vocabulary, greedy_decode
 from .objectives import OptimizerState, TrainingConfig, TrainingDiverged, \
     adam_update, bandit_train_loop, clip_gradient, grad_norm, \
@@ -90,6 +91,9 @@ def unk_replace(tokens, attentions, source_tokens):
 
 
 def _scores(hyps, refs, max_n, suffix=""):
+    """gGLEU and BLEU of ``hyps``, counted once for both, against the
+    counted references ``refs``."""
+    hyps = CorpusCounts(hyps, max_n)
     return {"ggleu" + suffix: corpus_ggleu(hyps, refs, max_n),
             "bleu" + suffix: corpus_bleu(hyps, refs, max_n)}
 
@@ -108,19 +112,23 @@ def evaluate_on_corpus(params, vocab, corpus, max_len, max_n=4):
         tokens = vocab.decode([tok for tok, _ in kept])
         hyps.append(tokens)
         hyps_unk.append(unk_replace(tokens, [a for _, a in kept], src_tokens))
-    refs = corpus.targets
+    refs = CorpusCounts(corpus.targets, max_n)
     scores = _scores(hyps, refs, max_n)
-    scores.update(_scores(hyps_unk, refs, max_n, suffix="_unk"))
+    if hyps_unk == hyps:  # no UNK replaced: the same tokens score the same
+        scores.update({name + "_unk": value for name, value in scores.items()})
+    else:
+        scores.update(_scores(hyps_unk, refs, max_n, suffix="_unk"))
     return scores, hyps, hyps_unk
 
 
 def _make_validator(vocab, corpus, max_len, max_n):
     sources = [vocab.encode(src) for src in corpus.sources]
+    references = CorpusCounts(corpus.targets, max_n)
 
     def validate(params):
         hyps = [vocab.decode(clean_hypothesis(out_ids))
                 for out_ids in greedy_decode(sources, params, max_len)]
-        return _scores(hyps, corpus.targets, max_n)
+        return _scores(hyps, references, max_n)
 
     return validate
 

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -169,3 +172,78 @@ def reference_backprop(d_logits, forward):
             grads[f"{prefix}.{suffix}"] = weights[i]
     return [(params[name], g) for name, g in grads.items()]
 
+
+
+# ---------------------------------------------------------------------------
+# The scoring oracle: n-gram counting, corpus gGLEU and corpus BLEU as they
+# were written with one n-gram loop per sentence and per score. The package's
+# counts must equal them in value and insertion order, and its scores with
+# ``==``; see ``tests/test_metrics.py::TestExactScores``.
+# ---------------------------------------------------------------------------
+
+
+def reference_ngram_counts(tokens, max_n):
+    """Multiset of all n-grams of ``tokens`` for 1 <= n <= max_n."""
+    counts = Counter()
+    for n in range(1, max_n + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i:i + n])] += 1
+    return counts
+
+
+def _reference_check_max_n(what, max_n):
+    if max_n < 1:
+        raise ValueError(f"{what}: max_n must be >= 1, got {max_n}")
+
+
+def reference_corpus_ggleu(hypotheses, references, max_n=4):
+    """gGLEU with match/total counts pooled over a whole corpus."""
+    _reference_check_max_n("corpus_ggleu", max_n)
+    if len(hypotheses) != len(references):
+        raise ValueError(
+            f"corpus_ggleu: got {len(hypotheses)} hypotheses for "
+            f"{len(references)} references"
+        )
+    matches = hyp_total = ref_total = 0
+    for hyp, ref in zip(hypotheses, references):
+        if len(ref) == 0:
+            raise ValueError("corpus_ggleu: references must be non-empty")
+        hyp_counts = reference_ngram_counts(hyp, max_n)
+        ref_counts = reference_ngram_counts(ref, max_n)
+        matches += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        hyp_total += sum(hyp_counts.values())
+        ref_total += sum(ref_counts.values())
+    if matches == 0 or hyp_total == 0:
+        return 0.0
+    return min(matches / hyp_total, matches / ref_total)
+
+
+def reference_corpus_bleu(hypotheses, references, max_n=4):
+    """Corpus-level BLEU: geometric mean of modified n-gram precisions
+    times the brevity penalty. Zero if any order has zero matches."""
+    _reference_check_max_n("corpus_bleu", max_n)
+    if len(hypotheses) != len(references):
+        raise ValueError(
+            f"corpus_bleu: got {len(hypotheses)} hypotheses for "
+            f"{len(references)} references"
+        )
+    matches = [0] * max_n
+    totals = [0] * max_n
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hypotheses, references):
+        if len(ref) == 0:
+            raise ValueError("corpus_bleu: references must be non-empty")
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        ref_counts = reference_ngram_counts(ref, max_n)
+        for gram, count in reference_ngram_counts(hyp, max_n).items():
+            matches[len(gram) - 1] += min(count, ref_counts[gram])
+            totals[len(gram) - 1] += count
+    # orders the corpus is too short to contain contribute nothing; an order
+    # that exists but has no matches zeroes the whole score
+    present = [(m, t) for m, t in zip(matches, totals) if t > 0]
+    if not present or any(m == 0 for m, _ in present):
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in present) / len(present)
+    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return brevity * math.exp(log_precision)

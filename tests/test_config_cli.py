@@ -80,7 +80,12 @@ class TestConfigParsing:
         ("min_sent_len = 9\nmax_sent_len = 8", "min_sent_len"),
         ("train_b = 0", "train_b"),
         ("src_vocab_size = 20\noverlap = 0.95", "bijection"),  # band of 1
-    ], ids=["overlap", "sent_len_order", "split_size", "band_of_one"])
+        ("band_weight_b = 1.5", "band_weight_b"),
+        ("band_weight_a = -2", "band_weight_a"),
+        ("band_weight_b = nan", "band_weight_b"),
+    ], ids=["overlap", "sent_len_order", "split_size", "band_of_one",
+            "band_weight_above_one", "band_weight_negative",
+            "band_weight_nan"])
     def test_bad_task_key_rejected_when_parsed(self, text, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(text + "\n")
@@ -147,6 +152,18 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense_key = 1\n")
         assert main(["gen-data", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("line", ["band_weight_b = 1.5",
+                                      "band_weight_a = -2",
+                                      "band_weight_a = nan"])
+    def test_band_weight_out_of_range_exits_2(self, small_cfg_file, tmp_path,
+                                              capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(small_cfg_file.read_text() + line + "\n")
+        assert main(["gen-data", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_mle_batch_is_config_error(self, small_cfg_file, tmp_path,
                                             capsys):

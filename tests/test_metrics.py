@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditseq.metrics import (
+    CorpusCounts,
     FeedbackOracle,
     clean_hypothesis,
     corpus_bleu,
@@ -12,6 +13,9 @@ from banditseq.metrics import (
     ggleu,
     ngram_counts,
 )
+
+from conftest import reference_corpus_bleu, reference_corpus_ggleu, \
+    reference_ngram_counts
 
 
 # --- independent oracles -----------------------------------------------
@@ -182,6 +186,90 @@ class TestCorpusBleu:
 def test_max_n_below_one_rejected(score, max_n):
     with pytest.raises(ValueError, match="max_n"):
         score(max_n)
+
+
+def random_sentence(rng, words, lo=0):
+    return [words[int(i)] for i in
+            rng.integers(0, len(words), size=int(rng.integers(lo, 9)))]
+
+
+def random_corpus(rng, words):
+    """A few (hypothesis, reference) pairs over a small alphabet of
+    ``words``: hypotheses may be empty, references have at least one
+    token."""
+    size = int(rng.integers(1, 5))
+    return [random_sentence(rng, words) for _ in range(size)], \
+        [random_sentence(rng, words, lo=1) for _ in range(size)]
+
+
+WORDS = {"int": [3, 4, 5, 6], "str": ["a", "b", "c", "d", "e"]}
+
+
+class TestExactScores:
+    """The shared counts change no score: equal with ``==`` to the order
+    oracle (one n-gram loop per sentence and per score) in ``conftest``."""
+
+    @pytest.mark.parametrize("kind", sorted(WORDS))
+    def test_counts_equal_oracle_in_insertion_order(self, rng, kind):
+        for _ in range(1000):
+            tokens = random_sentence(rng, WORDS[kind])
+            max_n = int(rng.integers(1, 7))
+            assert list(ngram_counts(tokens, max_n).items()) == \
+                list(reference_ngram_counts(tokens, max_n).items())
+
+    @pytest.mark.parametrize("kind", sorted(WORDS))
+    def test_scores_equal_oracle(self, rng, kind):
+        for _ in range(1500):
+            hyps, refs = random_corpus(rng, WORDS[kind])
+            max_n = int(rng.integers(1, 7))
+            for ours, oracle in ((corpus_ggleu, reference_corpus_ggleu),
+                                 (corpus_bleu, reference_corpus_bleu)):
+                got = ours(hyps, refs, max_n)
+                want = oracle(hyps, refs, max_n)
+                assert got == want and repr(got) == repr(want)
+            assert ggleu(hyps[0], refs[0], max_n) == \
+                reference_corpus_ggleu(hyps[:1], refs[:1], max_n)
+
+    def test_one_token_references_and_empty_hypotheses(self):
+        for max_n in range(1, 7):
+            for hyps, refs in (([["a"], []], [["a"], ["b"]]),
+                               ([[], []], [["a"], ["a"]]),
+                               ([["a", "a"]], [["a"]])):
+                assert corpus_ggleu(hyps, refs, max_n) == \
+                    reference_corpus_ggleu(hyps, refs, max_n)
+                assert corpus_bleu(hyps, refs, max_n) == \
+                    reference_corpus_bleu(hyps, refs, max_n)
+
+    def test_counted_corpus_scores_equal_raw_lists(self, rng):
+        for _ in range(1000):
+            hyps, refs = random_corpus(rng, WORDS["int"])
+            max_n = int(rng.integers(1, 7))
+            counted_h = CorpusCounts(hyps, max_n)
+            counted_r = CorpusCounts(refs, max_n)
+            for score in (corpus_ggleu, corpus_bleu):
+                want = score(hyps, refs, max_n)
+                for h, r in ((counted_h, refs), (hyps, counted_r),
+                             (counted_h, counted_r)):
+                    assert score(h, r, max_n) == want
+
+    @pytest.mark.parametrize("score", [corpus_ggleu, corpus_bleu])
+    def test_counts_for_another_max_n_rejected(self, score):
+        sents = [["a", "b", "c"]]
+        with pytest.raises(ValueError, match="max_n"):
+            score(CorpusCounts(sents, 2), sents, 4)
+        with pytest.raises(ValueError, match="max_n"):
+            score(sents, CorpusCounts(sents, 4), 3)
+
+    @pytest.mark.parametrize("score", [corpus_ggleu, corpus_bleu])
+    def test_counted_empty_reference_rejected(self, score):
+        refs = CorpusCounts([["a"], []], 4)
+        with pytest.raises(ValueError, match="references must be non-empty"):
+            score([["a"], ["b"]], refs)
+
+    @pytest.mark.parametrize("score", [corpus_ggleu, corpus_bleu])
+    def test_counted_length_mismatch_rejected(self, score):
+        with pytest.raises(ValueError, match="1 hypotheses for 2"):
+            score(CorpusCounts([["a"]], 4), CorpusCounts([["a"], ["b"]], 4))
 
 
 class TestCleanHypothesis:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from banditseq.config import ConfigError, RunConfig, parse_config
+from banditseq import pipeline
 from banditseq.data import Corpus
-from banditseq.model import Vocabulary
+from banditseq.metrics import corpus_bleu, corpus_ggleu
+from banditseq.model import END, START, UNK, Vocabulary
 from banditseq.pipeline import (
     _write_decoded,
     config_hash,
@@ -57,6 +59,52 @@ class TestUnkReplace:
     def test_missing_attention_rejected(self):
         with pytest.raises(ValueError, match="attention"):
             unk_replace(["x", "y"], [np.array([1.0])], ["s1"])
+
+
+class TestEvaluateUnkScores:
+    """The ``_unk`` scores come from the UNK-replaced outputs, and equal the
+    plain ones where no UNK was replaced."""
+
+    corpus = Corpus(pairs=[(["s1", "s2"], ["x", "s2"]), (["s3"], ["y"])],
+                    domain="b", split="test")
+    vocab = Vocabulary(["x", "y"])
+
+    def _evaluate(self, monkeypatch, outputs):
+        """evaluate_on_corpus with a decoder that emits ``outputs`` (token
+        strings, then END), each attending to source position 1 (to 0 in
+        a one-token source)."""
+        def decode(sources, params, max_len, return_attention):
+            assert return_attention
+            decoded = []
+            for src, tokens in zip(sources, outputs):
+                ids = [START] + self.vocab.encode(tokens) + [END]
+                attn = np.eye(len(src))[min(1, len(src) - 1)]
+                decoded.append((ids, [attn] * len(ids)))
+            return decoded
+
+        monkeypatch.setattr(pipeline, "greedy_decode", decode)
+        return evaluate_on_corpus(None, self.vocab, self.corpus, max_len=4)
+
+    def test_replaced_outputs_score_on_their_own(self, monkeypatch):
+        scores, hyps, hyps_unk = self._evaluate(
+            monkeypatch, [["x", "s2"], ["y"]])
+        assert self.vocab.id_of("s2") == UNK
+        assert hyps == [["x", "<unk>"], ["y"]]
+        assert hyps_unk == self.corpus.targets
+        refs = self.corpus.targets
+        assert scores == {"ggleu": corpus_ggleu(hyps, refs),
+                          "bleu": corpus_bleu(hyps, refs),
+                          "ggleu_unk": 1.0, "bleu_unk": 1.0}
+        assert scores["ggleu"] == 0.5 and scores["bleu"] == 0.0
+
+    def test_nothing_replaced_gives_the_plain_scores(self, monkeypatch):
+        scores, hyps, hyps_unk = self._evaluate(monkeypatch, [["x"], ["y"]])
+        assert hyps_unk == hyps == [["x"], ["y"]]
+        assert list(scores) == ["ggleu", "bleu", "ggleu_unk", "bleu_unk"]
+        assert scores["ggleu_unk"] == scores["ggleu"] == \
+            corpus_ggleu(hyps, self.corpus.targets)
+        assert scores["bleu_unk"] == scores["bleu"] == \
+            corpus_bleu(hyps, self.corpus.targets)
 
 
 class TestWriteMetricsCsv:
