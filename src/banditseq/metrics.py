@@ -177,8 +177,10 @@ class FeedbackOracle:
     -gGLEU(sample, reference) for one sample; ``pair-binary`` and
     ``pair-continuous`` compare a (positive, perturbed) pair of samples via
     :func:`pairwise_feedback`. With ``clean`` each sample is trimmed by
-    :func:`clean_hypothesis` first. ``calls`` counts every consultation so
-    reference isolation can be audited.
+    :func:`clean_hypothesis` first. A reference's n-grams are counted the
+    first time its sentence id is consulted and kept for later calls.
+    ``calls`` counts every consultation so reference isolation can be
+    audited.
     """
 
     KINDS = ("ggleu-loss", "pair-binary", "pair-continuous")
@@ -192,15 +194,22 @@ class FeedbackOracle:
         self.max_n = max_n
         self.clean = clean
         self.calls = 0
+        self._counted = {}   # sentence id -> CorpusCounts of its reference
 
     def __call__(self, sentence_id, *samples):
         self.calls += 1
-        try:
-            ref = self.references[sentence_id]
-        except KeyError:
-            raise KeyError(f"no reference stored for sentence id {sentence_id!r}")
-        losses = [-ggleu(clean_hypothesis(tokens) if self.clean else tokens,
-                         ref, self.max_n) for tokens in samples]
+        ref = self._counted.get(sentence_id)
+        if ref is None:
+            try:
+                reference = self.references[sentence_id]
+            except KeyError:
+                raise KeyError(
+                    f"no reference stored for sentence id {sentence_id!r}")
+            ref = self._counted[sentence_id] = CorpusCounts([reference],
+                                                            self.max_n)
+        losses = [-corpus_ggleu(
+                      [clean_hypothesis(tokens) if self.clean else tokens],
+                      ref, self.max_n) for tokens in samples]
         if self.kind == "ggleu-loss":
             (loss,) = losses
             return loss

@@ -4,7 +4,8 @@ Three gradients are available. MLE is the usual supervised negative
 log-likelihood. The bandit estimators are score-function estimators: the
 expected-loss (EL) score is ``d(log p(sample))/d(theta)`` of one sampled
 output, the pairwise-ranking (PR) score the gradient of a (positive,
-perturbed) pair's joint log-probability, summed from its two halves. The
+perturbed) pair's joint log-probability, taken in one reverse pass: the
+tape adds the two halves' logit gradients before backpropagating. The
 update scales the score by the scalar feedback in exactly one step, which
 the control variate chooses; with none it is ``delta * score``. Both
 estimators are unbiased for the corresponding expected-risk objectives,
@@ -15,8 +16,10 @@ Control variates reduce estimator variance without touching its mean. The
 running-average baseline scales the score by the recentered feedback; the
 score-function variate subtracts ``chat * d(log p)/d(theta)`` with a
 per-entry coefficient ``chat = Cov(s, y) / Var(y)`` maintained by a
-streaming co-moment accumulator, the same one that tracks the PR
-gradient's antithetic covariance.
+streaming co-moment accumulator, the same one that tracks the covariance
+of the PR score's two halves (the antithetic variates), a diagnostic that
+costs two more reverse passes and is therefore updated on a fixed subset
+of the updates.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, neg
+from .autodiff import Tape, add, neg
 from .model import pair_log_prob, sample_pair, sample_sequence, \
     sequence_log_prob
 
@@ -35,6 +38,7 @@ __all__ = [
     "mle_loss_and_grad",
     "el_gradient",
     "pr_gradient",
+    "pr_halves",
     "CoMoments",
     "ControlVariateState",
     "apply_baseline_cv",
@@ -85,22 +89,35 @@ def el_gradient(source, sample, params):
 
 
 def pr_gradient(source, pair, params):
-    """Score of one sampled pair for the pairwise-ranking estimator.
+    """Score of one sampled pair for the pairwise-ranking estimator: the
+    gradient of the pair's joint log-probability.
 
     Both halves of the joint log-probability are scored on the pair's
     recorded greedy prefix, with the negative distribution applied only at
     the recorded perturbation position: on the values the pair's roll-out
     kept (valid only until the parameters change), or replayed
-    teacher-forced when it kept none. Returns ``(score, (g_pos, g_neg))``:
-    the parts are the separate gradients of the two halves (the antithetic
-    variates) and the score is their sum.
+    teacher-forced when it kept none. Both halves read one logits node, so
+    the tape adds their logit gradients and the model's reverse pass runs
+    once.
     """
     with Tape() as tape:
         lp_pos, lp_neg = pair_log_prob(source, pair, params)
-    g_pos = tape.backward(lp_pos, params.tensors)
-    g_neg = tape.backward(lp_neg, params.tensors)
-    score = {name: g_pos[name] + g_neg[name] for name in g_pos}
-    return score, (g_pos, g_neg)
+        joint = add(lp_pos, lp_neg)
+    return tape.backward(joint, params.tensors)
+
+
+def pr_halves(source, pair, params):
+    """The separate gradients ``(g_pos, g_neg)`` of the two halves of a
+    pair's joint log-probability, the antithetic variates, by one reverse
+    pass each. Like :func:`pr_gradient` it reads the pair's kept forward,
+    so call it before the parameters change. The halves add up to
+    :func:`pr_gradient`'s score up to rounding, not bit for bit: the score
+    adds the halves' logit gradients before its reverse pass.
+    """
+    with Tape() as tape:
+        lp_pos, lp_neg = pair_log_prob(source, pair, params)
+    return (tape.backward(lp_pos, params.tensors),
+            tape.backward(lp_neg, params.tensors))
 
 
 class CoMoments:
@@ -303,7 +320,8 @@ def sgd_update(params, grads, state):
 
 class AntitheticTracker(CoMoments):
     """Streaming per-entry covariance between the two halves of the PR
-    gradient; its mean is reported as a diagnostic during PR training."""
+    gradient (:func:`pr_halves`); its mean is reported as a diagnostic
+    during PR training."""
 
     def cov_mean(self):
         if self.n < 2 or not self.co_xy:
@@ -382,6 +400,13 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
     conversion); it runs every ``valid_interval`` iterations and at the
     end.
 
+    A PR run also reports ``antithetic_cov_mean``, the mean covariance of
+    the score's two halves, with every window's train rows. The halves cost
+    two reverse passes on top of the score's one, so the tracker sees only
+    every ``max(1, valid_interval // 10)``-th update: ten per window when
+    ``valid_interval`` is a multiple of ten. The subset is fixed and draws
+    no randomness.
+
     The loop never sees references: only ``feedback_fn`` scalars.
     """
     rng = np.random.default_rng(config.seed)
@@ -396,6 +421,7 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
         opt_state = SgdState(gamma0=config.alpha, decay=config.sgd_decay)
         step = sgd_update
     antithetic = AntitheticTracker() if config.objective == "pr" else None
+    antithetic_every = max(1, config.valid_interval // 10)
 
     rows = []
     best_values = params.copy_values()
@@ -435,8 +461,9 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
         else:
             pair = sample_pair(source, params, config.max_len, rng)
             delta = feedback_fn(sentence_id, pair.tokens_pos, pair.tokens_neg)
-            score, parts = pr_gradient(source, pair, params)
-            antithetic.update(*parts)
+            score = pr_gradient(source, pair, params)
+            if k % antithetic_every == 0:
+                antithetic.update(*pr_halves(source, pair, params))
         if config.cv_mode == "baseline":
             grads = apply_baseline_cv(delta, score, cv_state)
         elif config.cv_mode == "sf":

@@ -152,7 +152,7 @@ class TestCriterion4PrUnbiasedness:
                 feedback = pair_delta(pair.tokens_pos, pair.tokens_neg)
                 if feedback == 0.0:
                     continue
-                score, _ = pr_gradient(source, pair, params)
+                score = pr_gradient(source, pair, params)
                 for k in acc:
                     acc[k] += prob * feedback * score[k]
             gap = relative_gap(acc, exact)

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditseq import metrics
 from banditseq.metrics import (
     CorpusCounts,
     FeedbackOracle,
@@ -322,3 +324,33 @@ class TestFeedbackOracle:
     def test_cleaning_applies_when_enabled(self):
         oracle = FeedbackOracle("ggleu-loss", {0: [5, 6]}, clean=True)
         assert oracle(0, [0, 5, 6, 1, 9]) == -1.0
+
+    def test_values_equal_ggleu_on_token_lists(self):
+        rng = random.Random(11)
+        refs = {sid: [rng.randrange(3, 9) for _ in range(rng.randrange(1, 9))]
+                for sid in range(20)}
+        single = FeedbackOracle("ggleu-loss", refs)
+        paired = FeedbackOracle("pair-continuous", refs)
+        for _ in range(200):
+            sid = rng.randrange(20)
+            pos, neg = ([rng.randrange(3, 9) for _ in range(rng.randrange(9))]
+                        for _ in range(2))
+            ref = refs[sid]
+            assert single(sid, pos) == -ggleu(pos, ref)
+            assert paired(sid, pos, neg) == \
+                (-ggleu(pos, ref)) - (-ggleu(neg, ref))
+
+    def test_reference_counted_once(self, monkeypatch):
+        counted = []
+
+        def recording(tokens, max_n):
+            counted.append(tuple(tokens))
+            return ngram_counts(tokens, max_n)
+
+        monkeypatch.setattr(metrics, "ngram_counts", recording)
+        ref = [5, 6, 7]
+        oracle = FeedbackOracle("pair-binary", {0: ref, 1: [5]})
+        for _ in range(4):
+            oracle(0, [5, 6], [7])
+        assert counted.count(tuple(ref)) == 1
+        assert len(counted) == 1 + 2 * 4

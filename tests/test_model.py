@@ -46,7 +46,8 @@ from banditseq.model import (
     sample_sequence,
     sequence_log_prob,
 )
-from banditseq.objectives import el_gradient, mle_loss_and_grad, pr_gradient
+from banditseq.objectives import el_gradient, mle_loss_and_grad, \
+    pr_gradient, pr_halves
 from banditseq.oracles import count_sequences, enumerate_sequences
 
 from conftest import random_source, reference_backprop, relative_gap, \
@@ -755,7 +756,8 @@ class TestKeptForward:
                 replayed = (el_gradient(src, hand_built[0], params),
                             pr_gradient(src, hand_built[1], params),
                             sequence_log_prob(src, sample.tokens, params),
-                            pair_log_prob(src, hand_built[1], params))
+                            pair_log_prob(src, hand_built[1], params),
+                            pr_halves(src, hand_built[1], params))
             with monkeypatch.context() as patched, Tape():
                 # the kept score must not run the encoder again
                 patched.setattr(model, "encode_full", None)
@@ -763,11 +765,12 @@ class TestKeptForward:
                         pr_gradient(src, pair, params),
                         sequence_log_prob(src, sample.tokens, params,
                                           forward=sample.forward),
-                        pair_log_prob(src, pair, params))
+                        pair_log_prob(src, pair, params),
+                        pr_halves(src, pair, params))
             _assert_same_maps(kept[0], replayed[0])
-            _assert_same_maps(kept[1][0], replayed[1][0])
+            _assert_same_maps(kept[1], replayed[1])
             for half in (0, 1):
-                _assert_same_maps(kept[1][1][half], replayed[1][1][half])
+                _assert_same_maps(kept[4][half], replayed[4][half])
                 assert kept[3][half].data == replayed[3][half].data
             assert kept[2].data == replayed[2].data
             assert abs(float(kept[2].data) - sample.log_prob) < 1e-10
@@ -786,6 +789,8 @@ class TestKeptForward:
         changed = [(pair.greedy[0] + 1) % params.vocab_size] + pair.greedy[1:]
         with pytest.raises(ValueError):
             pr_gradient([3, 4], replace(pair, greedy=changed), params)
+        with pytest.raises(ValueError):
+            pr_halves([3, 4], replace(pair, greedy=changed), params)
         with pytest.raises(ValueError):
             el_gradient([3, 4], sample, tiny_params(seed=13))
         with pytest.raises(ValueError):
@@ -815,12 +820,14 @@ class TestKeptForward:
 
 def _scores_by_both_passes(monkeypatch, src, sample, pair, reference, seed,
                            params):
-    """The EL score, both PR halves and an MLE gradient under dropout 0.3,
-    computed with the model's reverse pass and again with the per-step
+    """The EL score, the PR score (one reverse pass over the pair's joint
+    log-probability) and its two halves, and an MLE gradient under dropout
+    0.3, computed with the model's reverse pass and again with the per-step
     order oracle (``conftest.reference_backprop``) on the same forwards."""
     def scores():
         return (el_gradient(src, sample, params),
-                *pr_gradient(src, pair, params)[1],
+                pr_gradient(src, pair, params),
+                *pr_halves(src, pair, params),
                 mle_loss_and_grad(src, reference, params,
                                   (0.3, np.random.default_rng(seed)))[1])
 

@@ -32,6 +32,7 @@ from banditseq.objectives import (
     grad_norm,
     mle_loss_and_grad,
     pr_gradient,
+    pr_halves,
     sgd_update,
 )
 from banditseq.oracles import (
@@ -149,24 +150,31 @@ class TestPrGradient:
     def test_zero_feedback_zero_gradient(self, rng):
         params = tiny_params(seed=24)
         pair = sample_pair([3, 4], params, 2, rng)
-        score, _ = pr_gradient([3, 4], pair, params)
+        score = pr_gradient([3, 4], pair, params)
         assert max_abs(_feedback_times(0.0, score)) == 0.0
         assert max_abs(score) > 0.0
 
     def test_parts_sum_to_score(self, rng):
         # reference: one backward pass through the pair's joint
-        # log-probability, so dropping or doubling a half shows
+        # log-probability, so dropping or doubling a half shows; each half
+        # is its own backward pass, and the halves add up to the score up
+        # to the rounding of adding before or after the reverse pass
         params = tiny_params(seed=25)
         for _ in range(5):
             pair = sample_pair([3, 4], params, 3, rng)
-            score, (g_pos, _) = pr_gradient([3, 4], pair, params)
+            score = pr_gradient([3, 4], pair, params)
+            g_pos, g_neg = pr_halves([3, 4], pair, params)
             with Tape() as tape:
                 lp_pos, lp_neg = pair_log_prob([3, 4], pair, params)
                 joint = add(lp_pos, lp_neg)
-            want = tape.backward(joint, params.tensors)
-            assert max_abs_diff(score, want) <= 1e-12
+            assert max_abs_diff(score, tape.backward(joint, params.tensors)) \
+                == 0.0
             assert max_abs_diff(g_pos, tape.backward(lp_pos, params.tensors)) \
                 == 0.0
+            assert max_abs_diff(g_neg, tape.backward(lp_neg, params.tensors)) \
+                == 0.0
+            summed = {name: g_pos[name] + g_neg[name] for name in g_pos}
+            assert max_abs_diff(summed, score) <= 1e-12
 
     def test_pair_outcome_probabilities_sum_to_one(self):
         params = tiny_params(seed=26)
@@ -194,7 +202,7 @@ class TestPrGradient:
             fb = pair_delta(pair.tokens_pos, pair.tokens_neg)
             if fb == 0.0:
                 continue
-            score, _ = pr_gradient(src, pair, params)
+            score = pr_gradient(src, pair, params)
             for k in acc:
                 acc[k] += prob * fb * score[k]
         assert relative_gap(acc, exact) < 1e-5
@@ -392,6 +400,43 @@ class TestBanditTrainLoop:
             cfg, params, _toy_stream([[3, 4]]),
             lambda sid, pos, neg: pairwise_feedback(-0.4, -0.6, "continuous"))
         assert any(r["metric"] == "antithetic_cov_mean" for r in result.rows)
+
+    def test_pr_antithetic_tracker_sees_a_fixed_subset(self, monkeypatch):
+        # valid_interval 20: the halves are taken on every second update,
+        # ten per window, and each window still reports the covariance
+        seen = []
+        pulled = []
+        update = objectives.AntitheticTracker.update
+
+        def recording(tracker, *halves):
+            seen.append(len(pulled))
+            return update(tracker, *halves)
+
+        def stream():
+            for i in itertools.count():
+                pulled.append(i)
+                yield i % 2, [[3, 4], [5]][i % 2]
+
+        monkeypatch.setattr(objectives.AntitheticTracker, "update", recording)
+        runs = []
+        for _ in range(2):
+            seen.clear()
+            pulled.clear()
+            params = tiny_params(seed=33)
+            cfg = TrainingConfig(objective="pr", cv_mode="sf", iters=40,
+                                 valid_interval=20, seed=5, alpha=1e-3,
+                                 max_len=3)
+            result = bandit_train_loop(
+                cfg, params, stream(),
+                lambda sid, pos, neg: -0.1 * len(pos) + 0.2 * (neg != pos))
+            assert seen == list(range(2, 41, 2))
+            covariances = [(r["iteration"], r["value"]) for r in result.rows
+                           if r["metric"] == "antithetic_cov_mean"]
+            assert [k for k, _ in covariances] == [20, 40]
+            assert all(math.isfinite(v) and v != 0.0 for _, v in covariances)
+            runs.append((result.rows, {name: t.data.tobytes()
+                                       for name, t in params.tensors.items()}))
+        assert runs[0] == runs[1]
 
     def test_best_checkpoint_tracks_validation(self):
         params, cfg = self._setup(iters=8)
