@@ -177,8 +177,8 @@ class FeedbackOracle:
     -gGLEU(sample, reference) for one sample; ``pair-binary`` and
     ``pair-continuous`` compare a (positive, perturbed) pair of samples via
     :func:`pairwise_feedback`. With ``clean`` each sample is trimmed by
-    :func:`clean_hypothesis` first. A reference's n-grams are counted the
-    first time its sentence id is consulted and kept for later calls.
+    :func:`clean_hypothesis` first. Each call counts the consulted
+    reference's n-grams once, and a pair's two members share that count.
     ``calls`` counts every consultation so reference isolation can be
     audited.
     """
@@ -194,19 +194,14 @@ class FeedbackOracle:
         self.max_n = max_n
         self.clean = clean
         self.calls = 0
-        self._counted = {}   # sentence id -> CorpusCounts of its reference
 
     def __call__(self, sentence_id, *samples):
         self.calls += 1
-        ref = self._counted.get(sentence_id)
-        if ref is None:
-            try:
-                reference = self.references[sentence_id]
-            except KeyError:
-                raise KeyError(
-                    f"no reference stored for sentence id {sentence_id!r}")
-            ref = self._counted[sentence_id] = CorpusCounts([reference],
-                                                            self.max_n)
+        try:
+            reference = self.references[sentence_id]
+        except KeyError:
+            raise KeyError(f"no reference stored for sentence id {sentence_id!r}")
+        ref = CorpusCounts([reference], self.max_n)
         losses = [-corpus_ggleu(
                       [clean_hypothesis(tokens) if self.clean else tokens],
                       ref, self.max_n) for tokens in samples]

@@ -9,7 +9,7 @@ tape adds the two halves' logit gradients before backpropagating. The
 update scales the score by the scalar feedback in exactly one step, which
 the control variate chooses; with none it is ``delta * score``. Both
 estimators are unbiased for the corresponding expected-risk objectives,
-which the enumeration oracles in :mod:`banditseq.oracles` make checkable on
+which the test suite's enumeration oracles (``tests/oracles.py``) check on
 tiny instances.
 
 Control variates reduce estimator variance without touching its mean. The
@@ -398,7 +398,8 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
     ``validate_fn``, when given, maps the current parameters to a metric
     dict whose "ggleu" entry drives best-iterate selection (online-to-batch
     conversion); it runs every ``valid_interval`` iterations and at the
-    end.
+    end. Without it there is nothing to select, and the result holds the
+    last iterate (``best_iteration == iters``, ``best_score`` -inf).
 
     A PR run also reports ``antithetic_cov_mean``, the mean covariance of
     the score's two halves, with every window's train rows. The halves cost
@@ -491,5 +492,7 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
             window_feedback = []
             window_norms = []
             run_validation(k)
+    if validate_fn is None:
+        best_values, best_iteration = params.copy_values(), config.iters
     return BanditResult(best_values=best_values, best_score=best_score,
                         best_iteration=best_iteration, rows=rows)

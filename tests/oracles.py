@@ -1,4 +1,5 @@
-"""Exact-risk oracles for tiny instances.
+"""Exact-risk oracles for tiny instances: test references, which no program
+path calls.
 
 Sequence and pair sampling have finitely many outcomes once ``max_len`` is
 fixed. These oracles walk every one of them, so expectations and their
@@ -10,9 +11,10 @@ beyond a guard.
 Each sequence is scored teacher-forced, through the model's one forward and
 its single reverse-pass node (:func:`~banditseq.model.sequence_log_prob`).
 The pair oracle keeps the forward of the roll-out that finds the greedy
-prefix and scores every outcome's two members on its logits. The risk gradients sum over
-outcomes in enumeration order, so they agree with the estimators to
-rounding, not bit for bit.
+prefix and scores every outcome's two members on its logits. Each risk is
+one tape over every outcome, built with ``exp`` and ``mul`` from
+``reference_ops``. The risk gradients sum over outcomes in enumeration
+order, so they agree with the estimators to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from .autodiff import Tape, add, exp, log_likelihood, mul
-from .model import END, SampledPair, _logits_node, greedy_rollout, \
+from banditseq.autodiff import Tape, add, log_likelihood
+from banditseq.model import END, SampledPair, _logits_node, greedy_rollout, \
     sequence_log_prob
+
+from reference_ops import exp, mul
 
 __all__ = [
     "count_sequences",

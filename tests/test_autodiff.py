@@ -5,30 +5,32 @@ from banditseq.autodiff import (
     ShapeError,
     Tape,
     add,
+    finite_difference_check,
+    log_likelihood,
+    neg,
+    parameter,
+    step_sum,
+)
+
+from conftest import outer
+from reference_ops import (
     concat,
     constant,
     dot,
     embedding_lookup,
     exp,
-    finite_difference_check,
-    log_likelihood,
     logsumexp,
     matmul,
     matvec,
     mul,
-    neg,
-    parameter,
     pick,
     sigmoid,
     softmax,
     stack,
     stack_rows,
-    step_sum,
     tanh,
     vsum,
 )
-
-from conftest import outer
 
 
 def grad_of(build, params):

@@ -12,6 +12,8 @@ from banditseq.config import ConfigError, RunConfig, format_config, \
     load_config, parse_config
 from banditseq.model import ModelParams, Vocabulary
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 class TestConfigParsing:
     def test_defaults(self):
@@ -105,13 +107,20 @@ class TestConfigParsing:
         assert load_config(path).seed == 77
 
     def test_readme_lists_every_key(self):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        text = readme.read_text(encoding="utf-8")
+        text = README.read_text(encoding="utf-8")
         section = re.search(r"^## Config format\n(.*?)^## ", text,
                             re.S | re.M).group(1)
         listed = set(re.findall(r"`([a-z0-9_]+)`", section))
         missing = [f.name for f in fields(RunConfig) if f.name not in listed]
         assert not missing, f"README config section lacks {missing}"
+
+    def test_readme_library_example_runs(self):
+        (example,) = re.findall(r"^```python\n(.*?)^```\n",
+                                README.read_text(encoding="utf-8"),
+                                re.S | re.M)
+        namespace = {}
+        exec(compile(example, "README.md", "exec"), namespace)
+        assert namespace["grads"].keys() == namespace["params"].tensors.keys()
 
 
 @pytest.fixture

@@ -10,10 +10,10 @@ from banditseq.objectives import (
     apply_score_function_cv,
     el_gradient,
 )
-from banditseq.oracles import enumerate_sequences
 
 from conftest import antithetic_variance_identity, max_abs, relative_gap, \
     tiny_params
+from oracles import enumerate_sequences
 
 
 def _flatten(grads):

@@ -352,5 +352,6 @@ class TestFeedbackOracle:
         oracle = FeedbackOracle("pair-binary", {0: ref, 1: [5]})
         for _ in range(4):
             oracle(0, [5, 6], [7])
-        assert counted.count(tuple(ref)) == 1
-        assert len(counted) == 1 + 2 * 4
+        assert counted.count(tuple(ref)) == 4   # once per call, not per member
+        assert (5,) not in counted              # id 1 was never consulted
+        assert len(counted) == 4 + 2 * 4

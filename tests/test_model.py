@@ -10,23 +10,9 @@ from banditseq.autodiff import (
     Tape,
     add,
     attention_values,
-    concat,
-    constant,
-    dot,
-    embedding_lookup,
     finite_difference_check,
     log_likelihood,
-    logsumexp,
-    matmul,
-    matvec,
-    mul,
     neg,
-    pick,
-    sigmoid,
-    softmax,
-    stack,
-    stack_rows,
-    tanh,
 )
 from banditseq.model import (
     END,
@@ -48,10 +34,26 @@ from banditseq.model import (
 )
 from banditseq.objectives import el_gradient, mle_loss_and_grad, \
     pr_gradient, pr_halves
-from banditseq.oracles import count_sequences, enumerate_sequences
 
 from conftest import random_source, reference_backprop, relative_gap, \
     tiny_params
+from oracles import count_sequences, enumerate_sequences
+from reference_ops import (
+    concat,
+    constant,
+    dot,
+    embedding_lookup,
+    logsumexp,
+    matmul,
+    matvec,
+    mul,
+    pick,
+    sigmoid,
+    softmax,
+    stack,
+    stack_rows,
+    tanh,
+)
 
 
 class TestVocabulary:

@@ -35,14 +35,14 @@ from banditseq.objectives import (
     pr_halves,
     sgd_update,
 )
-from banditseq.oracles import (
+
+from conftest import max_abs, max_abs_diff, relative_gap, tiny_params
+from oracles import (
     enumerate_pair_outcomes,
     enumerate_sequences,
     exact_pr_risk_and_grad,
     exact_risk_and_grad,
 )
-
-from conftest import max_abs, max_abs_diff, relative_gap, tiny_params
 
 
 class TestMleLossAndGrad:
@@ -364,6 +364,18 @@ class TestBanditTrainLoop:
         for name, t in params.tensors.items():
             assert np.array_equal(t.data, before[name])
             assert np.array_equal(result.best_values[name], before[name])
+
+    def test_without_validator_returns_last_iterate(self):
+        params, cfg = self._setup(iters=6)
+        before = params.copy_values()
+        result = bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
+                                   lambda sid, toks: -0.5)
+        assert any(not np.array_equal(t.data, before[name])
+                   for name, t in params.tensors.items())
+        for name, t in params.tensors.items():
+            assert np.array_equal(result.best_values[name], t.data)
+        assert result.best_iteration == 6
+        assert result.best_score == -math.inf
 
     def test_zero_feedback_no_movement(self):
         params, cfg = self._setup(iters=6)
