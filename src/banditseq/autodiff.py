@@ -50,7 +50,6 @@ __all__ = [
     "add",
     "neg",
     "log_likelihood",
-    "matvec_rows",
     "gru_values",
     "step_sum",
     "gru_grads",
@@ -256,18 +255,11 @@ def node(data, backward):
 
 # ---------------------------------------------------------------------------
 # The model's layers on plain arrays: forward values and, for one row, their
-# reverse rules. Leading axes are batch axes. Every matrix product goes
-# through ``matvec_rows``, one BLAS matrix-vector call per row: a row's result
-# then does not depend on the batch it sits in, and a batch of one equals a
-# single row bit for bit. One GEMM over all rows would round differently.
+# reverse rules. Leading axes are batch axes; a weight product is one
+# ``x @ W.T`` over all rows: one matrix-vector call for a batch of one, as in
+# training, and one GEMM for a corpus batch, whose rows then equal the
+# single-row values to rounding, not bit for bit.
 # ---------------------------------------------------------------------------
-
-
-def matvec_rows(m, x):
-    """``m @ x`` for every row ``x[..., :]``."""
-    if x.ndim > 1 and x.shape[-2] > 1:
-        return (x[..., None, :] @ m.T)[..., 0, :]
-    return x @ m.T  # a single row is one matrix-vector call already
 
 
 def gru_values(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
@@ -275,10 +267,10 @@ def gru_values(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
     Ur h + br)``, ``c = tanh(Wh x + Uh (r*h) + bh)``, ``h' = (1-z)*h +
     z*c``; returns the new state and the intermediates ``(h', z, r, r*h,
     c)``."""
-    z = _sigmoid_values(matvec_rows(wz, x) + matvec_rows(uz, h) + bz)
-    r = _sigmoid_values(matvec_rows(wr, x) + matvec_rows(ur, h) + br)
+    z = _sigmoid_values(x @ wz.T + h @ uz.T + bz)
+    r = _sigmoid_values(x @ wr.T + h @ ur.T + br)
     rh = r * h
-    c = np.tanh(matvec_rows(wh, x) + matvec_rows(uh, rh) + bh)
+    c = np.tanh(x @ wh.T + rh @ uh.T + bh)
     return (1.0 - z) * h + z * c, z, r, rh, c
 
 
@@ -319,7 +311,7 @@ def attention_values(state, proj, w, v):
     """Alignment weights ``softmax(tanh(proj + W state) . v)`` over the T
     positions of ``proj`` [..., T, A] for ``state`` [..., H]; returns
     ``(alpha, t)`` with ``t = tanh(proj + W state)``."""
-    t = np.tanh(proj + matvec_rows(w, state)[..., None, :])
+    t = np.tanh(proj + (state @ w.T)[..., None, :])
     e = t @ v
     ex = np.exp(e - e.max(axis=-1, keepdims=True))
     return ex / ex.sum(axis=-1, keepdims=True), t

@@ -180,7 +180,8 @@ class FeedbackOracle:
     :func:`clean_hypothesis` first. Each call counts the consulted
     reference's n-grams once, and a pair's two members share that count.
     ``calls`` counts every consultation so reference isolation can be
-    audited.
+    audited; a call with the wrong number of samples for ``kind`` raises
+    ValueError and is not counted.
     """
 
     KINDS = ("ggleu-loss", "pair-binary", "pair-continuous")
@@ -196,6 +197,10 @@ class FeedbackOracle:
         self.calls = 0
 
     def __call__(self, sentence_id, *samples):
+        expected = 1 if self.kind == "ggleu-loss" else 2
+        if len(samples) != expected:
+            raise ValueError(f"{self.kind} feedback takes {expected} "
+                             f"sample(s), got {len(samples)}")
         self.calls += 1
         try:
             reference = self.references[sentence_id]
@@ -206,8 +211,5 @@ class FeedbackOracle:
                       [clean_hypothesis(tokens) if self.clean else tokens],
                       ref, self.max_n) for tokens in samples]
         if self.kind == "ggleu-loss":
-            (loss,) = losses
-            return loss
-        delta_pos, delta_neg = losses
-        return pairwise_feedback(delta_pos, delta_neg,
-                                 self.kind.removeprefix("pair-"))
+            return losses[0]
+        return pairwise_feedback(*losses, self.kind.removeprefix("pair-"))

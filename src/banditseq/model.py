@@ -44,11 +44,11 @@ the samplers a batch of one. The recurrence stays sequential, but each step
 is one array operation over every sentence still running. Sources are
 grouped by length, so the encoder and the attention need no padding and no
 mask, and a row leaves the batch once its policy stops it. Only a batch of
-one keeps per-step values, and only when asked to. Every product of a
-weight matrix with a row is its own matrix-vector call
-(:func:`~banditseq.autodiff.matvec_rows`): one GEMM over the batch would
-round differently, and batched outputs would no longer equal the
-per-sentence ones bit for bit.
+one keeps per-step values, and only when asked to. A weight product is
+one ``x @ W.T`` over the rows. For a batch of one, which every training
+roll-out is, that is one matrix-vector call; for a corpus batch, one GEMM
+per product and step, whose logits and attention equal the
+single-sentence decode's to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .autodiff import (
     gru_grads,
     gru_values,
     log_likelihood,
-    matvec_rows,
     node,
     parameter,
     step_sum,
@@ -300,7 +299,7 @@ def encode_full(sources, p, masks=None, record=None):
                 record.append((prefix, t, x, h, *gates[1:]))
             h = gates[0]
             matrix[:, t, half] = h
-    init = np.tanh(matvec_rows(p["dec_init.W"], h) + p["dec_init.b"])
+    init = np.tanh(h @ p["dec_init.W"].T + p["dec_init.b"])
     return matrix, matrix @ p["att.U"], init
 
 
@@ -317,7 +316,7 @@ def _step(prev, state, matrix, proj, p, emb_mask=None, out_mask=None):
     new_state, z, r, rh, c = gru_values(x, state, *p["dec"])
     pre_out = _masked(np.concatenate([new_state, context], axis=-1),
                       out_mask)
-    logits = matvec_rows(p["out.W"], pre_out) + p["out.b"]
+    logits = pre_out @ p["out.W"].T + p["out.b"]
     return logits, new_state, (alpha, energy, x, z, r, rh, c, pre_out)
 
 
@@ -640,9 +639,12 @@ def greedy_decode(sources, params, max_len, return_attention=False):
 
     def argmax(rows, logits, alpha):
         best = logits.argmax(axis=1)
-        for row, tok, weights in zip(rows.tolist(), best.tolist(), alpha):
+        rows = rows.tolist()
+        for row, tok in zip(rows, best.tolist()):
             tokens[row].append(tok)
-            attention[row].append(weights)
+        if return_attention:
+            for row, weights in zip(rows, alpha):
+                attention[row].append(weights)
         return best, best != END
 
     rollout(sources, params, max_len, argmax)

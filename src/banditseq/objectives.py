@@ -358,6 +358,8 @@ class TrainingConfig:
             raise ValueError("valid_interval must be >= 1")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        if self.epoch_size < 0:
+            raise ValueError("epoch_size must be >= 0")
         for key in ("clip_norm", "alpha", "eps"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive")

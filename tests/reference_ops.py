@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from banditseq.autodiff import ShapeError, Tensor, _accum, _as_tensor, \
-    _check_binary_shapes, _make, _reduce_to, _sigmoid_values, matvec_rows
+    _check_binary_shapes, _make, _reduce_to, _sigmoid_values
 
 
 def constant(data):
@@ -47,7 +47,7 @@ def matvec(m, v):
         _accum(m, g[:, None] * v.data)
         _accum(v, m.data.T @ g)
 
-    return _make(matvec_rows(m.data, v.data), backward)
+    return _make(v.data @ m.data.T, backward)
 
 
 def dot(a, b):

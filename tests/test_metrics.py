@@ -312,6 +312,18 @@ class TestFeedbackOracle:
             oracle(0, list("ab"))
         assert oracle.calls == 5
 
+    @pytest.mark.parametrize("kind,samples", [
+        ("ggleu-loss", 0), ("ggleu-loss", 2),
+        ("pair-binary", 1), ("pair-continuous", 3),
+    ])
+    def test_wrong_sample_count_rejected_uncounted(self, kind, samples):
+        oracle = FeedbackOracle(kind, {0: list("ab")})
+        expected = 1 if kind == "ggleu-loss" else 2
+        with pytest.raises(ValueError,
+                           match=f"{kind} feedback takes {expected} "):
+            oracle(0, *[list("ab")] * samples)
+        assert oracle.calls == 0
+
     def test_unknown_sentence_id(self):
         oracle = FeedbackOracle("ggleu-loss", {0: list("ab")})
         with pytest.raises(KeyError):

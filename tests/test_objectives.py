@@ -554,7 +554,7 @@ class TestBanditTrainLoop:
         ("iters", -1), ("valid_interval", 0), ("max_len", 0),
         ("clip_norm", 0.0), ("optimizer", "rmsprop"), ("sgd_decay", -1.0),
         ("alpha", 0.0), ("alpha", -1e-4), ("beta1", 1.0), ("beta2", 1.0),
-        ("beta2", -0.5), ("eps", 0.0),
+        ("beta2", -0.5), ("eps", 0.0), ("epoch_size", -3),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):

@@ -1,12 +1,14 @@
 import csv
+import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from banditseq.config import ConfigError, RunConfig, parse_config
 from banditseq import pipeline
-from banditseq.data import Corpus
+from banditseq.data import Corpus, gen_data
 from banditseq.metrics import corpus_bleu, corpus_ggleu
 from banditseq.model import END, START, UNK, Vocabulary
 from banditseq.pipeline import (
@@ -260,3 +262,52 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         assert (tmp_path / "out" / "data" / "b.train.tgt").exists()
         assert result.runs == []
+
+
+def _training_digest(values, rows, best_iteration=None):
+    """SHA-256 of a training result: every parameter's bytes in name
+    order, then the metric rows and the selected iteration."""
+    h = hashlib.sha256()
+    for name in sorted(values):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(values[name]).tobytes())
+    h.update(repr((rows, best_iteration)).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_seed(tmp_path_factory):
+    """A 2-epoch MLE seed on the tiny task, with its corpora and vocab."""
+    cfg = tiny_run_config(tmp_path_factory.mktemp("pinned"), iters=30,
+                          valid_interval=10)
+    corpora = gen_data(cfg)
+    train_a = corpora["a", "train"]
+    vocab = Vocabulary.from_corpus(train_a.sources + train_a.targets)
+    params, rows = train_mle(cfg, vocab, train_a, corpora["a", "valid"])
+    return cfg, corpora, vocab, params, rows
+
+
+class TestTrainingPinned:
+    """The training path runs batch-of-one roll-outs only, and validation
+    selects on batched greedy decodes of whole corpora; a change to how a
+    corpus is decoded must leave every number here as it is."""
+
+    def test_train_mle(self, pinned_seed):
+        _, _, _, params, rows = pinned_seed
+        assert _training_digest(params.copy_values(), rows) == \
+            "350571ce957ed9ce52a5ebbc6b02726717d7ea8bfcbd5ac93d921f92de4685ac"
+
+    @pytest.mark.parametrize("objective,cv_mode,digest", [
+        ("el", "baseline",
+         "278af26cc3ed8e45e630bc25fe193db48a4619760acb29873e3c09f0c2f6cff4"),
+        ("pr", "sf",
+         "0f1ef7416a2fcafaf1b8339edbe138918897cceb545cb6ef3111e87fa0456c02"),
+    ])
+    def test_bandit_train_loop(self, pinned_seed, objective, cv_mode,
+                               digest):
+        cfg, corpora, vocab, params, _ = pinned_seed
+        cfg = replace(cfg, objective=objective, cv_mode=cv_mode)
+        outcome, best = pipeline._train_bandit_run(
+            cfg, vocab, params.copy_values(), corpora, 0)
+        assert _training_digest(best.copy_values(), outcome.rows,
+                                outcome.best_iteration) == digest
