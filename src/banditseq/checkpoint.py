@@ -20,8 +20,9 @@ Tensors are written in sorted-name order, each name once, so save -> load
 and renames it over the target only once it is complete, so an interrupted
 save leaves the previous file as it was. Loading validates the magic, the
 version, structural completeness (truncation, a repeated tensor name and a
-non-zero reserved byte are reported with the failing byte offset), and that
-embedding and output shapes agree with the stored vocabulary.
+non-zero reserved byte are reported with the failing byte offset), that the
+vocabulary starts with the reserved tokens and repeats none of them nor
+any other token, and that embedding and output shapes agree with it.
 :meth:`Checkpoint.to_model` then rejects a tensor set that does not fit the
 model, naming the missing, unexpected or mis-shaped tensor. Every one of
 these is a :class:`CheckpointFormatError`.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Vocabulary
+from .model import ModelParams, Vocabulary
 
 __all__ = ["Checkpoint", "CheckpointFormatError", "save_checkpoint",
            "load_checkpoint", "atomic_open", "MAGIC", "VERSION"]
@@ -64,8 +65,6 @@ class Checkpoint:
         """The model the tensors describe. A tensor that is missing,
         unexpected or mis-shaped for the vocabulary raises
         :class:`CheckpointFormatError` naming it."""
-        from .model import ModelParams
-
         try:
             return ModelParams.from_tensors(len(self.vocab), self.tensors)
         except (ValueError, IndexError) as exc:
@@ -199,7 +198,10 @@ def load_checkpoint(path):
         raise CheckpointFormatError(
             "vocabulary does not start with the reserved tokens"
         )
-    vocab = Vocabulary(tokens[3:])
+    try:
+        vocab = Vocabulary(tokens[3:])
+    except ValueError as exc:
+        raise CheckpointFormatError(f"bad vocabulary block: {exc}") from exc
     tensors = r.tensor_block()
     reserved = r.u8("reserved byte")
     if reserved != 0:

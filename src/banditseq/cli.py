@@ -26,7 +26,7 @@ from .checkpoint import CheckpointFormatError, load_checkpoint
 from .config import ConfigError, load_config, parse_config
 from .model import ModelParams, sample_pair, sample_sequence, \
     sequence_log_prob
-from .objectives import TrainingDiverged
+from .objectives import TrainingConfig, TrainingDiverged
 from .autodiff import finite_difference_check
 from . import pipeline as pl
 
@@ -179,8 +179,8 @@ def build_parser():
 
     p = sub.add_parser("train-bandit")
     _add_common(p)
-    p.add_argument("--objective", choices=["el", "pr"])
-    p.add_argument("--cv", choices=["none", "baseline", "sf"])
+    p.add_argument("--objective", choices=TrainingConfig.OBJECTIVES)
+    p.add_argument("--cv", choices=TrainingConfig.CV_MODES)
     p.add_argument("--pair-feedback", dest="pair_feedback",
                    choices=["bin", "cont"])
     p.add_argument("--iters", type=int)

@@ -181,7 +181,8 @@ class FeedbackOracle:
     reference's n-grams once, and a pair's two members share that count.
     ``calls`` counts every consultation so reference isolation can be
     audited; a call with the wrong number of samples for ``kind`` raises
-    ValueError and is not counted.
+    ValueError, and one with an unknown sentence id KeyError, and neither
+    is counted.
     """
 
     KINDS = ("ggleu-loss", "pair-binary", "pair-continuous")
@@ -201,11 +202,11 @@ class FeedbackOracle:
         if len(samples) != expected:
             raise ValueError(f"{self.kind} feedback takes {expected} "
                              f"sample(s), got {len(samples)}")
-        self.calls += 1
         try:
             reference = self.references[sentence_id]
         except KeyError:
             raise KeyError(f"no reference stored for sentence id {sentence_id!r}")
+        self.calls += 1
         ref = CorpusCounts([reference], self.max_n)
         losses = [-corpus_ggleu(
                       [clean_hypothesis(tokens) if self.clean else tokens],

@@ -332,11 +332,17 @@ class AntitheticTracker(CoMoments):
 
 @dataclass
 class TrainingConfig:
-    """Knobs of the bandit update loop."""
+    """Knobs of the bandit update loop. Its checks are the only ones of the
+    bandit keys: ``RunConfig.training_config`` builds one when a run config
+    is parsed."""
 
-    objective: str = "el"             # "el" | "pr"
+    OBJECTIVES = ("el", "pr")
+    CV_MODES = ("none", "baseline", "sf")
+    OPTIMIZERS = ("adam", "sgd")
+
+    objective: str = "el"             # one of OBJECTIVES
     pair_feedback: str = "continuous"  # "binary" | "continuous"
-    cv_mode: str = "none"             # "none" | "baseline" | "sf"
+    cv_mode: str = "none"             # one of CV_MODES
     iters: int = 1000
     valid_interval: int = 100
     clip_norm: float = 1.0
@@ -346,7 +352,7 @@ class TrainingConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     baseline_includes_current: bool = True
-    optimizer: str = "adam"           # "adam" | "sgd"
+    optimizer: str = "adam"           # one of OPTIMIZERS
     sgd_decay: float = 0.0
     max_len: int = 20
     epoch_size: int = 0               # examples per epoch, for the log only
@@ -367,15 +373,12 @@ class TrainingConfig:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if self.sgd_decay < 0:
             raise ValueError("sgd_decay must be >= 0")
-        if self.objective not in ("el", "pr"):
-            raise ValueError(f"bandit objective must be el or pr, got "
-                             f"{self.objective!r}")
-        if self.cv_mode not in ("none", "baseline", "sf"):
-            raise ValueError(f"cv_mode must be none, baseline or sf, got "
-                             f"{self.cv_mode!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be adam or sgd, got "
-                             f"{self.optimizer!r}")
+        for key, allowed in (("objective", self.OBJECTIVES),
+                             ("cv_mode", self.CV_MODES),
+                             ("optimizer", self.OPTIMIZERS)):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"{key} must be one of {allowed}, got "
+                                 f"{getattr(self, key)!r}")
 
 
 @dataclass

@@ -41,9 +41,8 @@ from .data import SPLITS, corpus_paths, gen_data, read_parallel, \
 from .metrics import CorpusCounts, FeedbackOracle, clean_hypothesis, \
     corpus_bleu, corpus_ggleu
 from .model import END, ModelParams, START, UNK, Vocabulary, greedy_decode
-from .objectives import OptimizerState, TrainingConfig, TrainingDiverged, \
-    adam_update, bandit_train_loop, clip_gradient, grad_norm, \
-    mle_loss_and_grad
+from .objectives import OptimizerState, TrainingDiverged, adam_update, \
+    bandit_train_loop, clip_gradient, grad_norm, mle_loss_and_grad
 
 __all__ = [
     "derive_seed",
@@ -234,24 +233,9 @@ def _train_bandit_run(cfg, vocab, seed_values, corpora, run_idx):
                             derive_seed(cfg.seed, _SEED_BANDIT_STREAM, run_idx))
     validate = _make_validator(vocab, corpora["b", "valid"], cfg.max_len,
                                cfg.ggleu_max_n)
-    train_cfg = TrainingConfig(
-        objective=cfg.objective,
-        pair_feedback=cfg.pair_feedback,
-        cv_mode=cfg.cv_mode,
-        iters=cfg.iters,
-        valid_interval=cfg.valid_interval,
-        clip_norm=cfg.clip_norm,
+    train_cfg = cfg.training_config(
         seed=derive_seed(cfg.seed, _SEED_BANDIT_LOOP, run_idx),
-        alpha=cfg.adam_alpha,
-        beta1=cfg.adam_beta1,
-        beta2=cfg.adam_beta2,
-        eps=cfg.adam_eps,
-        baseline_includes_current=cfg.baseline_includes_current,
-        optimizer=cfg.optimizer,
-        sgd_decay=cfg.sgd_decay,
-        max_len=cfg.max_len,
-        epoch_size=len(sources),
-    )
+        epoch_size=len(sources))
     result = bandit_train_loop(train_cfg, params, stream, oracle,
                                validate_fn=validate)
     params.load_values(result.best_values)

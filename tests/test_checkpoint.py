@@ -12,6 +12,7 @@ from banditseq.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from banditseq.cli import main
 from banditseq.model import ModelParams, Vocabulary
 
 
@@ -159,6 +160,34 @@ class TestRejection:
         save_checkpoint(path, ckpt)
         with pytest.raises(CheckpointFormatError, match="vocabulary"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _with_token_replaced(path, old, new):
+        """Save a checkpoint whose vocabulary token ``old`` reads ``new``."""
+        save_checkpoint(path, make_checkpoint(("aa", "bb", "xyz")))
+        data = path.read_bytes()
+        entry = struct.pack("<I", len(old)) + old.encode()
+        assert data.count(entry) == 1 and len(new) == len(old)
+        path.write_bytes(data.replace(entry, struct.pack("<I", len(new))
+                                      + new.encode()))
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("bb", "aa", "duplicate"), ("xyz", "<s>", "collides with reserved"),
+    ], ids=["duplicate", "reserved"])
+    def test_bad_vocabulary_token(self, tmp_path, old, new, match):
+        path = tmp_path / "m.bnsq"
+        self._with_token_replaced(path, old, new)
+        with pytest.raises(CheckpointFormatError, match=match):
+            load_checkpoint(path)
+
+    def test_bad_vocabulary_token_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "m.bnsq"
+        self._with_token_replaced(path, "bb", "aa")
+        src_file = tmp_path / "in.txt"
+        src_file.write_text("aa bb\n")
+        assert main(["sample", "--checkpoint", str(path), "--input",
+                     str(src_file)]) == 3
+        assert "duplicate" in capsys.readouterr().err
 
     def test_magic_constant(self):
         assert MAGIC == b"BNSQ"

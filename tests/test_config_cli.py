@@ -11,6 +11,7 @@ from banditseq.cli import main
 from banditseq.config import ConfigError, RunConfig, format_config, \
     load_config, parse_config
 from banditseq.model import ModelParams, Vocabulary
+from banditseq.objectives import TrainingConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -71,7 +72,10 @@ class TestConfigParsing:
         ("dropout", 1.0), ("dropout", -0.1), ("sgd_decay", -1.0),
         ("adam_alpha", 0.0), ("mle_alpha", -1e-3), ("adam_beta1", 1.0),
         ("adam_beta2", 1.0), ("adam_beta1", -0.1), ("adam_eps", 0.0),
-        ("adam_alpha", float("nan")),
+        ("adam_alpha", float("nan")), ("iters", -1), ("valid_interval", 0),
+        ("clip_norm", 0.0), ("clip_norm", float("nan")),
+        ("optimizer", "rmsprop"), ("cv_mode", "antithetic"),
+        ("objective", "mle"),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -91,6 +95,24 @@ class TestConfigParsing:
     def test_bad_task_key_rejected_when_parsed(self, text, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(text + "\n")
+
+    def test_training_config_maps_every_field(self):
+        cfg = RunConfig(objective="pr", pair_feedback="bin", cv_mode="sf",
+                        iters=7, valid_interval=3, clip_norm=2.5,
+                        adam_alpha=3e-4, adam_beta1=0.8, adam_beta2=0.99,
+                        adam_eps=1e-7, baseline_includes_current=False,
+                        optimizer="sgd", sgd_decay=0.5, max_len=11)
+        train_cfg = cfg.training_config(seed=5, epoch_size=9)
+        assert (train_cfg.seed, train_cfg.epoch_size) == (5, 9)
+        renamed = {"alpha": "adam_alpha", "beta1": "adam_beta1",
+                   "beta2": "adam_beta2", "eps": "adam_eps"}
+        for f in fields(TrainingConfig):
+            if f.name in ("seed", "epoch_size"):
+                continue
+            value = getattr(train_cfg, f.name)
+            # a field left at its default may have been copied from nowhere
+            assert value != f.default, f.name
+            assert value == getattr(cfg, renamed.get(f.name, f.name)), f.name
 
     def test_overrides_win(self):
         cfg = parse_config("seed = 1\n", overrides={"seed": 5})

@@ -325,9 +325,10 @@ class TestFeedbackOracle:
         assert oracle.calls == 0
 
     def test_unknown_sentence_id(self):
-        oracle = FeedbackOracle("ggleu-loss", {0: list("ab")})
-        with pytest.raises(KeyError):
-            oracle(1, list("ab"))
+        oracle = FeedbackOracle("ggleu-loss", {0: [3, 4]})
+        with pytest.raises(KeyError, match="5"):
+            oracle(5, [3])
+        assert oracle.calls == 0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
