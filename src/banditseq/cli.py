@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint
-from .config import ConfigError, load_config, parse_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .model import ModelParams, sample_pair, sample_sequence, \
     sequence_log_prob
 from .objectives import TrainingConfig, TrainingDiverged
@@ -34,73 +35,64 @@ from . import pipeline as pl
 def _add_common(parser):
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory")
 
 
-def _load_cfg(args, extra=None):
-    overrides = {"seed": getattr(args, "seed", None),
-                 "out_dir": getattr(args, "out", None)}
-    if extra:
-        overrides.update(extra)
+def _load_cfg(args):
+    """The config file's run config, overridden by every flag whose
+    destination is a config key (a stage command's ``stages`` among them)."""
+    keys = {f.name for f in fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
     if args.config:
         return load_config(args.config, overrides=overrides)
     return parse_config("", overrides=overrides)
 
 
-def _stage_cfg(args, stages, extra=None):
-    cfg = _load_cfg(args, extra)
-    cfg.stages = stages
-    return cfg
+def _positive(kind):
+    """An argparse type: a ``kind`` number above zero."""
+    def parse(text):
+        if not kind(text) > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def cmd_gen_data(args):
-    pl.run_pipeline(_stage_cfg(args, "gen-data"))
-    return 0
+    pl.run_pipeline(_load_cfg(args))
 
 
 def cmd_build_vocab(args):
-    cfg = _stage_cfg(args, "build-vocab")
-    result = pl.run_pipeline(cfg)
+    result = pl.run_pipeline(_load_cfg(args))
     print(f"vocabulary of {len(result.vocab)} tokens written to "
           f"{result.out_dir}/vocab.txt")
-    return 0
 
 
 def cmd_train_mle(args):
-    cfg = _stage_cfg(args, "build-vocab,train-mle")
-    result = pl.run_pipeline(cfg)
+    result = pl.run_pipeline(_load_cfg(args))
     print(f"seed checkpoint written to {result.seed_checkpoint_path}")
-    return 0
 
 
 def cmd_train_bandit(args):
-    extra = {"objective": args.objective, "cv_mode": args.cv,
-             "pair_feedback": args.pair_feedback, "iters": args.iters,
-             "adam_alpha": args.alpha}
-    cfg = _stage_cfg(args, "train-bandit,evaluate", extra)
-    result = pl.run_pipeline(cfg)
+    result = pl.run_pipeline(_load_cfg(args))
     for outcome in result.runs:
         scores = outcome.test_scores.get("test_b", {})
         print(f"run {outcome.run}: best iteration {outcome.best_iteration}, "
               f"domain-B test ggleu {scores.get('ggleu', float('nan')):.4f}")
     print(f"metrics written to {result.metrics_path}")
-    return 0
 
 
 def cmd_evaluate(args):
     cfg = _load_cfg(args)
-    ckpt_path = args.checkpoint or cfg.seed_checkpoint
-    if not ckpt_path:
+    if not cfg.seed_checkpoint:
         raise ConfigError("evaluate needs --checkpoint or seed_checkpoint")
-    cfg.seed_checkpoint = ckpt_path
-    cfg.stages = "evaluate"
     result = pl.run_pipeline(cfg)
     for split in sorted(result.seed_test_scores):
         scores = result.seed_test_scores[split]
         line = ", ".join(f"{m}={scores[m]:.4f}" for m in sorted(scores))
         print(f"{split}: {line}")
     print(f"metrics written to {result.metrics_path}")
-    return 0
 
 
 def cmd_sample(args):
@@ -124,15 +116,13 @@ def cmd_sample(args):
                 sample = sample_sequence(ids, params, cfg.max_len, rng)
                 print(f"{sample.log_prob:.4f}\t"
                       + " ".join(vocab.decode(sample.tokens)))
-    return 0
 
 
 def cmd_grad_check(args):
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     vocab_size = args.tokens + 3
     params = ModelParams(vocab_size, embed_size=args.embed,
-                         hidden_size=args.hidden,
-                         seed=args.seed if args.seed is not None else 0)
+                         hidden_size=args.hidden, seed=args.seed)
     source = [int(rng.integers(3, vocab_size)) for _ in range(3)]
     target = [int(rng.integers(3, vocab_size)) for _ in range(2)] + [1]
 
@@ -149,11 +139,9 @@ def cmd_grad_check(args):
 
 
 def cmd_pipeline(args):
-    cfg = _load_cfg(args)
-    result = pl.run_pipeline(cfg)
+    result = pl.run_pipeline(_load_cfg(args))
     if result.metrics_path:
         print(f"metrics written to {result.metrics_path}")
-    return 0
 
 
 def build_parser():
@@ -163,29 +151,31 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each stage command runs its own stages, whatever the config file says
     commands = {
-        "gen-data": cmd_gen_data,
-        "build-vocab": cmd_build_vocab,
-        "train-mle": cmd_train_mle,
-        "evaluate": cmd_evaluate,
-        "pipeline": cmd_pipeline,
+        "gen-data": (cmd_gen_data, "gen-data"),
+        "build-vocab": (cmd_build_vocab, "build-vocab"),
+        "train-mle": (cmd_train_mle, "build-vocab,train-mle"),
+        "evaluate": (cmd_evaluate, "evaluate"),
+        "pipeline": (cmd_pipeline, None),
     }
-    for name, fn in commands.items():
+    for name, (fn, stages) in commands.items():
         p = sub.add_parser(name)
         _add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, stages=stages)
         if name == "evaluate":
-            p.add_argument("--checkpoint", help="checkpoint to evaluate")
+            p.add_argument("--checkpoint", dest="seed_checkpoint",
+                           metavar="CHECKPOINT", help="checkpoint to evaluate")
 
     p = sub.add_parser("train-bandit")
     _add_common(p)
     p.add_argument("--objective", choices=TrainingConfig.OBJECTIVES)
-    p.add_argument("--cv", choices=TrainingConfig.CV_MODES)
+    p.add_argument("--cv", dest="cv_mode", choices=TrainingConfig.CV_MODES)
     p.add_argument("--pair-feedback", dest="pair_feedback",
                    choices=["bin", "cont"])
     p.add_argument("--iters", type=int)
-    p.add_argument("--alpha", type=float)
-    p.set_defaults(fn=cmd_train_bandit)
+    p.add_argument("--alpha", dest="adam_alpha", metavar="ALPHA", type=float)
+    p.set_defaults(fn=cmd_train_bandit, stages="train-bandit,evaluate")
 
     p = sub.add_parser("sample")
     _add_common(p)
@@ -198,13 +188,13 @@ def build_parser():
 
     p = sub.add_parser("grad-check")
     _add_common(p)
-    p.add_argument("--tokens", type=int, default=3,
+    p.add_argument("--tokens", type=_positive(int), default=3,
                    help="regular (non-reserved) vocabulary size")
-    p.add_argument("--embed", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=4)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(fn=cmd_grad_check)
+    p.add_argument("--embed", type=_positive(int), default=4)
+    p.add_argument("--hidden", type=_positive(int), default=4)
+    p.add_argument("--step", type=_positive(float), default=1e-5)
+    p.add_argument("--tolerance", type=_positive(float), default=1e-4)
+    p.set_defaults(fn=cmd_grad_check, seed=0)
 
     return parser
 
@@ -213,7 +203,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args) or 0  # a command returns a code only on failure
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

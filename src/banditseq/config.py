@@ -1,9 +1,10 @@
 """Run configuration: a flat ``key = value`` text format.
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-Every key has a typed default below; unknown keys are hard errors so typos
-never silently fall back to defaults. CLI flags override file values. The
-bandit keys are checked by the loop's own ``TrainingConfig``, which
+Every key has a typed default below; unknown or repeated keys are hard
+errors so typos never silently fall back to defaults. CLI flags override
+file values; a built config is checked once and frozen. The bandit keys
+are checked by the loop's own ``TrainingConfig``, which
 :meth:`RunConfig.training_config` builds when the config is parsed.
 """
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass, fields
 
 from .objectives import TrainingConfig
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "format_config"]
+__all__ = ["ConfigError", "RunConfig", "STAGES", "parse_config", "load_config",
+           "format_config"]
 
 
 class ConfigError(ValueError):
@@ -29,11 +31,14 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# run_pipeline runs the stages in this order, whatever order ``stages`` gives
+STAGES = ("gen-data", "build-vocab", "train-mle", "train-bandit", "evaluate")
+
 _PAIR_KINDS = {"bin": "binary", "binary": "binary",
                "cont": "continuous", "continuous": "continuous"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """All knobs of a pipeline run. Field names are the config keys."""
 
@@ -64,7 +69,7 @@ class RunConfig:
     # experiment
     seed: int = 13
     runs: int = 2
-    stages: str = "gen-data,build-vocab,train-mle,train-bandit,evaluate"
+    stages: str = ",".join(STAGES)
     data_dir: str = ""
     out_dir: str = "out"
     seed_checkpoint: str = ""
@@ -90,10 +95,15 @@ class RunConfig:
         if self.pair_feedback not in _PAIR_KINDS:
             raise ConfigError(f"pair_feedback must be bin or cont, "
                               f"got {self.pair_feedback!r}")
-        self.pair_feedback = _PAIR_KINDS[self.pair_feedback]
-        for key in ("embedding_size", "hidden_size", "mle_batch",
-                    "ggleu_max_n", "min_sent_len", "train_a", "valid_a",
-                    "test_a", "train_b", "valid_b", "test_b"):
+        object.__setattr__(self, "pair_feedback",
+                           _PAIR_KINDS[self.pair_feedback])
+        unknown = set(self.stage_list()) - set(STAGES)
+        if unknown:
+            raise ConfigError(f"unknown stages: {sorted(unknown)}")
+        for key in ("embedding_size", "hidden_size", "vocab_cutoff",
+                    "mle_batch", "ggleu_max_n", "runs", "min_sent_len",
+                    "train_a", "valid_a", "test_a", "train_b", "valid_b",
+                    "test_b"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.mle_epochs < 0:
@@ -104,8 +114,6 @@ class RunConfig:
         for key in ("dropout", "adam_beta1", "adam_beta2", "ambiguity"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1)")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
         if self.src_vocab_size < 2:
             raise ConfigError("src_vocab_size must be >= 2")
         if self.min_sent_len > self.max_sent_len:
@@ -164,6 +172,8 @@ def parse_config(text, overrides=None):
         key, value = key.strip(), value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
         values[key] = _convert(key, value, lineno)
     if overrides:
         for key, value in overrides.items():

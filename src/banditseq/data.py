@@ -181,5 +181,6 @@ def read_parallel(src_path, tgt_path, domain="", split=""):
         )
     for i, (s, t) in enumerate(zip(src_lines, tgt_lines)):
         if not s or not t:
-            raise ValueError(f"empty sentence at line {i + 1}")
+            raise ValueError(f"{tgt_path if s else src_path}: empty sentence "
+                             f"at line {i + 1}")
     return Corpus(pairs=list(zip(src_lines, tgt_lines)), domain=domain, split=split)

@@ -330,7 +330,7 @@ class AntitheticTracker(CoMoments):
         return total / sum(co.size for co in self.co_xy.values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     """Knobs of the bandit update loop. Its checks are the only ones of the
     bandit keys: ``RunConfig.training_config`` builds one when a run config

@@ -3,8 +3,10 @@
 Stages (selected by the ``stages`` config key):
 
 * ``gen-data``     write synthetic corpora for both domains
-* ``build-vocab``  frequency vocabulary from the domain-A training corpus
-* ``train-mle``    supervised pretraining on domain A (the seed model)
+* ``build-vocab``  frequency vocabulary from the domain-A training corpus,
+                   saved as ``vocab.txt``
+* ``train-mle``    supervised pretraining on domain A (the seed model); it
+                   builds the same vocabulary itself
 * ``train-bandit`` one adaptation run per seed on domain-B feedback;
                    references stay behind the feedback oracle
 * ``evaluate``     greedy-decode both test sets for the seed model and every
@@ -283,8 +285,11 @@ def _load_corpora(data_dir):
                     f"missing corpus files for domain {domain!r} split "
                     f"{split!r} under {data_dir} (run the gen-data stage?)"
                 )
-            corpora[domain, split] = read_parallel(src_path, tgt_path,
-                                                   domain=domain, split=split)
+            try:
+                corpora[domain, split] = read_parallel(
+                    src_path, tgt_path, domain=domain, split=split)
+            except ValueError as exc:
+                raise ConfigError(f"bad corpus: {exc}") from exc
     return corpora
 
 
@@ -308,14 +313,9 @@ def run_pipeline(cfg):
     """Execute the configured stages; returns a PipelineResult."""
     out_dir = cfg.out_dir
     data_dir = cfg.data_dir or os.path.join(out_dir, "data")
-    os.makedirs(out_dir, exist_ok=True)
     os.makedirs(data_dir, exist_ok=True)
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
     stages = cfg.stage_list()
-    known = {"gen-data", "build-vocab", "train-mle", "train-bandit", "evaluate"}
-    unknown = set(stages) - known
-    if unknown:
-        raise ConfigError(f"unknown stages: {sorted(unknown)}")
     result = PipelineResult(out_dir=out_dir)
     chash = config_hash(cfg)
 
@@ -327,10 +327,11 @@ def run_pipeline(cfg):
         corpora = _load_corpora(data_dir)
 
     vocab = None
-    if "build-vocab" in stages:
+    if "build-vocab" in stages or "train-mle" in stages:
         train_a = corpora["a", "train"]
         vocab = Vocabulary.from_corpus(train_a.sources + train_a.targets,
                                        cutoff=cfg.vocab_cutoff)
+    if "build-vocab" in stages:
         vocab.save(os.path.join(out_dir, "vocab.txt"))
 
     seed_path = cfg.seed_checkpoint or os.path.join(out_dir, "checkpoints",
@@ -345,8 +346,6 @@ def run_pipeline(cfg):
         metrics_name = f"metrics.{run_prefix}.csv"
     params = None
     if "train-mle" in stages:
-        if vocab is None:
-            raise ConfigError("train-mle requires the build-vocab stage")
         params, mle_rows = train_mle(cfg, vocab, corpora["a", "train"],
                                      corpora["a", "valid"])
         for row in mle_rows:

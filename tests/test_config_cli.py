@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +8,8 @@ import pytest
 from banditseq import pipeline
 from banditseq.checkpoint import Checkpoint, save_checkpoint
 from banditseq.cli import main
-from banditseq.config import ConfigError, RunConfig, format_config, \
-    load_config, parse_config
+from banditseq.config import STAGES, ConfigError, RunConfig, \
+    format_config, load_config, parse_config
 from banditseq.model import ModelParams, Vocabulary
 from banditseq.objectives import TrainingConfig
 
@@ -47,6 +47,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("iters = many\n")
 
+    def test_key_given_twice_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="line 3: key 'iters' given twice"):
+            parse_config("iters = 5\nseed = 2\niters = 7\n")
+        # a flag still overrides the file's one value
+        assert parse_config("iters = 5\n", overrides={"iters": 7}).iters == 7
+
+    def test_built_configs_are_frozen(self):
+        cfg = parse_config("")
+        for obj, key, value in ((cfg, "stages", "evaluate"),
+                                (cfg, "seed_checkpoint", "m.bnsq"),
+                                (cfg.training_config(), "iters", 5)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, key, value)
+        assert cfg == parse_config("")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("just some words\n")
@@ -75,7 +91,7 @@ class TestConfigParsing:
         ("adam_alpha", float("nan")), ("iters", -1), ("valid_interval", 0),
         ("clip_norm", 0.0), ("clip_norm", float("nan")),
         ("optimizer", "rmsprop"), ("cv_mode", "antithetic"),
-        ("objective", "mle"),
+        ("objective", "mle"), ("vocab_cutoff", 0), ("vocab_cutoff", -2),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -132,8 +148,9 @@ class TestConfigParsing:
         text = README.read_text(encoding="utf-8")
         section = re.search(r"^## Config format\n(.*?)^## ", text,
                             re.S | re.M).group(1)
-        listed = set(re.findall(r"`([a-z0-9_]+)`", section))
-        missing = [f.name for f in fields(RunConfig) if f.name not in listed]
+        listed = set(re.findall(r"`([a-z0-9_-]+)`", section))
+        names = [f.name for f in fields(RunConfig)] + list(STAGES)
+        missing = [name for name in names if name not in listed]
         assert not missing, f"README config section lacks {missing}"
 
     def test_readme_library_example_runs(self):
@@ -178,6 +195,48 @@ class TestCli:
         assert main(["grad-check", "--tokens", "3", "--embed", "3",
                      "--hidden", "3", "--seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tokens", "0"), ("--embed", "0"), ("--hidden", "-1"),
+        ("--step", "0"), ("--step", "nan"), ("--tolerance", "-0.5"),
+    ])
+    def test_grad_check_out_of_range_flag_is_usage_error(self, capsys, flag,
+                                                         value):
+        with pytest.raises(SystemExit) as exc:
+            main(["grad-check", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_unknown_stage_exits_2_before_writing(self, small_cfg_file,
+                                                  tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(small_cfg_file.read_text()
+                       + "stages = gen-data,fly-to-moon\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
+        assert "fly-to-moon" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt", ["blank line", "extra line"])
+    def test_corrupt_corpus_exits_2_naming_the_file(self, small_cfg_file,
+                                                    tmp_path, capsys,
+                                                    corrupt):
+        cfg, out = str(small_cfg_file), tmp_path / "out"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "a.test.src"
+        lines = path.read_text().splitlines(keepends=True)
+        if corrupt == "blank line":
+            lines[4] = "\n"
+        else:
+            lines.append("\n")
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["build-vocab", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if corrupt == "blank line":
+            assert f"{path}: empty sentence at line 5" in err
+        assert not (out / "vocab.txt").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

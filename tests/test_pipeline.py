@@ -253,9 +253,22 @@ class TestRunPipeline:
             parse_config("objective = mle\n")
 
     def test_unknown_stage_rejected(self, tmp_path):
-        cfg = tiny_run_config(tmp_path / "out", stages="gen-data,fly-to-moon")
+        # rejected when the config is built, before a stage can run
         with pytest.raises(ConfigError, match="unknown stages"):
-            run_pipeline(cfg)
+            tiny_run_config(tmp_path / "out", stages="gen-data,fly-to-moon")
+        with pytest.raises(ConfigError, match="'fly'"):
+            parse_config("stages = gen-data,fly\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_train_mle_builds_its_own_vocabulary(self, tmp_path):
+        seeds = {}
+        for stages in ("gen-data,train-mle", "gen-data,build-vocab,train-mle"):
+            out = tmp_path / stages
+            run_pipeline(tiny_run_config(out, stages=stages))
+            seeds[stages] = (out / "checkpoints" / "mle.bnsq").read_bytes()
+            assert (out / "vocab.txt").exists() == ("build-vocab" in stages)
+        assert seeds["gen-data,train-mle"] == \
+            seeds["gen-data,build-vocab,train-mle"]
 
     def test_gen_data_only_writes_corpora(self, tmp_path):
         cfg = tiny_run_config(tmp_path / "out", stages="gen-data")
