@@ -16,9 +16,9 @@ Layout (all integers little-endian):
     reserved         u8, always 0
 
 Tensors are written in sorted-name order, each name once, so save -> load
--> save is byte identical. Saving writes a temporary file next to the target
-and renames it over the target only once it is complete, so an interrupted
-save leaves the previous file as it was. Loading validates the magic, the
+-> save is byte identical. Saving goes through ``data.atomic_open``, which
+renames a temporary file over the target only once it is complete, so an
+interrupted save leaves the previous file as it was. Loading validates the
 version, structural completeness (truncation, a repeated tensor name and a
 non-zero reserved byte are reported with the failing byte offset), that the
 vocabulary starts with the reserved tokens and repeats none of them nor
@@ -30,17 +30,16 @@ these is a :class:`CheckpointFormatError`.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open
 from .model import ModelParams, Vocabulary
 
 __all__ = ["Checkpoint", "CheckpointFormatError", "save_checkpoint",
-           "load_checkpoint", "atomic_open", "MAGIC", "VERSION"]
+           "load_checkpoint", "MAGIC", "VERSION"]
 
 MAGIC = b"BNSQ"
 VERSION = 1
@@ -70,22 +69,6 @@ class Checkpoint:
         except (ValueError, IndexError) as exc:
             raise CheckpointFormatError(
                 f"tensors do not fit the model: {exc}") from exc
-
-
-@contextlib.contextmanager
-def atomic_open(path, mode="wb", **kwargs):
-    """Open a temporary file next to ``path`` for writing. A clean exit
-    renames it over ``path``; an exception removes it, so ``path`` keeps
-    either its previous or its complete new contents."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def _write_string(fh, text):

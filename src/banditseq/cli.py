@@ -11,8 +11,8 @@ Subcommands map onto pipeline stages plus two inspection tools:
     grad-check   finite-difference check of the model gradient
     pipeline     run all configured stages in one go
 
-Common flags: --config <path>, --seed <int>, --out <dir>. Flags override
-config-file keys.
+Common flags: --config <path> and --seed <int> (grad-check: --seed only),
+--out <dir> on the stage commands and pipeline. Flags override config keys.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from .autodiff import finite_difference_check
 from . import pipeline as pl
 
 
-def _add_common(parser):
+def _add_common(parser, out=True):
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--out", dest="out_dir", metavar="OUT",
-                        help="output directory")
+    if out:
+        parser.add_argument("--out", dest="out_dir", metavar="OUT",
+                            help="output directory")
 
 
 def _load_cfg(args):
@@ -59,14 +60,10 @@ def _positive(kind):
     return parse
 
 
-def cmd_gen_data(args):
-    pl.run_pipeline(_load_cfg(args))
-
-
 def cmd_build_vocab(args):
     result = pl.run_pipeline(_load_cfg(args))
     print(f"vocabulary of {len(result.vocab)} tokens written to "
-          f"{result.out_dir}/vocab.txt")
+          f"{result.vocab_path}")
 
 
 def cmd_train_mle(args):
@@ -153,7 +150,7 @@ def build_parser():
 
     # each stage command runs its own stages, whatever the config file says
     commands = {
-        "gen-data": (cmd_gen_data, "gen-data"),
+        "gen-data": (cmd_pipeline, "gen-data"),
         "build-vocab": (cmd_build_vocab, "build-vocab"),
         "train-mle": (cmd_train_mle, "build-vocab,train-mle"),
         "evaluate": (cmd_evaluate, "evaluate"),
@@ -178,23 +175,23 @@ def build_parser():
     p.set_defaults(fn=cmd_train_bandit, stages="train-bandit,evaluate")
 
     p = sub.add_parser("sample")
-    _add_common(p)
+    _add_common(p, out=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True,
                    help="file of whitespace-tokenized source sentences")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_positive(int), default=3)
     p.add_argument("--pairs", action="store_true")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("grad-check")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--tokens", type=_positive(int), default=3,
                    help="regular (non-reserved) vocabulary size")
     p.add_argument("--embed", type=_positive(int), default=4)
     p.add_argument("--hidden", type=_positive(int), default=4)
     p.add_argument("--step", type=_positive(float), default=1e-5)
     p.add_argument("--tolerance", type=_positive(float), default=1e-4)
-    p.set_defaults(fn=cmd_grad_check, seed=0)
+    p.set_defaults(fn=cmd_grad_check)
 
     return parser
 
@@ -206,6 +203,9 @@ def main(argv=None):
         return args.fn(args) or 0  # a command returns a code only on failure
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except CheckpointFormatError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)

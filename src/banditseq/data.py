@@ -18,20 +18,25 @@ references in both domains stay canonical (pure per-domain lexicons).
 Generation is a pure function of a :class:`~banditseq.config.RunConfig`'s
 synthetic-task keys and its ``seed``: equal values give byte-identical
 corpus files. The config checks those keys when it is built.
+
+The module is also the package's file layer (:func:`atomic_open`,
+:func:`write_parallel`); it imports nothing from the package.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
-
-from .checkpoint import atomic_open
 
 __all__ = [
     "Corpus",
     "task_lexicons",
     "gen_data",
+    "atomic_open",
+    "write_parallel",
     "write_corpus",
     "read_parallel",
     "corpus_paths",
@@ -157,15 +162,36 @@ def corpus_paths(data_dir, domain, split):
     return (f"{data_dir}/{domain}.{split}.src", f"{data_dir}/{domain}.{split}.tgt")
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open ``path.tmp`` for writing, in the directory of ``path``, made if
+    missing. A clean exit renames it over ``path``; an exception removes it,
+    so ``path`` keeps either its previous or its complete new contents."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_parallel(path_a, sentences_a, path_b, sentences_b):
+    """Write two files of whitespace-joined sentences, one per line, the
+    mirror of :func:`read_parallel`; both are replaced once both are whole."""
+    with atomic_open(path_a, "w", encoding="utf-8") as fh_a, \
+            atomic_open(path_b, "w", encoding="utf-8") as fh_b:
+        fh_a.writelines(" ".join(tokens) + "\n" for tokens in sentences_a)
+        fh_b.writelines(" ".join(tokens) + "\n" for tokens in sentences_b)
+
+
 def write_corpus(corpus, data_dir):
-    """One sentence per line, whitespace-joined, parallel src/tgt files.
-    Both files are replaced only once both are completely written."""
+    """Write ``corpus`` as its parallel src/tgt files under ``data_dir``."""
     src_path, tgt_path = corpus_paths(data_dir, corpus.domain, corpus.split)
-    with atomic_open(src_path, "w", encoding="utf-8") as src_fh, \
-            atomic_open(tgt_path, "w", encoding="utf-8") as tgt_fh:
-        for src, tgt in corpus.pairs:
-            src_fh.write(" ".join(src) + "\n")
-            tgt_fh.write(" ".join(tgt) + "\n")
+    write_parallel(src_path, corpus.sources, tgt_path, corpus.targets)
     return src_path, tgt_path
 
 

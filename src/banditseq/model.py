@@ -69,6 +69,7 @@ from .autodiff import (
     parameter,
     step_sum,
 )
+from .data import atomic_open
 
 START, END, UNK = 0, 1, 2
 
@@ -141,8 +142,6 @@ class Vocabulary:
     def save(self, path):
         """One token per line in id order, replacing ``path`` only once the
         whole file is written."""
-        from .checkpoint import atomic_open  # checkpoint imports this module
-
         with atomic_open(path, "w", encoding="utf-8") as fh:
             for tok in self._tokens:
                 fh.write(tok + "\n")

@@ -35,11 +35,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import Checkpoint, atomic_open, load_checkpoint, \
-    save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, format_config
-from .data import SPLITS, corpus_paths, gen_data, read_parallel, \
-    write_corpus
+from .data import SPLITS, atomic_open, corpus_paths, gen_data, \
+    read_parallel, write_corpus, write_parallel
 from .metrics import CorpusCounts, FeedbackOracle, clean_hypothesis, \
     corpus_bleu, corpus_ggleu
 from .model import END, ModelParams, START, UNK, Vocabulary, greedy_decode
@@ -207,8 +206,8 @@ class BanditRunOutcome:
 
 @dataclass
 class PipelineResult:
-    out_dir: str
     vocab: Vocabulary = None
+    vocab_path: str = ""
     seed_test_scores: dict = field(default_factory=dict)
     runs: list = field(default_factory=list)
     rows: list = field(default_factory=list)
@@ -263,16 +262,9 @@ def write_metrics_csv(path, rows):
 
 
 def _write_decoded(out_dir, tag, domain, hyps, hyps_unk):
-    """Write the decoded outputs, without and with UNK replacement; both
-    files are replaced only once both are completely written."""
-    os.makedirs(os.path.join(out_dir, "decoded"), exist_ok=True)
+    """Write the decoded outputs, without and with UNK replacement."""
     base = os.path.join(out_dir, "decoded", f"{tag}.{domain}")
-    with atomic_open(base + ".txt", "w", encoding="utf-8") as fh, \
-            atomic_open(base + ".unk.txt", "w", encoding="utf-8") as unk_fh:
-        for toks in hyps:
-            fh.write(" ".join(toks) + "\n")
-        for toks in hyps_unk:
-            unk_fh.write(" ".join(toks) + "\n")
+    write_parallel(base + ".txt", hyps, base + ".unk.txt", hyps_unk)
 
 
 def _load_corpora(data_dir):
@@ -313,10 +305,8 @@ def run_pipeline(cfg):
     """Execute the configured stages; returns a PipelineResult."""
     out_dir = cfg.out_dir
     data_dir = cfg.data_dir or os.path.join(out_dir, "data")
-    os.makedirs(data_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
     stages = cfg.stage_list()
-    result = PipelineResult(out_dir=out_dir)
+    result = PipelineResult()
     chash = config_hash(cfg)
 
     if "gen-data" in stages:
@@ -332,7 +322,8 @@ def run_pipeline(cfg):
         vocab = Vocabulary.from_corpus(train_a.sources + train_a.targets,
                                        cutoff=cfg.vocab_cutoff)
     if "build-vocab" in stages:
-        vocab.save(os.path.join(out_dir, "vocab.txt"))
+        result.vocab_path = os.path.join(out_dir, "vocab.txt")
+        vocab.save(result.vocab_path)
 
     seed_path = cfg.seed_checkpoint or os.path.join(out_dir, "checkpoints",
                                                     "mle.bnsq")

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import re
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
@@ -5,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banditseq import pipeline
+from banditseq import cli, pipeline
 from banditseq.checkpoint import Checkpoint, save_checkpoint
-from banditseq.cli import main
+from banditseq.cli import build_parser, main
 from banditseq.config import STAGES, ConfigError, RunConfig, \
     format_config, load_config, parse_config
 from banditseq.model import ModelParams, Vocabulary
@@ -186,10 +188,13 @@ class TestCli:
         assert main(["gen-data", "--config", str(small_cfg_file),
                      "--out", str(out)]) == 0
         assert (out / "data" / "a.train.src").exists()
+        capsys.readouterr()
+        # the printed path is the one written, whatever the spelling of --out
         assert main(["build-vocab", "--config", str(small_cfg_file),
-                     "--out", str(out)]) == 0
-        assert "vocabulary of" in capsys.readouterr().out
-        assert (out / "vocab.txt").exists()
+                     "--out", f"{out}/"]) == 0
+        tokens = len((out / "vocab.txt").read_text().splitlines())
+        assert capsys.readouterr().out == \
+            f"vocabulary of {tokens} tokens written to {out}/vocab.txt\n"
 
     def test_grad_check_passes(self, capsys):
         assert main(["grad-check", "--tokens", "3", "--embed", "3",
@@ -206,6 +211,51 @@ class TestCli:
             main(["grad-check", flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,error", [
+        (["grad-check", "--config", "x"], "unrecognized arguments: --config x"),
+        (["grad-check", "--out", "y"], "unrecognized arguments: --out y"),
+        (["sample", "--checkpoint", "c", "--input", "i", "--out", "y"],
+         "unrecognized arguments: --out y"),
+        (["sample", "--checkpoint", "c", "--input", "i", "--n", "0"],
+         "argument --n: must be > 0"),
+    ], ids=["grad-check --config", "grad-check --out", "sample --out",
+            "sample --n 0"])
+    def test_flag_a_command_does_not_read_is_usage_error(self, capsys, argv,
+                                                          error):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["config", "checkpoint", "input"])
+    def test_missing_input_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                  missing):
+        vocab = Vocabulary(["aa", "bb"])
+        ckpt, src_file = tmp_path / "m.bnsq", tmp_path / "in.txt"
+        save_checkpoint(ckpt, Checkpoint(
+            vocab=vocab, tensors=ModelParams(len(vocab), 3, 2).copy_values()))
+        src_file.write_text("aa bb\n")
+        gone = tmp_path / "gone" / f"{missing}.file"
+        argv = {
+            "config": ["gen-data", "--config", str(gone),
+                       "--out", str(tmp_path / "out")],
+            "checkpoint": ["sample", "--checkpoint", str(gone),
+                           "--input", str(src_file)],
+            "input": ["sample", "--checkpoint", str(ckpt),
+                      "--input", str(gone)],
+        }[missing]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(gone) in err
+
+    def test_train_bandit_without_corpora_writes_nothing(self, small_cfg_file,
+                                                         tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train-bandit", "--config", str(small_cfg_file),
+                     "--out", str(out)]) == 2
+        assert "missing corpus files" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_stage_exits_2_before_writing(self, small_cfg_file,
                                                   tmp_path, capsys):
@@ -308,6 +358,20 @@ class TestCli:
                      "--out", str(out), "--iters", "2"])
         assert code == 2  # no seed checkpoint yet
 
+    def test_seed_checkpoint_written_into_a_new_directory(self,
+                                                          small_cfg_file,
+                                                          tmp_path, capsys):
+        out, seed = tmp_path / "out", tmp_path / "new" / "dir" / "seed.bnsq"
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(small_cfg_file.read_text()
+                       + f"seed_checkpoint = {seed}\n")
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["train-mle", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            f"seed checkpoint written to {seed}"
+        assert seed.read_bytes().startswith(b"BNSQ")
+        assert sorted(p.name for p in seed.parent.iterdir()) == ["seed.bnsq"]
+
     def test_seed_checkpoint_same_staged_or_whole(self, small_cfg_file,
                                                   tmp_path):
         # the config hash covers the settings, not where files go or which
@@ -400,3 +464,57 @@ class TestCli:
         assert main(["train-mle", "--config", cfg, "--out", str(out)]) == 4
         assert "non-finite gradient at MLE update 1" in capsys.readouterr().err
         assert not (out / "checkpoints" / "mle.bnsq").exists()
+
+
+def subcommands(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def unread_options(parser, source):
+    """Each ``command --flag`` of ``parser`` whose destination the command's
+    function in ``source`` never reads, in parser order.
+
+    A destination is read if the function reads ``args.<dest>``; if it is
+    ``config`` and the function calls ``_load_cfg``; or if it is a config
+    key and the function calls ``pl.run_pipeline`` or reads ``cfg.<dest>``.
+    """
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    keys = {f.name for f in fields(RunConfig)}
+    unread = []
+    for command, sub in subcommands(parser).items():
+        fn = functions[sub.get_default("fn").__name__]
+        read = {ast.unparse(node) for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute)}
+        called = {ast.unparse(node.func) for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)}
+        for action in sub._actions:
+            if not action.option_strings \
+                    or isinstance(action, argparse._HelpAction):
+                continue
+            dest = action.dest
+            if f"args.{dest}" in read \
+                    or (dest == "config" and "_load_cfg" in called) \
+                    or (dest in keys and ("pl.run_pipeline" in called
+                                          or f"cfg.{dest}" in read)):
+                continue
+            unread.append(f"{command} {action.option_strings[0]}")
+    return unread
+
+
+CLI_SOURCE = Path(cli.__file__).read_text(encoding="utf-8")
+
+
+def test_option_scan_finds_an_unread_flag():
+    parser = build_parser()
+    subcommands(parser)["sample"].add_argument("--unused")
+    subcommands(parser)["grad-check"].add_argument("--max-len")
+    assert unread_options(parser, CLI_SOURCE) == ["sample --unused",
+                                                  "grad-check --max-len"]
+
+
+def test_every_option_is_read_by_its_command():
+    assert unread_options(build_parser(), CLI_SOURCE) == []
