@@ -37,7 +37,6 @@ equal.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,8 +54,6 @@ __all__ = [
     "gru_grads",
     "attention_values",
     "attention_grads",
-    "finite_difference_check",
-    "FiniteDifferenceReport",
 ]
 
 
@@ -327,62 +324,3 @@ def attention_grads(g, alpha, t, w, v):
     dp = (de[:, None] * v) * (1.0 - t * t)
     dq = dp.sum(axis=0)
     return t.T @ de, dp, dq, w.T @ dq
-
-
-@dataclass
-class FiniteDifferenceReport:
-    """Outcome of a central-difference gradient check."""
-
-    max_rel_error: float
-    tolerance: float
-    per_param: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return self.max_rel_error < self.tolerance
-
-
-def finite_difference_check(f, params, step=1e-5, tolerance=1e-4):
-    """Compare the analytic gradient of ``f`` against central differences.
-
-    ``f`` maps the parameter dict to a scalar Tensor and may be evaluated
-    repeatedly; parameter data is perturbed in place and restored. The
-    relative error for an entry is |a - n| / max(|a|, |n|, 1), so zero
-    gradients compare cleanly.
-    """
-    if step <= 0:
-        raise ValueError("finite_difference_check: step must be positive")
-    with Tape() as tape:
-        out = f(params)
-    if not np.isfinite(out.data):
-        raise ValueError("finite_difference_check: f evaluated to a non-finite value")
-    analytic = tape.backward(out, params)
-
-    def evaluate():
-        val = float(f(params).data)
-        if not np.isfinite(val):
-            raise ValueError(
-                "finite_difference_check: f evaluated to a non-finite value"
-            )
-        return val
-
-    per_param = {}
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        grad = analytic[name].reshape(-1)
-        err = 0.0
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            hi = evaluate()
-            flat[i] = keep - step
-            lo = evaluate()
-            flat[i] = keep
-            numeric = (hi - lo) / (2.0 * step)
-            denom = max(abs(grad[i]), abs(numeric), 1.0)
-            err = max(err, abs(grad[i] - numeric) / denom)
-        per_param[name] = err
-        worst = max(worst, err)
-    return FiniteDifferenceReport(max_rel_error=worst, tolerance=tolerance,
-                                  per_param=per_param)

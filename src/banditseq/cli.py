@@ -1,18 +1,16 @@
 """Command-line entry points.
 
-Subcommands map onto pipeline stages plus two inspection tools:
+Subcommands map onto pipeline stages plus one inspection tool:
 
     gen-data     write the synthetic corpora
-    build-vocab  build and save the vocabulary
     train-mle    supervised pretraining (the seed model)
     train-bandit adaptation from weak feedback
     evaluate     score a checkpoint on both test sets
     sample       print sampled outputs (or pairs) from a checkpoint
-    grad-check   finite-difference check of the model gradient
     pipeline     run all configured stages in one go
 
-Common flags: --config <path> and --seed <int> (grad-check: --seed only),
---out <dir> on the stage commands and pipeline. Flags override config keys.
+Common flags: --config <path> and --seed <int>, --out <dir> on the stage
+commands and pipeline. Flags override config keys.
 """
 
 from __future__ import annotations
@@ -25,10 +23,8 @@ import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .model import ModelParams, sample_pair, sample_sequence, \
-    sequence_log_prob
+from .model import sample_pair, sample_sequence
 from .objectives import TrainingConfig, TrainingDiverged
-from .autodiff import finite_difference_check
 from . import pipeline as pl
 
 
@@ -50,20 +46,14 @@ def _load_cfg(args):
     return parse_config("", overrides=overrides)
 
 
-def _positive(kind):
-    """An argparse type: a ``kind`` number above zero."""
-    def parse(text):
-        if not kind(text) > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-        return kind(text)
-    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
-    return parse
+def _positive_int(text):
+    """An argparse type: an int above zero."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return int(text)
 
 
-def cmd_build_vocab(args):
-    result = pl.run_pipeline(_load_cfg(args))
-    print(f"vocabulary of {len(result.vocab)} tokens written to "
-          f"{result.vocab_path}")
+_positive_int.__name__ = "int"  # argparse names it in "invalid int value"
 
 
 def cmd_train_mle(args):
@@ -115,26 +105,6 @@ def cmd_sample(args):
                       + " ".join(vocab.decode(sample.tokens)))
 
 
-def cmd_grad_check(args):
-    rng = np.random.default_rng(args.seed)
-    vocab_size = args.tokens + 3
-    params = ModelParams(vocab_size, embed_size=args.embed,
-                         hidden_size=args.hidden, seed=args.seed)
-    source = [int(rng.integers(3, vocab_size)) for _ in range(3)]
-    target = [int(rng.integers(3, vocab_size)) for _ in range(2)] + [1]
-
-    def f(tensors):
-        return sequence_log_prob(source, target, params)
-
-    report = finite_difference_check(f, params.tensors, step=args.step,
-                                     tolerance=args.tolerance)
-    for name in sorted(report.per_param):
-        print(f"{name:16s} max rel err {report.per_param[name]:.3e}")
-    print(f"overall {report.max_rel_error:.3e} "
-          f"({'PASS' if report.passed else 'FAIL'} at {report.tolerance:g})")
-    return 0 if report.passed else 1
-
-
 def cmd_pipeline(args):
     result = pl.run_pipeline(_load_cfg(args))
     if result.metrics_path:
@@ -151,8 +121,7 @@ def build_parser():
     # each stage command runs its own stages, whatever the config file says
     commands = {
         "gen-data": (cmd_pipeline, "gen-data"),
-        "build-vocab": (cmd_build_vocab, "build-vocab"),
-        "train-mle": (cmd_train_mle, "build-vocab,train-mle"),
+        "train-mle": (cmd_train_mle, "train-mle"),
         "evaluate": (cmd_evaluate, "evaluate"),
         "pipeline": (cmd_pipeline, None),
     }
@@ -179,19 +148,9 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True,
                    help="file of whitespace-tokenized source sentences")
-    p.add_argument("--n", type=_positive(int), default=3)
+    p.add_argument("--n", type=_positive_int, default=3)
     p.add_argument("--pairs", action="store_true")
     p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("grad-check")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--tokens", type=_positive(int), default=3,
-                   help="regular (non-reserved) vocabulary size")
-    p.add_argument("--embed", type=_positive(int), default=4)
-    p.add_argument("--hidden", type=_positive(int), default=4)
-    p.add_argument("--step", type=_positive(float), default=1e-5)
-    p.add_argument("--tolerance", type=_positive(float), default=1e-4)
-    p.set_defaults(fn=cmd_grad_check)
 
     return parser
 
@@ -200,7 +159,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args) or 0  # a command returns a code only on failure
+        args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -213,6 +172,7 @@ def main(argv=None):
     except TrainingDiverged as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ def _parse_bool(text):
 
 
 # run_pipeline runs the stages in this order, whatever order ``stages`` gives
-STAGES = ("gen-data", "build-vocab", "train-mle", "train-bandit", "evaluate")
+STAGES = ("gen-data", "train-mle", "train-bandit", "evaluate")
 
 _PAIR_KINDS = {"bin": "binary", "binary": "binary",
                "cont": "continuous", "continuous": "continuous"}
@@ -97,7 +97,10 @@ class RunConfig:
                               f"got {self.pair_feedback!r}")
         object.__setattr__(self, "pair_feedback",
                            _PAIR_KINDS[self.pair_feedback])
-        unknown = set(self.stage_list()) - set(STAGES)
+        stages = self.stage_list()
+        if not stages:
+            raise ConfigError("stages names no stage")
+        unknown = set(stages) - set(STAGES)
         if unknown:
             raise ConfigError(f"unknown stages: {sorted(unknown)}")
         for key in ("embedding_size", "hidden_size", "vocab_cutoff",
@@ -106,8 +109,9 @@ class RunConfig:
                     "test_b"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if self.mle_epochs < 0:
-            raise ConfigError("mle_epochs must be >= 0")
+        for key in ("mle_epochs", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
         for key in ("adam_alpha", "adam_eps", "mle_alpha"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive")

@@ -69,7 +69,6 @@ from .autodiff import (
     parameter,
     step_sum,
 )
-from .data import atomic_open
 
 START, END, UNK = 0, 1, 2
 
@@ -138,21 +137,6 @@ class Vocabulary:
     def tokens(self):
         """All token strings in id order, reserved first."""
         return tuple(self._tokens)
-
-    def save(self, path):
-        """One token per line in id order, replacing ``path`` only once the
-        whole file is written."""
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            for tok in self._tokens:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            toks = [line.rstrip("\n") for line in fh]
-        if tuple(toks[:3]) != cls.RESERVED:
-            raise ValueError(f"vocabulary file {path} lacks the reserved prefix")
-        return cls(toks[3:])
 
 
 def _glorot(rng, rows, cols):

@@ -3,10 +3,9 @@
 Stages (selected by the ``stages`` config key):
 
 * ``gen-data``     write synthetic corpora for both domains
-* ``build-vocab``  frequency vocabulary from the domain-A training corpus,
-                   saved as ``vocab.txt``
-* ``train-mle``    supervised pretraining on domain A (the seed model); it
-                   builds the same vocabulary itself
+* ``train-mle``    supervised pretraining on domain A (the seed model), over
+                   a frequency vocabulary of the domain-A training corpus
+                   that the seed checkpoint stores
 * ``train-bandit`` one adaptation run per seed on domain-B feedback;
                    references stay behind the feedback oracle
 * ``evaluate``     greedy-decode both test sets for the seed model and every
@@ -31,7 +30,8 @@ import csv
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -206,8 +206,6 @@ class BanditRunOutcome:
 
 @dataclass
 class PipelineResult:
-    vocab: Vocabulary = None
-    vocab_path: str = ""
     seed_test_scores: dict = field(default_factory=dict)
     runs: list = field(default_factory=list)
     rows: list = field(default_factory=list)
@@ -296,8 +294,9 @@ def config_hash(cfg):
     """Digest of the settings that shape the experiment. Where files are
     read and written and which stages run are left out, so a model trained
     in one go or stage by stage, into any directory, hashes the same."""
-    settings = replace(cfg, out_dir="", data_dir="", seed_checkpoint="",
-                       stages="")
+    # a namespace, not a RunConfig, since a config must name a stage
+    settings = SimpleNamespace(**{**vars(cfg), "out_dir": "", "data_dir": "",
+                                  "seed_checkpoint": "", "stages": ""})
     return hashlib.sha256(format_config(settings).encode("utf-8")).hexdigest()
 
 
@@ -316,15 +315,6 @@ def run_pipeline(cfg):
     else:
         corpora = _load_corpora(data_dir)
 
-    vocab = None
-    if "build-vocab" in stages or "train-mle" in stages:
-        train_a = corpora["a", "train"]
-        vocab = Vocabulary.from_corpus(train_a.sources + train_a.targets,
-                                       cutoff=cfg.vocab_cutoff)
-    if "build-vocab" in stages:
-        result.vocab_path = os.path.join(out_dir, "vocab.txt")
-        vocab.save(result.vocab_path)
-
     seed_path = cfg.seed_checkpoint or os.path.join(out_dir, "checkpoints",
                                                     "mle.bnsq")
     # named so that no invocation replaces the outputs another one wrote
@@ -337,7 +327,10 @@ def run_pipeline(cfg):
         metrics_name = f"metrics.{run_prefix}.csv"
     params = None
     if "train-mle" in stages:
-        params, mle_rows = train_mle(cfg, vocab, corpora["a", "train"],
+        train_a = corpora["a", "train"]
+        vocab = Vocabulary.from_corpus(train_a.sources + train_a.targets,
+                                       cutoff=cfg.vocab_cutoff)
+        params, mle_rows = train_mle(cfg, vocab, train_a,
                                      corpora["a", "valid"])
         for row in mle_rows:
             result.rows.append({"run": 0, **row})
@@ -353,7 +346,6 @@ def run_pipeline(cfg):
         ckpt = load_checkpoint(seed_path)
         vocab = ckpt.vocab
         params = ckpt.to_model()
-    result.vocab = vocab
     result.seed_checkpoint_path = seed_path
     if params is None:
         return result

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from banditseq.autodiff import finite_difference_check, log_likelihood, neg
+from banditseq.autodiff import log_likelihood, neg
 from banditseq.metrics import ggleu, pairwise_feedback
 from banditseq.model import (
     SampledSequence,
@@ -39,6 +39,7 @@ from oracles import (
     enumerate_sequences,
     exact_pr_risk_and_grad,
     exact_risk_and_grad,
+    finite_difference_check,
 )
 from reference_ops import constant
 from test_metrics import brute_force_ggleu

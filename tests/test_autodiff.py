@@ -5,7 +5,6 @@ from banditseq.autodiff import (
     ShapeError,
     Tape,
     add,
-    finite_difference_check,
     log_likelihood,
     neg,
     parameter,
@@ -13,6 +12,7 @@ from banditseq.autodiff import (
 )
 
 from conftest import outer
+from oracles import finite_difference_check
 from reference_ops import (
     concat,
     constant,

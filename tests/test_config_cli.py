@@ -94,10 +94,16 @@ class TestConfigParsing:
         ("clip_norm", 0.0), ("clip_norm", float("nan")),
         ("optimizer", "rmsprop"), ("cv_mode", "antithetic"),
         ("objective", "mle"), ("vocab_cutoff", 0), ("vocab_cutoff", -2),
+        ("seed", -1),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("text", ["stages =\n", "stages = ,\n"])
+    def test_empty_stages_rejected(self, text):
+        with pytest.raises(ConfigError, match="stages names no stage"):
+            parse_config(text)
 
     @pytest.mark.parametrize("text,key", [
         ("overlap = 1.5", "overlap"),
@@ -188,39 +194,26 @@ class TestCli:
         assert main(["gen-data", "--config", str(small_cfg_file),
                      "--out", str(out)]) == 0
         assert (out / "data" / "a.train.src").exists()
-        capsys.readouterr()
-        # the printed path is the one written, whatever the spelling of --out
-        assert main(["build-vocab", "--config", str(small_cfg_file),
-                     "--out", f"{out}/"]) == 0
-        tokens = len((out / "vocab.txt").read_text().splitlines())
-        assert capsys.readouterr().out == \
-            f"vocabulary of {tokens} tokens written to {out}/vocab.txt\n"
-
-    def test_grad_check_passes(self, capsys):
-        assert main(["grad-check", "--tokens", "3", "--embed", "3",
-                     "--hidden", "3", "--seed", "1"]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--tokens", "0"), ("--embed", "0"), ("--hidden", "-1"),
-        ("--step", "0"), ("--step", "nan"), ("--tolerance", "-0.5"),
-    ])
-    def test_grad_check_out_of_range_flag_is_usage_error(self, capsys, flag,
-                                                         value):
+        # train-mle builds the vocabulary; there is no command of its own
         with pytest.raises(SystemExit) as exc:
-            main(["grad-check", flag, value])
+            main(["build-vocab", "--config", str(small_cfg_file),
+                  "--out", str(out)])
         assert exc.value.code == 2
-        assert f"argument {flag}" in capsys.readouterr().err
+        assert "invalid choice: 'build-vocab'" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["data"]
+
+    def test_grad_check_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["grad-check", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'grad-check'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,error", [
-        (["grad-check", "--config", "x"], "unrecognized arguments: --config x"),
-        (["grad-check", "--out", "y"], "unrecognized arguments: --out y"),
         (["sample", "--checkpoint", "c", "--input", "i", "--out", "y"],
          "unrecognized arguments: --out y"),
         (["sample", "--checkpoint", "c", "--input", "i", "--n", "0"],
          "argument --n: must be > 0"),
-    ], ids=["grad-check --config", "grad-check --out", "sample --out",
-            "sample --n 0"])
+    ], ids=["sample --out", "sample --n 0"])
     def test_flag_a_command_does_not_read_is_usage_error(self, capsys, argv,
                                                           error):
         with pytest.raises(SystemExit) as exc:
@@ -267,6 +260,24 @@ class TestCli:
         assert "fly-to-moon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["stages =", "stages = ,"])
+    def test_empty_stages_exits_2_before_writing(self, small_cfg_file,
+                                                 tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(small_cfg_file.read_text() + line + "\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
+        assert "stages names no stage" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_before_writing(self, small_cfg_file,
+                                                  tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(small_cfg_file),
+                     "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corrupt", ["blank line", "extra line"])
     def test_corrupt_corpus_exits_2_naming_the_file(self, small_cfg_file,
                                                     tmp_path, capsys,
@@ -281,12 +292,12 @@ class TestCli:
             lines.append("\n")
         path.write_text("".join(lines))
         capsys.readouterr()
-        assert main(["build-vocab", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["train-mle", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err
         if corrupt == "blank line":
             assert f"{path}: empty sentence at line 5" in err
-        assert not (out / "vocab.txt").exists()
+        assert not (out / "checkpoints").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -426,7 +437,6 @@ class TestCli:
             return {p.name: p.read_bytes() for p in out.glob("metrics*.csv")}
 
         assert main(["gen-data", *common]) == 0
-        assert main(["build-vocab", *common]) == 0
         assert metrics_files() == {}
         assert main(["train-mle", *common]) == 0
         kept = metrics_files()
@@ -511,10 +521,20 @@ CLI_SOURCE = Path(cli.__file__).read_text(encoding="utf-8")
 def test_option_scan_finds_an_unread_flag():
     parser = build_parser()
     subcommands(parser)["sample"].add_argument("--unused")
-    subcommands(parser)["grad-check"].add_argument("--max-len")
+    # a config key on a command that runs no pipeline and never reads it
+    subcommands(parser)["sample"].add_argument("--iters")
     assert unread_options(parser, CLI_SOURCE) == ["sample --unused",
-                                                  "grad-check --max-len"]
+                                                  "sample --iters"]
 
 
 def test_every_option_is_read_by_its_command():
     assert unread_options(build_parser(), CLI_SOURCE) == []
+
+
+def test_readme_cli_block_lists_every_command():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```\n", text, re.S | re.M)
+    documented = [line.split()[1] for block in blocks
+                  for line in block.splitlines()
+                  if line.startswith("banditseq ")]
+    assert sorted(set(documented)) == sorted(subcommands(build_parser()))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditseq import model, objectives
-from banditseq.autodiff import Tape, add, finite_difference_check, neg
+from banditseq.autodiff import Tape, add, neg
 from banditseq.metrics import pairwise_feedback
 from banditseq.model import (
     END,
@@ -42,6 +42,7 @@ from oracles import (
     enumerate_sequences,
     exact_pr_risk_and_grad,
     exact_risk_and_grad,
+    finite_difference_check,
 )
 
 

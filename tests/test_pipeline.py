@@ -190,7 +190,7 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         out = tmp_path / "out"
         assert (out / "metrics.csv").exists()
-        assert (out / "vocab.txt").exists()
+        assert not (out / "vocab.txt").exists()
         assert (out / "checkpoints" / "mle.bnsq").exists()
         assert (out / "checkpoints" / "el-none-run1.bnsq").exists()
         assert (out / "decoded" / "seed.test_b.txt").exists()
@@ -258,17 +258,10 @@ class TestRunPipeline:
             tiny_run_config(tmp_path / "out", stages="gen-data,fly-to-moon")
         with pytest.raises(ConfigError, match="'fly'"):
             parse_config("stages = gen-data,fly\n")
+        # train-mle builds the vocabulary; no stage of its own does
+        with pytest.raises(ConfigError, match="'build-vocab'"):
+            parse_config("stages = gen-data,build-vocab\n")
         assert not (tmp_path / "out").exists()
-
-    def test_train_mle_builds_its_own_vocabulary(self, tmp_path):
-        seeds = {}
-        for stages in ("gen-data,train-mle", "gen-data,build-vocab,train-mle"):
-            out = tmp_path / stages
-            run_pipeline(tiny_run_config(out, stages=stages))
-            seeds[stages] = (out / "checkpoints" / "mle.bnsq").read_bytes()
-            assert (out / "vocab.txt").exists() == ("build-vocab" in stages)
-        assert seeds["gen-data,train-mle"] == \
-            seeds["gen-data,build-vocab,train-mle"]
 
     def test_gen_data_only_writes_corpora(self, tmp_path):
         cfg = tiny_run_config(tmp_path / "out", stages="gen-data")
