@@ -1,25 +1,23 @@
-"""Training objectives, gradient estimators, and the online update loop.
+"""Training objectives, gradient estimators, and the update loop.
 
-Three gradients are available. MLE is the usual supervised negative
-log-likelihood. The bandit estimators are score-function estimators: the
-expected-loss (EL) score is ``d(log p(sample))/d(theta)`` of one sampled
-output, the pairwise-ranking (PR) score the gradient of a (positive,
-perturbed) pair's joint log-probability, taken in one reverse pass: the
-tape adds the two halves' logit gradients before backpropagating. The
-update scales the score by the scalar feedback in exactly one step, which
-the control variate chooses; with none it is ``delta * score``. Both
-estimators are unbiased for the corresponding expected-risk objectives,
-which the test suite's enumeration oracles (``tests/oracles.py``) check on
-tiny instances.
+MLE pretraining and the bandit objectives are one stochastic-gradient
+update, :func:`run_updates`, on three gradient estimates: MLE's negative
+log-likelihood and two score-function estimators. The expected-loss (EL)
+score is ``d(log p(sample))/d(theta)`` of one sampled output, the
+pairwise-ranking (PR) score the gradient of a (positive, perturbed) pair's
+joint log-probability, taken in one reverse pass: the tape adds the two
+halves' logit gradients before backpropagating. The update scales the score
+by the scalar feedback in exactly one step, which the control variate
+chooses; with none it is ``delta * score``. Both estimators are unbiased for
+the corresponding expected-risk objectives, which the test suite's
+enumeration oracles (``tests/oracles.py``) check on tiny instances.
 
 Control variates reduce estimator variance without touching its mean. The
 running-average baseline scales the score by the recentered feedback; the
 score-function variate subtracts ``chat * d(log p)/d(theta)`` with a
 per-entry coefficient ``chat = Cov(s, y) / Var(y)`` maintained by a
-streaming co-moment accumulator, the same one that tracks the covariance
-of the PR score's two halves (the antithetic variates), a diagnostic that
-costs two more reverse passes and is therefore updated on a fixed subset
-of the updates.
+streaming co-moment accumulator, which also tracks the covariance of the
+PR score's two halves (the antithetic variates) on a subset of updates.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ __all__ = [
     "sgd_update",
     "TrainingConfig",
     "BanditResult",
+    "run_updates",
     "bandit_train_loop",
     "AntitheticTracker",
 ]
@@ -383,7 +382,7 @@ class TrainingConfig:
 
 @dataclass
 class BanditResult:
-    """Outcome of a bandit training run."""
+    """Outcome of a training run (MLE or bandit): the selected iterate."""
 
     best_values: dict
     best_score: float
@@ -391,113 +390,125 @@ class BanditResult:
     rows: list = field(default_factory=list)
 
 
-def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
-    """Online learning from per-sample feedback (the adapted update loop).
+def run_updates(params, step, opt_state, clip_norm, windows, gradients,
+                where, window_rows, validate_fn=None, validate_first=False):
+    """The update every training stage runs on its own gradient estimate.
+    Update ``k`` takes the next map of the iterator ``gradients``, raises
+    :class:`TrainingDiverged` naming ``where(k)`` if its norm is not finite,
+    and steps on it clipped to ``clip_norm``. ``windows`` lists ``(k, epoch)``
+    for each window's last update ``k``; there ``window_rows(norms)`` of the
+    window's raw norms gives the train rows, and ``validate_fn`` (also before
+    update 1 with ``validate_first``) the valid rows, whose finite "ggleu"
+    selects the best iterate (online-to-batch conversion). With no validation
+    the result holds the last iterate, and ``best_score`` is -inf.
+    """
+    rows = []
+    best_values, best_score, best_iteration = None, -math.inf, 0
 
-    Per iteration: observe a source sentence from ``stream`` (an iterator
-    of ``(sentence_id, source_ids)``), sample an output or pair, obtain the
-    scalar feedback, compute the score, scale it by the feedback through
-    the configured control variate, clip, and take an optimizer step. The
-    score runs on the values the sample's roll-out kept, which are valid
-    only until the parameters change, so it always comes before the step.
-    ``validate_fn``, when given, maps the current parameters to a metric
-    dict whose "ggleu" entry drives best-iterate selection (online-to-batch
-    conversion); it runs every ``valid_interval`` iterations and at the
-    end. Without it there is nothing to select, and the result holds the
-    last iterate (``best_iteration == iters``, ``best_score`` -inf).
+    def emit(k, epoch, split, pairs):
+        rows.extend({"iteration": k, "epoch": epoch, "split": split,
+                     "metric": metric, "value": float(value)}
+                    for metric, value in pairs)
+
+    def validate(k, epoch):
+        nonlocal best_values, best_score, best_iteration
+        if validate_fn is None:
+            return
+        scores = validate_fn(params)
+        score = scores.get("ggleu")
+        if score is None or not math.isfinite(score):
+            raise ValueError(f"validate_fn must return a finite 'ggleu', "
+                             f"got {scores!r}")
+        emit(k, epoch, "valid", sorted(scores.items()))
+        if score > best_score:
+            best_values, best_score, best_iteration = \
+                params.copy_values(), score, k
+
+    if validate_first:
+        validate(0, 0)
+    k = 0
+    for last, epoch in windows:
+        norms = []
+        while k < last:
+            k += 1
+            grads = next(gradients)
+            norm = grad_norm(grads)
+            if not math.isfinite(norm):
+                raise TrainingDiverged(f"non-finite gradient at {where(k)}")
+            step(params, clip_gradient(grads, clip_norm, norm), opt_state)
+            norms.append(norm)
+        emit(k, epoch, "train", window_rows(norms))
+        validate(k, epoch)
+    if best_values is None:
+        best_values, best_iteration = params.copy_values(), k
+    return BanditResult(best_values, best_score, best_iteration, rows)
+
+
+def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
+    """Online learning from per-sample feedback: the EL/PR gradient source
+    of :func:`run_updates`, validated before the first update and after
+    every ``valid_interval``. Each update draws ``(sentence_id, source)``
+    from ``stream``, samples an output or pair, asks ``feedback_fn`` for a
+    scalar (the loop never sees references) and scales the score by it
+    through the control variate. The score reads the values the roll-out
+    kept, valid only until the parameters change, so it precedes the step.
 
     A PR run also reports ``antithetic_cov_mean``, the mean covariance of
-    the score's two halves, with every window's train rows. The halves cost
-    two reverse passes on top of the score's one, so the tracker sees only
-    every ``max(1, valid_interval // 10)``-th update: ten per window when
-    ``valid_interval`` is a multiple of ten. The subset is fixed and draws
-    no randomness.
-
-    The loop never sees references: only ``feedback_fn`` scalars.
+    the score's two halves, with each window's train rows. The halves cost
+    two more reverse passes, so they are taken on a fixed subset that draws
+    no randomness: every ``max(1, valid_interval // 10)``-th update, ten
+    per window when ``valid_interval`` is a multiple of ten.
     """
     rng = np.random.default_rng(config.seed)
     cv_state = ControlVariateState(
         include_current=config.baseline_includes_current)
     if config.optimizer == "adam":
-        opt_state = OptimizerState.for_params(params, alpha=config.alpha,
-                                              beta1=config.beta1,
-                                              beta2=config.beta2, eps=config.eps)
+        opt_state = OptimizerState.for_params(
+            params, config.alpha, config.beta1, config.beta2, config.eps)
         step = adam_update
     else:
         opt_state = SgdState(gamma0=config.alpha, decay=config.sgd_decay)
         step = sgd_update
     antithetic = AntitheticTracker() if config.objective == "pr" else None
     antithetic_every = max(1, config.valid_interval // 10)
+    feedback = []  # of the current window
 
-    rows = []
-    best_values = params.copy_values()
-    best_score = -math.inf
-    best_iteration = 0
+    def gradients():
+        for k in range(1, config.iters + 1):
+            sentence_id, source = next(stream)
+            if config.objective == "el":
+                sample = sample_sequence(source, params, config.max_len, rng)
+                delta = feedback_fn(sentence_id, sample.tokens)
+                score = el_gradient(source, sample, params)
+            else:
+                pair = sample_pair(source, params, config.max_len, rng)
+                delta = feedback_fn(sentence_id, pair.tokens_pos,
+                                    pair.tokens_neg)
+                score = pr_gradient(source, pair, params)
+                if k % antithetic_every == 0:
+                    antithetic.update(*pr_halves(source, pair, params))
+            feedback.append(delta)
+            if config.cv_mode == "baseline":
+                yield apply_baseline_cv(delta, score, cv_state)
+            elif config.cv_mode == "sf":
+                yield apply_score_function_cv(delta, score, cv_state)
+            else:
+                yield _scaled(score, delta)
 
-    def epoch_of(k):
-        return k // config.epoch_size if config.epoch_size else 0
+    def window_rows(norms):
+        yield "mean_feedback", sum(feedback) / len(feedback)
+        yield "grad_norm", sum(norms) / len(norms)
+        if config.cv_mode == "sf":
+            yield "cv_chat_mean", cv_state.chat_mean()
+        if antithetic is not None:
+            yield "antithetic_cov_mean", antithetic.cov_mean()
+        feedback.clear()
 
-    def emit(k, split, metric, value):
-        rows.append({"iteration": k, "epoch": epoch_of(k), "split": split,
-                     "metric": metric, "value": float(value)})
-
-    def run_validation(k):
-        nonlocal best_score, best_values, best_iteration
-        if validate_fn is None:
-            return
-        scores = validate_fn(params)
-        for metric, value in sorted(scores.items()):
-            emit(k, "valid", metric, value)
-        score = scores.get("ggleu")
-        if score is not None and score > best_score:
-            best_score = score
-            best_values = params.copy_values()
-            best_iteration = k
-
-    window_feedback = []
-    window_norms = []
-
-    run_validation(0)
-    for k in range(1, config.iters + 1):
-        sentence_id, source = next(stream)
-        if config.objective == "el":
-            sample = sample_sequence(source, params, config.max_len, rng)
-            delta = feedback_fn(sentence_id, sample.tokens)
-            score = el_gradient(source, sample, params)
-        else:
-            pair = sample_pair(source, params, config.max_len, rng)
-            delta = feedback_fn(sentence_id, pair.tokens_pos, pair.tokens_neg)
-            score = pr_gradient(source, pair, params)
-            if k % antithetic_every == 0:
-                antithetic.update(*pr_halves(source, pair, params))
-        if config.cv_mode == "baseline":
-            grads = apply_baseline_cv(delta, score, cv_state)
-        elif config.cv_mode == "sf":
-            grads = apply_score_function_cv(delta, score, cv_state)
-        else:
-            grads = _scaled(score, delta)
-        norm = grad_norm(grads)
-        if not math.isfinite(norm):
-            raise TrainingDiverged(
-                f"non-finite gradient at iteration {k} "
-                f"(objective={config.objective}, feedback={delta!r})"
-            )
-        clipped = clip_gradient(grads, config.clip_norm, norm)
-        step(params, clipped, opt_state)
-        window_feedback.append(delta)
-        window_norms.append(norm)
-        if k % config.valid_interval == 0 or k == config.iters:
-            emit(k, "train", "mean_feedback",
-                 sum(window_feedback) / len(window_feedback))
-            emit(k, "train", "grad_norm", sum(window_norms) / len(window_norms))
-            if config.cv_mode == "sf":
-                emit(k, "train", "cv_chat_mean", cv_state.chat_mean())
-            if antithetic is not None:
-                emit(k, "train", "antithetic_cov_mean", antithetic.cov_mean())
-            window_feedback = []
-            window_norms = []
-            run_validation(k)
-    if validate_fn is None:
-        best_values, best_iteration = params.copy_values(), config.iters
-    return BanditResult(best_values=best_values, best_score=best_score,
-                        best_iteration=best_iteration, rows=rows)
+    windows = [(k, k // config.epoch_size if config.epoch_size else 0)
+               for k in range(1, config.iters + 1)
+               if k % config.valid_interval == 0 or k == config.iters]
+    return run_updates(
+        params, step, opt_state, config.clip_norm, windows, gradients(),
+        lambda k: f"iteration {k} (objective={config.objective}, "
+                  f"feedback={feedback[-1]!r})",
+        window_rows, validate_fn, validate_first=True)

@@ -3,9 +3,9 @@
 Stages (selected by the ``stages`` config key):
 
 * ``gen-data``     write synthetic corpora for both domains
-* ``train-mle``    supervised pretraining on domain A (the seed model), over
-                   a frequency vocabulary of the domain-A training corpus
-                   that the seed checkpoint stores
+* ``train-mle``    supervised pretraining on domain A (the seed model), in
+                   the bandit stage's update loop, over a frequency vocabulary
+                   of the domain-A training corpus that the checkpoint stores
 * ``train-bandit`` one adaptation run per seed on domain-B feedback;
                    references stay behind the feedback oracle
 * ``evaluate``     greedy-decode both test sets for the seed model and every
@@ -42,8 +42,9 @@ from .data import SPLITS, atomic_open, corpus_paths, gen_data, \
 from .metrics import CorpusCounts, FeedbackOracle, clean_hypothesis, \
     corpus_bleu, corpus_ggleu
 from .model import END, ModelParams, START, UNK, Vocabulary, greedy_decode
-from .objectives import OptimizerState, TrainingDiverged, adam_update, \
-    bandit_train_loop, clip_gradient, grad_norm, mle_loss_and_grad
+from .objectives import OptimizerState, adam_update, bandit_train_loop, \
+    mle_loss_and_grad, run_updates
+from .objectives import clip_gradient  # noqa: F401  for perfbench/spans.py
 
 __all__ = [
     "derive_seed",
@@ -134,63 +135,50 @@ def _make_validator(vocab, corpus, max_len, max_n):
 
 
 def train_mle(cfg, vocab, train_corpus, valid_corpus):
-    """Minibatch MLE pretraining with per-epoch validation; returns the
-    best-validation parameters and the metric rows."""
+    """Minibatch MLE pretraining by ``run_updates``, one window per epoch;
+    returns the best-validation parameters and the metric rows."""
     params = ModelParams(len(vocab), cfg.embedding_size, cfg.hidden_size,
                          seed=derive_seed(cfg.seed, _SEED_MODEL_INIT))
-    opt = OptimizerState.for_params(params, alpha=cfg.mle_alpha,
-                                    beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                                    eps=cfg.adam_eps)
-    examples = [
-        (vocab.encode(src), vocab.encode(tgt) + [END])
-        for src, tgt in train_corpus.pairs
-    ]
+    opt = OptimizerState.for_params(params, cfg.mle_alpha, cfg.adam_beta1,
+                                    cfg.adam_beta2, cfg.adam_eps)
+    examples = [(vocab.encode(src), vocab.encode(tgt) + [END])
+                for src, tgt in train_corpus.pairs]
     order_rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_MLE_ORDER))
     dropout_rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_MLE_DROPOUT))
     dropout = (cfg.dropout, dropout_rng) if cfg.dropout > 0 else None
-    validate = _make_validator(vocab, valid_corpus, cfg.max_len, cfg.ggleu_max_n)
+    batches = len(range(0, len(examples), cfg.mle_batch))  # per epoch
+    epoch, epoch_loss = 0, 0.0
 
-    rows = []
-    best_score = -math.inf
-    best_values = params.copy_values()
-    updates = 0
-    for epoch in range(1, cfg.mle_epochs + 1):
-        order = order_rng.permutation(len(examples))
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.mle_batch):
-            batch = order[start:start + cfg.mle_batch]
-            acc = None
-            for idx in batch:
-                src, ref = examples[int(idx)]
-                loss, grads = mle_loss_and_grad(src, ref, params,
-                                                dropout=dropout)
-                epoch_loss += loss
-                if acc is None:
-                    acc = grads
-                else:
-                    for name in acc:
-                        acc[name] += grads[name]
-            scale = 1.0 / len(batch)
-            grads = {name: g * scale for name, g in acc.items()}
-            norm = grad_norm(grads)
-            if not math.isfinite(norm):
-                raise TrainingDiverged(
-                    f"non-finite gradient at MLE update {updates + 1} "
-                    f"(epoch {epoch})")
-            grads = clip_gradient(grads, cfg.clip_norm, norm)
-            adam_update(params, grads, opt)
-            updates += 1
-        scores = validate(params)
-        rows.append({"iteration": updates, "epoch": epoch, "split": "train",
-                     "metric": "mle_loss", "value": epoch_loss / len(examples)})
-        for metric in sorted(scores):
-            rows.append({"iteration": updates, "epoch": epoch, "split": "valid",
-                         "metric": metric, "value": scores[metric]})
-        if scores["ggleu"] > best_score:
-            best_score = scores["ggleu"]
-            best_values = params.copy_values()
-    params.load_values(best_values)
-    return params, rows
+    def gradients():
+        nonlocal epoch, epoch_loss
+        for epoch in range(1, cfg.mle_epochs + 1):
+            order = order_rng.permutation(len(examples))
+            epoch_loss = 0.0
+            for start in range(0, len(order), cfg.mle_batch):
+                batch = order[start:start + cfg.mle_batch]
+                acc = None
+                for idx in batch:
+                    src, ref = examples[int(idx)]
+                    loss, grads = mle_loss_and_grad(src, ref, params,
+                                                    dropout=dropout)
+                    epoch_loss += loss
+                    if acc is None:
+                        acc = grads
+                    else:
+                        for name in acc:
+                            acc[name] += grads[name]
+                scale = 1.0 / len(batch)
+                grads = {name: g * scale for name, g in acc.items()}
+                yield grads
+
+    result = run_updates(
+        params, adam_update, opt, cfg.clip_norm,
+        [(e * batches, e) for e in range(1, cfg.mle_epochs + 1)],
+        gradients(), lambda k: f"MLE update {k} (epoch {epoch})",
+        lambda norms: [("mle_loss", epoch_loss / len(examples))],
+        _make_validator(vocab, valid_corpus, cfg.max_len, cfg.ggleu_max_n))
+    params.load_values(result.best_values)
+    return params, result.rows
 
 
 @dataclass

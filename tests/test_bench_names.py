@@ -1,14 +1,26 @@
 """The benchmark's traced runs rebind program names listed in
 ``perfbench/spans.py`` (``PATCHES``); a renamed target would only show up
 there as a missing span. The first test resolves every one of them; the
-others check that the scoring calls and the PR update still go through the
-rebound names."""
+others check that the scoring calls, the PR update and the MLE steps still
+go through the rebound names, and that the names the program keeps only
+for the benchmark gain no caller in it."""
 
+import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "banditseq"
+
+# Names the program defines or re-exports only because the benchmark
+# reads them, each with the package files that must not call it.
+KEPT_FOR_BENCHMARK = (
+    ("pipeline", "task_spec_from_config", sorted(PACKAGE.glob("*.py"))),
+    ("pipeline", "clip_gradient", [PACKAGE / "pipeline.py"]),
+)
 
 
 def _patches():
@@ -91,3 +103,47 @@ def test_pr_spans_fire_when_the_antithetic_diagnostic_is_sampled(monkeypatch):
                      "model.pair_log_prob": 20 + 10,
                      "autodiff.backward": 20 + 2 * 10,
                      "objectives.antithetic_update": 10}
+
+
+def test_mle_steps_once_per_minibatch(monkeypatch):
+    """``pretrain_eval`` counts MLE updates by rebinding
+    ``pipeline.adam_update`` and expects ``ceil(N / mle_batch)`` of them
+    per epoch; 7 sentences in batches of 3 leave a last batch of one."""
+    from banditseq import pipeline
+    from banditseq.config import RunConfig
+    from banditseq.data import Corpus
+    from banditseq.model import Vocabulary
+
+    steps = []
+    step = pipeline.adam_update
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+    monkeypatch.setattr(pipeline, "adam_update", counted)
+
+    corpus = Corpus(pairs=[([w], [w, w]) for w in "abcdefg"])
+    vocab = Vocabulary.from_corpus(corpus.sources + corpus.targets)
+    cfg = RunConfig(embedding_size=4, hidden_size=4, mle_epochs=2,
+                    mle_batch=3, max_len=3, seed=2)
+    pipeline.train_mle(cfg, vocab, corpus, corpus)
+    assert len(steps) == cfg.mle_epochs * math.ceil(7 / cfg.mle_batch) == 6
+
+
+def _called_names(path):
+    """Every name that ``path`` calls, as ``f(...)`` or ``x.f(...)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.func.id if isinstance(node.func, ast.Name)
+            else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_names_kept_for_the_benchmark_have_no_caller():
+    """Each name resolves, for the benchmark, and the program does not
+    call it, so that it can go once the benchmark stops reading it."""
+    for module_name, name, files in KEPT_FOR_BENCHMARK:
+        module = importlib.import_module(f"banditseq.{module_name}")
+        assert callable(getattr(module, name, None)), name
+        callers = [path.name for path in files if name in _called_names(path)]
+        assert callers == [], (name, callers)

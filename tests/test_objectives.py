@@ -470,6 +470,19 @@ class TestBanditTrainLoop:
             bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
                               lambda sid, toks: float("nan"))
 
+    @pytest.mark.parametrize("scores", [{"bleu": 0.5},
+                                        {"ggleu": float("nan")}])
+    def test_validator_without_usable_ggleu_rejected(self, scores):
+        # raised by the validation before the first update, not after
+        # training from a start that nothing could select against
+        params, cfg = self._setup(iters=8)
+        calls = []
+        with pytest.raises(ValueError, match="'ggleu'"):
+            bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
+                              lambda sid, toks: calls.append(sid) or -0.5,
+                              validate_fn=lambda p: scores)
+        assert calls == []
+
     @pytest.mark.parametrize("objective,cv", LOOP_MODES)
     def test_rows_and_parameters_deterministic(self, objective, cv):
         rows = []

@@ -11,6 +11,7 @@ from banditseq import pipeline
 from banditseq.data import Corpus, gen_data
 from banditseq.metrics import corpus_bleu, corpus_ggleu
 from banditseq.model import END, START, UNK, Vocabulary
+from banditseq.objectives import TrainingDiverged
 from banditseq.pipeline import (
     _write_decoded,
     config_hash,
@@ -184,6 +185,41 @@ class TestTrainMle:
                    for name, value in trained["first"].items())
 
 
+    @pytest.mark.parametrize("scores", [{"bleu": 0.5},
+                                        {"ggleu": float("nan")}])
+    def test_validator_without_usable_ggleu_rejected(self, pinned_seed,
+                                                     monkeypatch, scores):
+        cfg, corpora, vocab, _, _ = pinned_seed
+        monkeypatch.setattr(pipeline, "_make_validator",
+                            lambda *args: lambda params: scores)
+        with pytest.raises(ValueError, match="'ggleu'"):
+            train_mle(cfg, vocab, corpora["a", "train"], corpora["a", "valid"])
+
+    def test_divergence_names_update_and_epoch(self, monkeypatch):
+        # 5 sentences in batches of 2: updates 1-3 are epoch 1, and the
+        # first sentence of update 4 is the seventh scored
+        pairs = [([w], [w]) for w in "abcde"]
+        corpus = Corpus(pairs=pairs, domain="a", split="train")
+        vocab = Vocabulary.from_corpus(corpus.sources + corpus.targets)
+        cfg = RunConfig(embedding_size=4, hidden_size=4, mle_epochs=2,
+                        mle_batch=2, max_len=3, seed=1)
+        scored = []
+        loss_and_grad = pipeline.mle_loss_and_grad
+
+        def poisoned(*args, **kwargs):
+            scored.append(1)
+            loss, grads = loss_and_grad(*args, **kwargs)
+            if len(scored) == 7:
+                grads = {name: g * np.nan for name, g in grads.items()}
+            return loss, grads
+
+        monkeypatch.setattr(pipeline, "mle_loss_and_grad", poisoned)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^non-finite gradient at MLE update 4 "
+                                 r"\(epoch 2\)$"):
+            train_mle(cfg, vocab, corpus, corpus)
+
+
 class TestRunPipeline:
     def test_full_tiny_pipeline_artifacts(self, tmp_path):
         cfg = tiny_run_config(tmp_path / "out")
@@ -317,3 +353,24 @@ class TestTrainingPinned:
             cfg, vocab, params.copy_values(), corpora, 0)
         assert _training_digest(best.copy_values(), outcome.rows,
                                 outcome.best_iteration) == digest
+
+    def test_train_mle_dropout_partial_batch(self, pinned_seed):
+        """Dropout's draw order and a last minibatch of 4 of 60 sentences,
+        which the batches of 4 above never reach."""
+        cfg, corpora, vocab, _, _ = pinned_seed
+        cfg = replace(cfg, dropout=0.3, mle_batch=7)
+        params, rows = train_mle(cfg, vocab, corpora["a", "train"],
+                                 corpora["a", "valid"])
+        assert _training_digest(params.copy_values(), rows) == \
+            "16664fb7f7349d3cf508884db114f5183522b18d65b86cd4217221b788f97982"
+
+    def test_bandit_train_loop_sgd_clipped(self, pinned_seed):
+        """The SGD step, its decay, and a clip that binds on every update."""
+        cfg, corpora, vocab, params, _ = pinned_seed
+        cfg = replace(cfg, objective="el", cv_mode="none", optimizer="sgd",
+                      sgd_decay=0.5, adam_alpha=1.0, clip_norm=1e-3)
+        outcome, best = pipeline._train_bandit_run(
+            cfg, vocab, params.copy_values(), corpora, 0)
+        assert _training_digest(best.copy_values(), outcome.rows,
+                                outcome.best_iteration) == \
+            "594f96bc710c2fd4a27a16a21bc9196be7778919651c8d2cf5a2e58fe49d2488"
