@@ -14,6 +14,11 @@ scores token sequences on top of it, and objectives combine scores with
 elementary ops the tests rebuild the model from (matmul, softmax,
 embedding rows, ...) live beside those tests and record on this tape.
 
+A backward pass returns one gradient vector: the parameters' entries one
+after another, in their mapping's order, which :func:`split` names. The
+scored pass's node writes each weight gradient straight into its view of
+that vector (``step_sum(..., out=)``), so nothing is copied.
+
 The reverse pass sums every gradient in the order a tape of one node per
 GRU step, attention and output layer did: steps from last to first.
 Floating-point addition is not associative, so another order changes the
@@ -21,21 +26,27 @@ last bits of every gradient and every trained model: a deliberate change of
 numerics, not a refactor. The loop through time therefore computes only the
 recurrent chain (state gradients and per-step deltas), and each weight
 gradient is then one :func:`step_sum` over the stacked steps. That is
-numpy's ``einsum`` without ``optimize`` over C-ordered steps, reversed: the
-step axis is the outermost one, walked last step first, and each step's
-rounded product is added into the output in turn, which is the tape's
-order exactly. Three things break it. A BLAS GEMM (``@``, ``tensordot``,
-``einsum(..., optimize=True)``) splits and reorders the sum over steps.
-``np.add.reduce`` over the step axis sums pairwise. And a step axis that is
-innermost or of positive stride (a Fortran-ordered or unreversed stack)
-lets ``einsum``'s reduction loop keep several partial sums. The one
-difference from a per-step loop is the sign of zero: ``einsum`` starts
-from +0.0, so an entry whose terms are all -0.0 reads +0.0, which compares
-equal.
+numpy's ``einsum`` without ``optimize``, with the step axis outermost and
+walked last step first, each step's rounded product added into the output
+in turn, which is the tape's order exactly. :func:`step_sum` hands it the
+steps reversed, with one operand of positive and one of negative stride
+along them: a reversed copy of the terms and a reversed view of the inputs
+or, for a plain sum, a reversed view of the terms and a vector of ones
+(multiplying by one is exact). Four things break the order. A BLAS GEMM
+(``@``, ``tensordot``, ``einsum(..., optimize=True)``) splits and reorders
+the sum over steps. ``np.add.reduce`` over the step axis sums pairwise.
+Operands whose step strides are all negative are flipped to memory order
+when ``einsum`` writes into a given ``out``, which sums first step first.
+And a step axis that is innermost and contiguous (a Fortran-ordered stack,
+or the reversed copy when the output has one entry) lets ``einsum``'s
+reduction loop keep several partial sums. The one difference from a
+per-step loop is the sign of zero: ``einsum`` starts from +0.0, so an entry
+whose terms are all -0.0 reads +0.0, which compares equal.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -45,6 +56,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "parameter",
+    "split",
     "node",
     "add",
     "neg",
@@ -108,13 +120,17 @@ class Tape:
         _state.tape = self._outer
         return False
 
-    def backward(self, root, params):
-        """Backpropagate from a scalar ``root``; return a gradient map.
+    def backward(self, root, params, out=None):
+        """Backpropagate from a scalar ``root``; return the gradient of the
+        parameters ``params`` (name -> leaf Tensor) as one vector laid out
+        as :func:`split` names it, written into ``out`` when given. Those
+        the root does not depend on get zeros. Gradients on the tape and
+        on the parameters are cleared first, so repeated calls on one tape
+        (e.g. for two roots sharing subgraphs) are independent.
 
-        Every parameter in ``params`` (name -> leaf Tensor) gets an entry;
-        parameters the root does not depend on get zeros. Gradients on the
-        tape and on the parameters are cleared first, so repeated calls on
-        one tape (e.g. for two roots sharing subgraphs) are independent.
+        The first :func:`node` to run its reverse rule writes every entry
+        of that vector; with none, it starts from zeros. The elementary
+        ops' gradients, collected on the parameters, are added to it last.
         """
         if root.data.shape != ():
             raise ValueError(
@@ -124,20 +140,55 @@ class Tape:
             node.grad = None
         for p in params.values():
             p.grad = None
+        grad = np.empty(sum(p.data.size for p in params.values())) \
+            if out is None else out
+        self._params, self._grad, self._written = params, grad, False
+        _state.reverse = self
         root.grad = np.ones(())
-        for node in reversed(self.nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
-        out = {}
-        for name, p in params.items():
-            out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-            p.grad = None
-        return out
+        try:
+            for node in reversed(self.nodes):
+                if node.grad is not None and node._backward is not None:
+                    node._backward(node.grad)
+        finally:
+            _state.reverse = self._params = self._grad = None
+        if not self._written:
+            grad.fill(0.0)
+        if any(p.grad is not None for p in params.values()):
+            for view, p in zip(split(grad, params).values(), params.values()):
+                if p.grad is not None:
+                    view += p.grad
+                    p.grad = None
+        return grad
+
+    def _write(self, backward, g):
+        """Run a node's reverse rule ``backward(g, out)``, which writes
+        every parameter's gradient into ``out``, named views of a vector:
+        the vector being built for the first node, a new one added to it
+        for each later node."""
+        if not self._written:
+            self._written = True
+            backward(g, split(self._grad, self._params))
+        else:
+            extra = np.empty_like(self._grad)
+            backward(g, split(extra, self._params))
+            self._grad += extra
 
 
 def parameter(name, data):
     """Named leaf tensor; gradients are collected for it by ``backward``."""
     return Tensor(data, name=name)
+
+
+def split(vector, like):
+    """Named views of ``vector``: the entries of each array or tensor of
+    ``like`` (name -> anything with a ``shape``) in turn, in the mapping's
+    order."""
+    views, start = {}, 0
+    for name, t in like.items():
+        stop = start + math.prod(t.shape)
+        views[name] = vector[start:stop].reshape(t.shape)
+        start = stop
+    return views
 
 
 def _as_tensor(x):
@@ -237,17 +288,10 @@ def log_likelihood(logits, tokens, negated_step=0):
 
 def node(data, backward):
     """Record a node whose reverse rule is written outside this module:
-    ``backward(g)`` returns ``(tensor, gradient)`` pairs of fresh arrays,
-    and each gradient is handed to its tensor or added to what it holds."""
-
-    def rule(g):
-        for t, grad in backward(g):
-            if t.grad is None:
-                t.grad = grad
-            else:
-                t.grad += grad
-
-    return _make(data, rule)
+    ``backward(g, out)`` writes the gradient of every parameter into
+    ``out``, named views of a gradient vector, every entry of it (see
+    :meth:`Tape.backward`)."""
+    return _make(data, lambda g: _state.reverse._write(backward, g))
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +315,19 @@ def gru_values(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
     return (1.0 - z) * h + z * c, z, r, rh, c
 
 
-def step_sum(terms, inputs=None):
+def step_sum(terms, inputs=None, out=None):
     """Sum over the leading step axis of ``terms`` [T, ...] or, given
     ``inputs`` [T, J], of the outer products ``terms[t] x inputs[t]``: one
     rounded term per step added into the sum, from the last step to the
-    first. Equals the loop ``acc += terms[t][:, None] * inputs[t]`` for
-    t = T-1, ..., 0 bit for bit, up to the sign of an all-zero entry; the
-    module docstring says why the order holds."""
-    terms = np.ascontiguousarray(terms)[::-1]
+    first, written into ``out`` when given. Equals the loop ``acc +=
+    terms[t][:, None] * inputs[t]`` for t = T-1, ..., 0 bit for bit, up to
+    the sign of an all-zero entry; the module docstring says why the order
+    holds."""
     if inputs is None:
-        return np.einsum("t...->...", terms)
-    return np.einsum("ti,tj->ij", terms, np.ascontiguousarray(inputs)[::-1])
+        return np.einsum("t...,t->...", np.ascontiguousarray(terms)[::-1],
+                         np.ones(len(terms)), out=out)
+    return np.einsum("ti,tj->ij", np.ascontiguousarray(terms[::-1]),
+                     np.ascontiguousarray(inputs)[::-1], out=out)
 
 
 def gru_grads(g, h, z, r, c, weights):

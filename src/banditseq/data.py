@@ -205,6 +205,8 @@ def read_parallel(src_path, tgt_path, domain="", split=""):
             f"parallel files differ in length: {src_path} has {len(src_lines)} "
             f"lines, {tgt_path} has {len(tgt_lines)}"
         )
+    if not src_lines:
+        raise ValueError(f"{src_path}: empty corpus, no sentences")
     for i, (s, t) in enumerate(zip(src_lines, tgt_lines)):
         if not s or not t:
             raise ValueError(f"{tgt_path if s else src_path}: empty sentence "

@@ -67,6 +67,7 @@ from .autodiff import (
     log_likelihood,
     node,
     parameter,
+    split,
     step_sum,
 )
 
@@ -145,10 +146,16 @@ def _glorot(rng, rows, cols):
 
 
 class ModelParams:
-    """Named parameter tensors of the encoder-decoder.
+    """Named parameter tensors of the encoder-decoder, whose values are
+    views of one float64 vector, ``vector``.
 
     Attention size equals the hidden size. The tensor dict is insertion
-    ordered and that order is part of the checkpoint contract.
+    ordered and that order is part of the checkpoint contract; the vector
+    holds the tensors' entries in that order. A gradient is a vector of the
+    same layout, and :meth:`views` names the parts of any such vector. The
+    update arithmetic runs on whole vectors, while every reduction (norm,
+    means) sums tensor by tensor over the views: one sum over the whole
+    vector would add in another order and change the last bits.
     """
 
     GRU_SUFFIXES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
@@ -166,25 +173,25 @@ class ModelParams:
                 return np.zeros((rows, cols))
             return _glorot(rng, rows, cols)
 
-        self.tensors = {}
-
-        def put(name, data):
-            self.tensors[name] = parameter(name, data)
-
-        put("src_emb", mat(v, e))
-        put("tgt_emb", mat(v, e))
+        arrays = {"src_emb": mat(v, e), "tgt_emb": mat(v, e)}
         for prefix, in_dim in (("enc_fwd", e), ("enc_bwd", e), ("dec", e + 2 * h)):
             for gate in ("z", "r", "h"):
-                put(f"{prefix}.W{gate}", mat(h, in_dim))
-                put(f"{prefix}.U{gate}", mat(h, h))
-                put(f"{prefix}.b{gate}", np.zeros(h))
-        put("att.W", mat(h, h))
-        put("att.U", mat(2 * h, h))
-        put("att.v", mat(1, h)[0])
-        put("dec_init.W", mat(h, h))
-        put("dec_init.b", np.zeros(h))
-        put("out.W", mat(v, 3 * h))
-        put("out.b", np.zeros(v))
+                arrays[f"{prefix}.W{gate}"] = mat(h, in_dim)
+                arrays[f"{prefix}.U{gate}"] = mat(h, h)
+                arrays[f"{prefix}.b{gate}"] = np.zeros(h)
+        arrays["att.W"] = mat(h, h)
+        arrays["att.U"] = mat(2 * h, h)
+        arrays["att.v"] = mat(1, h)[0]
+        arrays["dec_init.W"] = mat(h, h)
+        arrays["dec_init.b"] = np.zeros(h)
+        arrays["out.W"] = mat(v, 3 * h)
+        arrays["out.b"] = np.zeros(v)
+        self.vector = np.concatenate([a.ravel() for a in arrays.values()])
+        self.tensors = {name: parameter(name, view)
+                        for name, view in split(self.vector, arrays).items()}
+        ends = np.cumsum([a.size for a in arrays.values()]).tolist()
+        self._parts = [slice(end - a.size, end)
+                       for end, a in zip(ends, arrays.values())]
 
     @classmethod
     def from_tensors(cls, vocab_size, arrays):
@@ -210,11 +217,21 @@ class ModelParams:
                     f"tensor {name!r} has shape {arr.shape}, expected "
                     f"{expected[name]} for vocabulary size {vocab_size}"
                 )
-            model.tensors[name].data = np.array(arr, dtype=np.float64)
+        model.load_values(arrays)
         return model
 
     def __getitem__(self, name):
         return self.tensors[name]
+
+    def views(self, vector):
+        """The named tensors' parts of ``vector``, a vector in this
+        model's layout (the parameters or a gradient), as views."""
+        return split(vector, self.tensors)
+
+    def parts(self, vector):
+        """The same parts of ``vector`` as :meth:`views`, in order, as flat
+        views."""
+        return [vector[part] for part in self._parts]
 
     def arrays(self):
         """Parameter values by name; each GRU's nine arrays are also listed
@@ -225,9 +242,12 @@ class ModelParams:
         return p
 
     def copy_values(self):
-        return {name: t.data.copy() for name, t in self.tensors.items()}
+        """The parameter values by name, as views of one copy of the
+        vector."""
+        return self.views(self.vector.copy())
 
     def load_values(self, arrays):
+        """Copy named arrays into the parameters' views."""
         for name, t in self.tensors.items():
             t.data[...] = arrays[name]
 
@@ -352,7 +372,7 @@ def _logits_node(forward):
     """The logits [T, V] of a kept forward as one node whose reverse rule
     is :func:`_backprop`."""
     return node(np.concatenate(forward.logits),
-                lambda g: _backprop(g, forward))
+                lambda g, out: _backprop(g, forward, out))
 
 
 def forced_logits(source, inputs, params, dropout=None):
@@ -394,20 +414,20 @@ def _kept_logits(source, inputs, params, dropout, forward):
     return _logits_node(forward)
 
 
-def _gru_weight_grads(prefix, deltas, x, h, rh, grads):
-    """The nine weight gradients of GRU ``prefix`` from its per-step gate
-    deltas ``(da_z, da_r, da_c)`` and inputs ``x``, ``h`` and ``r*h``, each
-    stacked by step."""
+def _gru_weight_grads(prefix, deltas, x, h, rh, out):
+    """Write the nine weight gradients of GRU ``prefix`` into ``out`` from
+    its per-step gate deltas ``(da_z, da_r, da_c)`` and inputs ``x``, ``h``
+    and ``r*h``, each stacked by step."""
     for gate, delta, recurrent in zip("zrh", deltas, (h, h, rh)):
-        grads[f"{prefix}.W{gate}"] = step_sum(delta, x)
-        grads[f"{prefix}.U{gate}"] = step_sum(delta, recurrent)
-        grads[f"{prefix}.b{gate}"] = step_sum(delta)
+        step_sum(delta, x, out=out[f"{prefix}.W{gate}"])
+        step_sum(delta, recurrent, out=out[f"{prefix}.U{gate}"])
+        step_sum(delta, out=out[f"{prefix}.b{gate}"])
 
 
-def _backprop(d_logits, forward):
+def _backprop(d_logits, forward, out):
     """Backpropagation through time over a kept :class:`Forward`, from the
-    gradient ``d_logits`` [T, V] of its logits; returns ``(parameter,
-    gradient)`` pairs.
+    gradient ``d_logits`` [T, V] of its logits; writes every parameter's
+    gradient into ``out``, the named views of a gradient vector.
 
     The decoder loop, then the encoder loops, compute only the recurrent
     chain: state gradients, gate deltas, the context gradient and
@@ -429,9 +449,10 @@ def _backprop(d_logits, forward):
     d_pre = (d_logits[:, None, :] @ p["out.W"])[:, 0]
     if out_masks[0] is not None:
         d_pre *= np.stack(out_masks)
-    grads = {"tgt_emb": np.zeros_like(p["tgt_emb"]),
-             "out.b": step_sum(d_logits),
-             "out.W": step_sum(d_logits, pre_out)}
+    out["tgt_emb"].fill(0.0)
+    out["src_emb"].fill(0.0)
+    step_sum(d_logits, out=out["out.b"])
+    step_sum(d_logits, pre_out, out=out["out.W"])
     deltas = np.empty((3, n_steps, h_dim))
     d_context = np.empty((n_steps, 2 * h_dim))
     d_v, d_q = np.empty((2, n_steps, h_dim))
@@ -442,24 +463,24 @@ def _backprop(d_logits, forward):
             else d_next + d_pre[t, :h_dim]
         d_state, d_x, deltas[:, t] = gru_grads(d_new, state[t], z[t], r[t],
                                                c[t], p["dec"])
-        grads["tgt_emb"][tokens[t]] += _masked(d_x[:e_dim], emb_masks[t])
+        out["tgt_emb"][tokens[t]] += _masked(d_x[:e_dim], emb_masks[t])
         d_context[t] = d_pre[t, h_dim:] + d_x[e_dim:]
         d_v[t], d_proj[t], d_q[t], d_s = attention_grads(
             matrix @ d_context[t], alpha[t], energy[t], p["att.W"],
             p["att.v"])
         d_next = d_state + d_s
-    _gru_weight_grads("dec", deltas, x, state, rh, grads)
-    grads["att.v"] = step_sum(d_v)
-    grads["att.W"] = step_sum(d_q, state)
+    _gru_weight_grads("dec", deltas, x, state, rh, out)
+    step_sum(d_v, out=out["att.v"])
+    step_sum(d_q, state, out=out["att.W"])
 
     d_init = _masked(d_next, init_mask) * (1.0 - init[0] * init[0])
-    grads["dec_init.b"] = d_init
-    grads["dec_init.W"] = d_init[:, None] * matrix[0, h_dim:]
+    out["dec_init.b"][...] = d_init
+    np.multiply(d_init[:, None], matrix[0, h_dim:], out=out["dec_init.W"])
     # the encoder states and their projections sum like parameters
     d_matrix = step_sum(alpha, d_context)
     d_proj = step_sum(d_proj)
     d_matrix += d_proj @ p["att.U"].T
-    grads["att.U"] = matrix.T @ d_proj
+    np.matmul(matrix.T, d_proj, out=out["att.U"])
     d_matrix[0, h_dim:] += p["dec_init.W"].T @ d_init
     # backward GRU from position 0 up, then forward GRU from the end down;
     # a GRU's deltas and inputs are stacked in the order it ran its steps
@@ -477,13 +498,11 @@ def _backprop(d_logits, forward):
             carry, d_x[positions[k]], deltas[:, k] = gru_grads(
                 g if carry is None else g + carry, h[k], z[k], r[k], c[k],
                 p[prefix])
-        _gru_weight_grads(prefix, deltas, x, h, rh, grads)
+        _gru_weight_grads(prefix, deltas, x, h, rh, out)
         d_src.append(d_x)
     d_src = _masked(d_src[0] + d_src[1], forward.src_masks)
-    grads["src_emb"] = np.zeros_like(p["src_emb"])
     for pos in reversed(range(len(source))):
-        grads["src_emb"][source[pos]] += d_src[pos]
-    return [(params[name], g) for name, g in grads.items()]
+        out["src_emb"][source[pos]] += d_src[pos]
 
 
 def sequence_log_prob(source, target, params, dropout=None, forward=None):

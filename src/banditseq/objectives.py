@@ -18,6 +18,14 @@ score-function variate subtracts ``chat * d(log p)/d(theta)`` with a
 per-entry coefficient ``chat = Cov(s, y) / Var(y)`` maintained by a
 streaming co-moment accumulator, which also tracks the covariance of the
 PR score's two halves (the antithetic variates) on a subset of updates.
+
+A gradient is one vector in the parameters' layout
+(:class:`~banditseq.model.ModelParams`). The control variates, the clip and
+the optimizer steps are a few in-place passes over whole vectors, with
+their temporaries in three work vectors kept between updates. A sum that
+reduces a vector to a number (the gradient norm, the diagnostic means)
+runs tensor by tensor over its views, in the tensors' order: one sum over
+the whole vector would add in another order and change the last bits.
 """
 
 from __future__ import annotations
@@ -59,35 +67,46 @@ class TrainingDiverged(RuntimeError):
     """Raised when an update produces non-finite gradients."""
 
 
-def _scaled(grads, c):
-    return {name: c * g for name, g in grads.items()}
+_WORK = []
 
 
-def mle_loss_and_grad(source, reference, params, dropout=None):
-    """Negative log-likelihood of the reference and its gradient map."""
+def _work(n):
+    """Three vectors of length ``n`` for the temporaries of an update,
+    kept between updates and shared by the moment updates, the clip and the
+    optimizer steps: a workspace, whose values no caller reads after the
+    call that wrote them. A step uses the first two and may read a clipped
+    gradient from the third; no other gradient is one of them."""
+    if not _WORK or _WORK[0].size != n:
+        _WORK[:] = [np.empty(n) for _ in range(3)]
+    return _WORK
+
+
+def mle_loss_and_grad(source, reference, params, dropout=None, out=None):
+    """Negative log-likelihood of the reference and its gradient vector,
+    written into ``out`` when given."""
     if len(reference) == 0:
         raise ValueError("mle_loss_and_grad: reference must be non-empty")
     with Tape() as tape:
         lp = sequence_log_prob(source, reference, params, dropout=dropout)
         loss = neg(lp)
-    return float(loss.data), tape.backward(loss, params.tensors)
+    return float(loss.data), tape.backward(loss, params.tensors, out)
 
 
-def el_gradient(source, sample, params):
+def el_gradient(source, sample, params, out=None):
     """Score of one sampled sequence for the expected-loss estimator: the
     gradient of its log-probability. A sample drawn by
     :func:`~banditseq.model.sample_sequence` is scored on the values its
     roll-out kept, with no second forward; that record is valid only until
     the parameters change, so score a sample before the optimizer steps. A
     sample with no kept forward is replayed teacher-forced on its own
-    prefix."""
+    prefix. The gradient vector is written into ``out`` when given."""
     with Tape() as tape:
         lp = sequence_log_prob(source, sample.tokens, params,
                                forward=sample.forward)
-    return tape.backward(lp, params.tensors)
+    return tape.backward(lp, params.tensors, out)
 
 
-def pr_gradient(source, pair, params):
+def pr_gradient(source, pair, params, out=None):
     """Score of one sampled pair for the pairwise-ranking estimator: the
     gradient of the pair's joint log-probability.
 
@@ -97,60 +116,57 @@ def pr_gradient(source, pair, params):
     kept (valid only until the parameters change), or replayed
     teacher-forced when it kept none. Both halves read one logits node, so
     the tape adds their logit gradients and the model's reverse pass runs
-    once.
+    once. The gradient vector is written into ``out`` when given.
     """
     with Tape() as tape:
         lp_pos, lp_neg = pair_log_prob(source, pair, params)
         joint = add(lp_pos, lp_neg)
-    return tape.backward(joint, params.tensors)
+    return tape.backward(joint, params.tensors, out)
 
 
-def pr_halves(source, pair, params):
+def pr_halves(source, pair, params, out=(None, None)):
     """The separate gradients ``(g_pos, g_neg)`` of the two halves of a
     pair's joint log-probability, the antithetic variates, by one reverse
     pass each. Like :func:`pr_gradient` it reads the pair's kept forward,
     so call it before the parameters change. The halves add up to
     :func:`pr_gradient`'s score up to rounding, not bit for bit: the score
-    adds the halves' logit gradients before its reverse pass.
+    adds the halves' logit gradients before its reverse pass. ``out``
+    gives the two vectors to write them into.
     """
     with Tape() as tape:
         lp_pos, lp_neg = pair_log_prob(source, pair, params)
-    return (tape.backward(lp_pos, params.tensors),
-            tape.backward(lp_neg, params.tensors))
+    return (tape.backward(lp_pos, params.tensors, out[0]),
+            tape.backward(lp_neg, params.tensors, out[1]))
 
 
 class CoMoments:
-    """Streaming per-entry means of two gradient maps ``x`` and ``y`` and
+    """Streaming per-entry means of two gradient vectors ``x`` and ``y`` and
     the co-moment sum of (x, y), plus that of (y, y) with ``track_var_y``,
     by Welford's update. A co-moment divided by n - 1 is a sample
-    covariance."""
+    covariance. The vectors are allocated at the first update."""
 
     def __init__(self, track_var_y=False):
         self.n = 0
-        self.mean_x = {}
-        self.mean_y = {}
-        self.co_xy = {}
-        self.m2_y = {} if track_var_y else None
+        self.track_var_y = track_var_y
+        self.mean_x = self.mean_y = self.co_xy = self.m2_y = None
 
-    def update(self, xs, ys):
+    def update(self, x, y):
         self.n += 1
         n = self.n
-        for name, x in xs.items():
-            y = ys[name]
-            if name not in self.co_xy:
-                self.mean_x[name] = np.zeros_like(x)
-                self.mean_y[name] = np.zeros_like(x)
-                self.co_xy[name] = np.zeros_like(x)
-                if self.m2_y is not None:
-                    self.m2_y[name] = np.zeros_like(x)
-            dx = x - self.mean_x[name]
-            self.mean_x[name] += dx / n
-            dy = y - self.mean_y[name]
-            self.mean_y[name] += dy / n
-            y_resid = y - self.mean_y[name]
-            self.co_xy[name] += dx * y_resid
-            if self.m2_y is not None:
-                self.m2_y[name] += dy * y_resid
+        if n == 1:
+            self.mean_x, self.mean_y, self.co_xy = (np.zeros(x.size)
+                                                    for _ in range(3))
+            if self.track_var_y:
+                self.m2_y = np.zeros(x.size)
+        dx, dy, tmp = _work(x.size)  # x may be dx itself
+        np.subtract(x, self.mean_x, out=dx)
+        self.mean_x += np.divide(dx, n, out=tmp)
+        np.subtract(y, self.mean_y, out=dy)
+        self.mean_y += np.divide(dy, n, out=tmp)
+        y_resid = np.subtract(y, self.mean_y, out=tmp)
+        self.co_xy += np.multiply(dx, y_resid, out=dx)
+        if self.track_var_y:
+            self.m2_y += np.multiply(dy, y_resid, out=dy)
 
 
 class ControlVariateState:
@@ -169,6 +185,7 @@ class ControlVariateState:
         self.k = 0
         self.feedback_sum = 0.0
         self.sf_moments = CoMoments(track_var_y=True)
+        self.adjusted = None  # the sf variate's result, kept between draws
 
     # -- average-feedback baseline -------------------------------------
     def register_feedback(self, delta):
@@ -182,29 +199,29 @@ class ControlVariateState:
         return self.feedback_sum / self.k
 
     # -- score-function coefficient -------------------------------------
-    def _coefficient(self, name):
-        m2 = self.sf_moments.m2_y[name]
-        out = np.zeros_like(m2)
-        np.divide(self.sf_moments.co_xy[name], m2, out=out,
-                  where=m2 > self.VAR_FLOOR)
+    def chat(self, out):
+        """Write the coefficient of every entry into ``out`` and return it:
+        zero before the first draw and where Var(y) is below the floor."""
+        out.fill(0.0)
+        moments = self.sf_moments
+        if moments.n:
+            np.divide(moments.co_xy, moments.m2_y, out=out,
+                      where=moments.m2_y > self.VAR_FLOOR)
         return out
 
-    def chat(self, name, like):
-        if name not in self.sf_moments.co_xy:
-            return np.zeros_like(like)
-        return self._coefficient(name)
-
-    def chat_mean(self):
-        coefficients = [self._coefficient(name)
-                        for name in self.sf_moments.co_xy]
-        if not coefficients:
+    def chat_mean(self, views):
+        """The mean coefficient, summed tensor by tensor over ``views(c)``
+        (:meth:`ModelParams.views`); 0 before the first draw."""
+        if not self.sf_moments.n:
             return 0.0
-        return (sum(float(c.sum()) for c in coefficients)
-                / sum(c.size for c in coefficients))
+        coefficient = self.chat(np.empty_like(self.sf_moments.co_xy))
+        return (sum(float(c.sum()) for c in views(coefficient).values())
+                / coefficient.size)
 
 
 def apply_baseline_cv(feedback, score, state):
-    """Scale the score by the feedback recentered by the running average.
+    """Scale the score, in place, by the feedback recentered by the running
+    average.
 
     With ``include_current`` (the default) the current feedback enters the
     average first, so the very first gradient is exactly zero.
@@ -215,49 +232,54 @@ def apply_baseline_cv(feedback, score, state):
     else:
         centered = feedback - state.average_feedback
         state.register_feedback(feedback)
-    return _scaled(score, centered)
+    score *= centered
+    return score
 
 
 def apply_score_function_cv(feedback, score, state):
     """Scale the score by the feedback and subtract ``chat * score``
-    entrywise, then fold the draw into the running moment estimates. With
-    no history chat is zero and the gradient is ``feedback * score``."""
-    grads = _scaled(score, feedback)
-    adjusted = {name: s - state.chat(name, s) * score[name]
-                for name, s in grads.items()}
+    entrywise, into a vector the state keeps and overwrites at its next
+    call, then fold the draw into the running moment estimates. With no
+    history chat is zero and the gradient is ``feedback * score``."""
+    grads = np.multiply(score, feedback, out=_work(score.size)[0])
+    if state.adjusted is None:
+        state.adjusted = np.empty_like(score)
+    adjusted = state.chat(state.adjusted)
+    adjusted *= score
+    np.subtract(grads, adjusted, out=adjusted)
     state.sf_moments.update(grads, score)
     return adjusted
 
 
-def grad_norm(grads):
-    """Global L2 norm over all entries of a gradient map."""
+def grad_norm(parts):
+    """Global L2 norm of a gradient given tensor by tensor
+    (:meth:`ModelParams.parts`): each tensor's squares summed on their own,
+    then the sums in order."""
     total = 0.0
-    for g in grads.values():
+    for g in parts:
         flat = g.ravel()
         total += float(flat @ flat)
     return math.sqrt(total)
 
 
-def clip_gradient(grads, max_norm, norm=None):
-    """Scale the whole map down to ``max_norm`` when its global L2 norm
-    exceeds it; otherwise return it unchanged (the same object). ``norm``
-    is that norm when the caller has already computed it."""
+def clip_gradient(grads, max_norm, norm):
+    """Scale the gradient vector down to ``max_norm`` when its global L2
+    ``norm`` (:func:`grad_norm`) exceeds it, into a work vector valid until
+    the next update; otherwise return it unchanged (the same object)."""
     if max_norm <= 0:
         raise ValueError("clip_gradient: max_norm must be positive")
-    if norm is None:
-        norm = grad_norm(grads)
     if norm <= max_norm:
         return grads
-    scale = max_norm / norm
-    return _scaled(grads, scale)
+    return np.multiply(grads, max_norm / norm, out=_work(grads.size)[2])
 
 
 @dataclass
 class OptimizerState:
-    """Adam moments and hyperparameters."""
+    """Adam moments (vectors in the parameters' layout) and
+    hyperparameters."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int
     alpha: float
     beta1: float
@@ -266,9 +288,9 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params, alpha=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        m = {name: np.zeros_like(t.data) for name, t in params.tensors.items()}
-        v = {name: np.zeros_like(t.data) for name, t in params.tensors.items()}
-        return cls(m=m, v=v, t=0, alpha=alpha, beta1=beta1, beta2=beta2, eps=eps)
+        return cls(m=np.zeros_like(params.vector),
+                   v=np.zeros_like(params.vector), t=0, alpha=alpha,
+                   beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_update(params, grads, state):
@@ -284,19 +306,19 @@ def adam_update(params, grads, state):
     sqrt_bc2 = math.sqrt(1.0 - b2 ** state.t)
     step_size = state.alpha * sqrt_bc2 / bc1
     eps_t = state.eps * sqrt_bc2
-    for name, tensor in params.tensors.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        denom = np.sqrt(v)
-        denom += eps_t
-        update = m / denom
-        update *= step_size
-        tensor.data -= update
+    m, v = state.m, state.v
+    term, denom = _work(grads.size)[:2]
+    m *= b1
+    m += np.multiply(grads, 1.0 - b1, out=term)
+    v *= b2
+    np.multiply(grads, grads, out=term)
+    term *= 1.0 - b2
+    v += term
+    np.sqrt(v, out=denom)
+    denom += eps_t
+    update = np.divide(m, denom, out=term)
+    update *= step_size
+    params.vector -= update
     return params, state
 
 
@@ -312,8 +334,7 @@ class SgdState:
 def sgd_update(params, grads, state):
     gamma = state.gamma0 / (1.0 + state.decay * state.t)
     state.t += 1
-    for name, tensor in params.tensors.items():
-        tensor.data -= gamma * grads[name]
+    params.vector -= np.multiply(grads, gamma, out=_work(grads.size)[0])
     return params, state
 
 
@@ -322,11 +343,15 @@ class AntitheticTracker(CoMoments):
     gradient (:func:`pr_halves`); its mean is reported as a diagnostic
     during PR training."""
 
-    def cov_mean(self):
-        if self.n < 2 or not self.co_xy:
+    def cov_mean(self, views):
+        """The mean covariance, summed tensor by tensor over
+        ``views(co_xy)`` (:meth:`ModelParams.views`); 0 before the second
+        draw."""
+        if self.n < 2:
             return 0.0
-        total = sum(float(co.sum()) / (self.n - 1) for co in self.co_xy.values())
-        return total / sum(co.size for co in self.co_xy.values())
+        total = sum(float(co.sum()) / (self.n - 1)
+                    for co in views(self.co_xy).values())
+        return total / self.co_xy.size
 
 
 @dataclass(frozen=True)
@@ -393,7 +418,7 @@ class BanditResult:
 def run_updates(params, step, opt_state, clip_norm, windows, gradients,
                 where, window_rows, validate_fn=None, validate_first=False):
     """The update every training stage runs on its own gradient estimate.
-    Update ``k`` takes the next map of the iterator ``gradients``, raises
+    Update ``k`` takes the next vector of the iterator ``gradients``, raises
     :class:`TrainingDiverged` naming ``where(k)`` if its norm is not finite,
     and steps on it clipped to ``clip_norm``. ``windows`` lists ``(k, epoch)``
     for each window's last update ``k``; there ``window_rows(norms)`` of the
@@ -432,7 +457,7 @@ def run_updates(params, step, opt_state, clip_norm, windows, gradients,
         while k < last:
             k += 1
             grads = next(gradients)
-            norm = grad_norm(grads)
+            norm = grad_norm(params.parts(grads))
             if not math.isfinite(norm):
                 raise TrainingDiverged(f"non-finite gradient at {where(k)}")
             step(params, clip_gradient(grads, clip_norm, norm), opt_state)
@@ -472,6 +497,9 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
     antithetic = AntitheticTracker() if config.objective == "pr" else None
     antithetic_every = max(1, config.valid_interval // 10)
     feedback = []  # of the current window
+    # every update's score and the halves, written in place
+    score, *halves = (np.empty_like(params.vector)
+                      for _ in range(3 if antithetic else 1))
 
     def gradients():
         for k in range(1, config.iters + 1):
@@ -479,29 +507,30 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
             if config.objective == "el":
                 sample = sample_sequence(source, params, config.max_len, rng)
                 delta = feedback_fn(sentence_id, sample.tokens)
-                score = el_gradient(source, sample, params)
+                el_gradient(source, sample, params, score)
             else:
                 pair = sample_pair(source, params, config.max_len, rng)
                 delta = feedback_fn(sentence_id, pair.tokens_pos,
                                     pair.tokens_neg)
-                score = pr_gradient(source, pair, params)
+                pr_gradient(source, pair, params, score)
                 if k % antithetic_every == 0:
-                    antithetic.update(*pr_halves(source, pair, params))
+                    antithetic.update(*pr_halves(source, pair, params,
+                                                 halves))
             feedback.append(delta)
             if config.cv_mode == "baseline":
                 yield apply_baseline_cv(delta, score, cv_state)
             elif config.cv_mode == "sf":
                 yield apply_score_function_cv(delta, score, cv_state)
             else:
-                yield _scaled(score, delta)
+                yield np.multiply(score, delta, out=score)
 
     def window_rows(norms):
         yield "mean_feedback", sum(feedback) / len(feedback)
         yield "grad_norm", sum(norms) / len(norms)
         if config.cv_mode == "sf":
-            yield "cv_chat_mean", cv_state.chat_mean()
+            yield "cv_chat_mean", cv_state.chat_mean(params.views)
         if antithetic is not None:
-            yield "antithetic_cov_mean", antithetic.cov_mean()
+            yield "antithetic_cov_mean", antithetic.cov_mean(params.views)
         feedback.clear()
 
     windows = [(k, k // config.epoch_size if config.epoch_size else 0)

@@ -148,6 +148,8 @@ def train_mle(cfg, vocab, train_corpus, valid_corpus):
     dropout = (cfg.dropout, dropout_rng) if cfg.dropout > 0 else None
     batches = len(range(0, len(examples), cfg.mle_batch))  # per epoch
     epoch, epoch_loss = 0, 0.0
+    # a minibatch's sum and its next sentence's gradient, written in place
+    acc, grads = np.empty_like(params.vector), np.empty_like(params.vector)
 
     def gradients():
         nonlocal epoch, epoch_loss
@@ -156,20 +158,14 @@ def train_mle(cfg, vocab, train_corpus, valid_corpus):
             epoch_loss = 0.0
             for start in range(0, len(order), cfg.mle_batch):
                 batch = order[start:start + cfg.mle_batch]
-                acc = None
-                for idx in batch:
+                for i, idx in enumerate(batch):
                     src, ref = examples[int(idx)]
-                    loss, grads = mle_loss_and_grad(src, ref, params,
-                                                    dropout=dropout)
+                    loss, _ = mle_loss_and_grad(src, ref, params, dropout,
+                                                grads if i else acc)
                     epoch_loss += loss
-                    if acc is None:
-                        acc = grads
-                    else:
-                        for name in acc:
-                            acc[name] += grads[name]
-                scale = 1.0 / len(batch)
-                grads = {name: g * scale for name, g in acc.items()}
-                yield grads
+                    if i:
+                        np.add(acc, grads, out=acc)
+                yield np.multiply(acc, 1.0 / len(batch), out=acc)
 
     result = run_updates(
         params, adam_update, opt, cfg.clip_norm,

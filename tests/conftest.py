@@ -24,15 +24,22 @@ def random_source(rng, vocab_size=6, length=3):
 
 
 def max_abs_diff(a, b):
-    return max(float(np.max(np.abs(a[k] - b[k]))) for k in a)
+    """Largest entrywise difference of two vectors or of two maps of named
+    arrays."""
+    if isinstance(a, dict):
+        return max(float(np.max(np.abs(a[k] - b[k]))) for k in a)
+    return float(np.max(np.abs(a - b)))
 
 
 def max_abs(grads):
-    return max(float(np.max(np.abs(g))) for g in grads.values())
+    """Largest entry of a vector or of a map of named arrays."""
+    if isinstance(grads, dict):
+        return max(float(np.max(np.abs(g))) for g in grads.values())
+    return float(np.max(np.abs(grads)))
 
 
 def relative_gap(got, want):
-    """Global relative difference between two gradient maps."""
+    """Global relative difference between two gradients."""
     num = max_abs_diff(got, want)
     den = max(max_abs(want), 1e-12)
     return num / den
@@ -108,13 +115,14 @@ def attention_grads(g, alpha, t, state, w, v):
     return t.T @ de, dp, outer(dq, state), w.T @ dq
 
 
-def reference_backprop(d_logits, forward):
+def reference_backprop(d_logits, forward, out):
     """Backpropagation through time over a kept :class:`Forward`, from the
-    gradient ``d_logits`` [T, V] of its logits; returns ``(parameter,
-    gradient)`` pairs. Sums run in the order of a tape of per-step nodes:
-    parameter gradients from the last step to the first, the gradient of
-    decoder state s_t as (from GRU step t+1 + from attention at step t+1) +
-    from step t's output layer, embedding rows last to first into zeros.
+    gradient ``d_logits`` [T, V] of its logits; writes every parameter's
+    gradient into ``out``, the named views of a gradient vector. Sums run
+    in the order of a tape of per-step nodes: parameter gradients from the
+    last step to the first, the gradient of decoder state s_t as (from GRU
+    step t+1 + from attention at step t+1) + from step t's output layer,
+    embedding rows last to first into zeros.
     """
     params, p, source = forward.params, forward.p, forward.source
     matrix, init, init_mask = forward.matrix, forward.init, forward.init_mask
@@ -170,7 +178,8 @@ def reference_backprop(d_logits, forward):
     for prefix, weights in sums.items():
         for i, suffix in enumerate(ModelParams.GRU_SUFFIXES):
             grads[f"{prefix}.{suffix}"] = weights[i]
-    return [(params[name], g) for name, g in grads.items()]
+    for name, g in grads.items():
+        out[name][...] = g
 
 
 

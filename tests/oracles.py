@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from banditseq.autodiff import Tape, add, log_likelihood
+from banditseq.autodiff import Tape, add, log_likelihood, split
 from banditseq.model import END, SampledPair, _logits_node, greedy_rollout, \
     sequence_log_prob
 
@@ -84,7 +84,8 @@ def exact_risk_and_grad(source, params, delta_fn, max_len, guard=1_000_000):
     """Exact expected loss and its gradient by full enumeration.
 
     Sums ``p(y) * delta_fn(y)`` over every sampling outcome up to
-    ``max_len``, then differentiates the whole expression.
+    ``max_len``, then differentiates the whole expression; the gradient
+    is a vector in the parameters' layout.
     """
     _check_guard(count_sequences(params.vocab_size, max_len), guard,
                  "sequences")
@@ -157,8 +158,9 @@ class FiniteDifferenceReport:
 def finite_difference_check(f, params, step=1e-5, tolerance=1e-4):
     """Compare the analytic gradient of ``f`` against central differences.
 
-    ``f`` maps the parameter dict to a scalar Tensor and may be evaluated
-    repeatedly; parameter data is perturbed in place and restored. The
+    ``f`` maps the parameter dict (name -> Tensor) to a scalar Tensor and
+    may be evaluated repeatedly; parameter data is perturbed in place and
+    restored. The
     relative error for an entry is |a - n| / max(|a|, |n|, 1), so zero
     gradients compare cleanly.
     """
@@ -168,7 +170,7 @@ def finite_difference_check(f, params, step=1e-5, tolerance=1e-4):
         out = f(params)
     if not np.isfinite(out.data):
         raise ValueError("finite_difference_check: f evaluated to a non-finite value")
-    analytic = tape.backward(out, params)
+    analytic = split(tape.backward(out, params), params)
 
     def evaluate():
         val = float(f(params).data)

@@ -90,13 +90,11 @@ class TestCriterion2ElUnbiasedness:
             table = _random_delta_table(seqs, rng)
             _, exact = exact_risk_and_grad(source, params,
                                            lambda t: table[tuple(t)], 2)
-            acc = {k: np.zeros_like(v) for k, v in exact.items()}
+            acc = np.zeros_like(exact)
             for tokens, lp in seqs:
                 score = el_gradient(source, SampledSequence(list(tokens), lp),
                                     params)
-                p = np.exp(lp)
-                for k in acc:
-                    acc[k] += p * table[tuple(tokens)] * score[k]
+                acc += np.exp(lp) * table[tuple(tokens)] * score
             gap = relative_gap(acc, exact)
             assert gap < 1e-5, f"seed {seed}: {gap}"
             worst = max(worst, gap)
@@ -113,15 +111,12 @@ class TestCriterion3ScoreFunctionZeroMean:
             rng = np.random.default_rng([3, seed])
             params = tiny_params(seed=200 + seed)
             source = [int(t) for t in rng.integers(3, 6, size=2)]
-            acc = None
+            acc = np.zeros_like(params.vector)
             for tokens, lp in enumerate_sequences(source, params, 2):
                 score = el_gradient(source, SampledSequence(list(tokens), lp),
                                     params)
-                if acc is None:
-                    acc = {k: np.zeros_like(v) for k, v in score.items()}
-                for k in acc:
-                    acc[k] += np.exp(lp) * score[k]
-            peak = max(float(np.max(np.abs(v))) for v in acc.values())
+                acc += np.exp(lp) * score
+            peak = float(np.max(np.abs(acc)))
             assert peak < 1e-6, f"seed {seed}: {peak}"
             worst = max(worst, peak)
         report("3 score-function zero mean", f"max |entry| {worst:.2e}")
@@ -148,14 +143,12 @@ class TestCriterion4PrUnbiasedness:
                                          "continuous")
 
             _, exact = exact_pr_risk_and_grad(source, params, pair_delta, 2)
-            acc = {k: np.zeros_like(v) for k, v in exact.items()}
+            acc = np.zeros_like(exact)
             for pair, prob in enumerate_pair_outcomes(source, params, 2):
                 feedback = pair_delta(pair.tokens_pos, pair.tokens_neg)
                 if feedback == 0.0:
                     continue
-                score = pr_gradient(source, pair, params)
-                for k in acc:
-                    acc[k] += prob * feedback * score[k]
+                acc += prob * feedback * pr_gradient(source, pair, params)
             gap = relative_gap(acc, exact)
             assert gap < 1e-5, f"seed {seed}: {gap}"
             worst = max(worst, gap)
@@ -229,8 +222,7 @@ class TestCriterion7VarianceReduction:
         for _ in range(n):
             s = sample_sequence(source, params, 2, rng)
             delta = table[tuple(s.tokens)]
-            score = el_gradient(source, s, params)
-            flat_y.append(np.concatenate([g.ravel() for g in score.values()]))
+            flat_y.append(el_gradient(source, s, params))
             flat_s.append(delta * flat_y[-1])
             deltas.append(delta)
         return np.stack(flat_s), np.stack(flat_y), np.array(deltas)
@@ -249,11 +241,8 @@ class TestCriterion7VarianceReduction:
             s = sample_sequence(source, params, 2, rng)
             delta = table[tuple(s.tokens)]
             score = el_gradient(source, s, params)
-            plain_rows.append(np.concatenate([delta * g.ravel()
-                                              for g in score.values()]))
-            adj = apply_baseline_cv(delta, score, state)
-            adjusted_rows.append(np.concatenate([g.ravel()
-                                                 for g in adj.values()]))
+            plain_rows.append(delta * score)
+            adjusted_rows.append(apply_baseline_cv(delta, score, state))
         var_plain = np.var(np.stack(plain_rows), axis=0).sum()
         var_adj = np.var(np.stack(adjusted_rows), axis=0).sum()
         assert var_adj < var_plain

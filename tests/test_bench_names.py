@@ -1,15 +1,17 @@
 """The benchmark's traced runs rebind program names listed in
 ``perfbench/spans.py`` (``PATCHES``); a renamed target would only show up
 there as a missing span. The first test resolves every one of them; the
-others check that the scoring calls, the PR update and the MLE steps still
-go through the rebound names, and that the names the program keeps only
-for the benchmark gain no caller in it."""
+others check that the scoring calls, the EL and PR updates and the MLE
+steps still go through the rebound names, and that the names the program
+keeps only for the benchmark gain no caller in it."""
 
 import ast
 import importlib
 import importlib.util
 import math
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -67,16 +69,9 @@ def test_corpus_score_span_fires_on_validation_and_evaluation(monkeypatch):
     assert {"corpus_bleu", "corpus_ggleu"} <= set(calls)
 
 
-def test_pr_spans_fire_when_the_antithetic_diagnostic_is_sampled(monkeypatch):
-    """With ``valid_interval`` >= 20 the PR loop takes the halves of the
-    score on a subset of updates only; every PR-path name the traced run
-    rebinds must still be called, on every update or on that subset."""
-    from banditseq.objectives import TrainingConfig, bandit_train_loop
-
-    from conftest import tiny_params
-
-    spans = {"model.pair_log_prob", "objectives.pr_gradient",
-             "autodiff.backward", "objectives.antithetic_update"}
+def _count_calls(monkeypatch, spans):
+    """Rebind every name the traced run wraps for one of ``spans`` to a
+    counter; returns the calls per span."""
     calls = {span: 0 for span in spans}
     for module_name, attr, span, _ in _patches():
         if span not in spans:
@@ -90,14 +85,49 @@ def test_pr_spans_fire_when_the_antithetic_diagnostic_is_sampled(monkeypatch):
             calls[_span] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, leaf, counted)
+    return calls
 
-    def stream():
-        while True:
-            yield 0, [3, 4]
 
+def _one_source_stream():
+    while True:
+        yield 0, [3, 4]
+
+
+@pytest.mark.parametrize("cv_mode", ["baseline", "sf"])
+def test_el_spans_fire_once_per_update(monkeypatch, cv_mode):
+    """Every EL-path name the traced run rebinds is called once per update
+    through that name: a step taken through a local alias would show there
+    only as a missing span."""
+    from banditseq.objectives import TrainingConfig, bandit_train_loop
+
+    from conftest import tiny_params
+
+    spans = {"model.sample_sequence", "model.sequence_log_prob",
+             "objectives.el_gradient", "autodiff.backward", "objectives.cv",
+             "objectives.optimizer", "objectives.clip"}
+    calls = _count_calls(monkeypatch, spans)
+    iters = 7
+    config = TrainingConfig(objective="el", cv_mode=cv_mode, iters=iters,
+                            valid_interval=3, seed=1, max_len=3)
+    bandit_train_loop(config, tiny_params(seed=3), _one_source_stream(),
+                      lambda sid, tokens: -0.1 * len(tokens))
+    assert calls == {span: iters for span in spans}
+
+
+def test_pr_spans_fire_when_the_antithetic_diagnostic_is_sampled(monkeypatch):
+    """With ``valid_interval`` >= 20 the PR loop takes the halves of the
+    score on a subset of updates only; every PR-path name the traced run
+    rebinds must still be called, on every update or on that subset."""
+    from banditseq.objectives import TrainingConfig, bandit_train_loop
+
+    from conftest import tiny_params
+
+    calls = _count_calls(monkeypatch, {
+        "model.pair_log_prob", "objectives.pr_gradient", "autodiff.backward",
+        "objectives.antithetic_update"})
     config = TrainingConfig(objective="pr", iters=20, valid_interval=20,
                             seed=1, max_len=3)
-    bandit_train_loop(config, tiny_params(seed=3), stream(),
+    bandit_train_loop(config, tiny_params(seed=3), _one_source_stream(),
                       lambda sid, pos, neg: -0.5)
     assert calls == {"objectives.pr_gradient": 20,
                      "model.pair_log_prob": 20 + 10,

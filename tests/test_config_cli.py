@@ -1,12 +1,16 @@
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import banditseq
 from banditseq import cli, pipeline
 from banditseq.checkpoint import Checkpoint, save_checkpoint
 from banditseq.cli import build_parser, main
@@ -167,7 +171,9 @@ class TestConfigParsing:
                                 re.S | re.M)
         namespace = {}
         exec(compile(example, "README.md", "exec"), namespace)
-        assert namespace["grads"].keys() == namespace["params"].tensors.keys()
+        params = namespace["params"]
+        assert namespace["grads"].shape == params.vector.shape
+        assert namespace["named"].keys() == params.tensors.keys()
 
 
 @pytest.fixture
@@ -298,6 +304,40 @@ class TestCli:
         if corrupt == "blank line":
             assert f"{path}: empty sentence at line 5" in err
         assert not (out / "checkpoints").exists()
+
+    def test_empty_training_split_exits_2_naming_the_file(
+            self, small_cfg_file, tmp_path, capsys):
+        # an empty a.train once validated the untrained model and then
+        # failed with a ZeroDivisionError, exit 1
+        cfg, out = str(small_cfg_file), tmp_path / "out"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        for suffix in ("src", "tgt"):
+            (out / "data" / f"a.train.{suffix}").write_text("")
+        capsys.readouterr()
+        assert main(["train-mle", "--config", cfg, "--out", str(out)]) == 2
+        path = out / "data" / "a.train.src"
+        assert f"{path}: empty corpus" in capsys.readouterr().err
+        assert not (out / "checkpoints").exists()
+
+    def test_empty_bandit_split_exits_2(self, small_cfg_file, tmp_path):
+        """An empty b.train once made train-bandit draw from an empty
+        stream forever, so the command runs in a child process that a
+        timeout ends."""
+        cfg, out = str(small_cfg_file), tmp_path / "out"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["train-mle", "--config", cfg, "--out", str(out)]) == 0
+        for suffix in ("src", "tgt"):
+            (out / "data" / f"b.train.{suffix}").write_text("")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(banditseq.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "banditseq", "train-bandit", "--config",
+             cfg, "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 2
+        assert f"{out / 'data' / 'b.train.src'}: empty corpus" in done.stderr
+        assert not list(out.glob("metrics.*.csv"))
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -467,7 +507,8 @@ class TestCli:
 
         def nan_gradient(*args, **kwargs):
             loss, grads = loss_and_grad(*args, **kwargs)
-            grads["out.b"] = grads["out.b"] * np.nan
+            params = args[2]
+            params.views(grads)["out.b"][...] = np.nan
             return loss, grads
 
         monkeypatch.setattr(pipeline, "mle_loss_and_grad", nan_gradient)

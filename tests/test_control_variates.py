@@ -16,31 +16,37 @@ from conftest import antithetic_variance_identity, max_abs, relative_gap, \
 from oracles import enumerate_sequences
 
 
-def _flatten(grads):
-    return np.concatenate([g.ravel() for g in grads.values()])
+def _one_tensor(vector):
+    """The views of a vector that holds one tensor, ``x``."""
+    return {"x": vector}
 
 
 class TestBaselineCv:
     def test_first_update_vanishes_when_current_included(self):
         state = ControlVariateState(include_current=True)
-        score = {"x": np.array([1.0, -2.0])}
+        score = np.array([1.0, -2.0])
         adjusted = apply_baseline_cv(-0.7, score, state)
         assert max_abs(adjusted) == 0.0
 
+    def test_scales_the_score_in_place(self):
+        score = np.array([1.0, -2.0])
+        state = ControlVariateState(include_current=False)
+        assert apply_baseline_cv(-0.5, score, state) is score
+        assert np.array_equal(score, [-0.5, 1.0])
+
     def test_first_update_passes_through_when_excluded(self):
         state = ControlVariateState(include_current=False)
-        score = {"x": np.array([1.0, -2.0])}
-        adjusted = apply_baseline_cv(-0.7, score, state)
-        assert np.allclose(adjusted["x"], -0.7 * score["x"])
+        score = np.array([1.0, -2.0])
+        adjusted = apply_baseline_cv(-0.7, score.copy(), state)
+        assert np.allclose(adjusted, -0.7 * score)
         # second call centers by the first feedback only
-        adjusted2 = apply_baseline_cv(-0.3, score, state)
-        assert np.allclose(adjusted2["x"], (-0.3 + 0.7) * score["x"])
+        adjusted2 = apply_baseline_cv(-0.3, score.copy(), state)
+        assert np.allclose(adjusted2, (-0.3 + 0.7) * score)
 
     def test_constant_feedback_always_zero(self):
         state = ControlVariateState()
-        score = {"x": np.arange(3.0)}
         for _ in range(10):
-            adjusted = apply_baseline_cv(-0.4, score, state)
+            adjusted = apply_baseline_cv(-0.4, np.arange(3.0), state)
             # the running mean of a constant is that constant up to one ulp
             assert max_abs(adjusted) < 1e-12
 
@@ -60,11 +66,10 @@ class TestBaselineCv:
             delta = table[tuple(tokens)]
             score = el_gradient(src, sample, params)
             if plain is None:
-                plain = {k: np.zeros_like(v) for k, v in score.items()}
-                shifted = {k: np.zeros_like(v) for k, v in score.items()}
-            for k in plain:
-                plain[k] += p * delta * score[k]
-                shifted[k] += p * (delta - b) * score[k]
+                plain = np.zeros_like(score)
+                shifted = np.zeros_like(score)
+            plain += p * delta * score
+            shifted += p * (delta - b) * score
         assert relative_gap(shifted, plain) < 1e-5
 
     def test_running_baseline_reduces_empirical_variance(self, rng):
@@ -79,9 +84,8 @@ class TestBaselineCv:
             sample = sample_sequence(src, params, 2, rng)
             delta = table[tuple(sample.tokens)]
             score = el_gradient(src, sample, params)
-            plain_draws.append(delta * _flatten(score))
-            adj = apply_baseline_cv(delta, score, state)
-            adjusted_draws.append(_flatten(adj))
+            plain_draws.append(delta * score)
+            adjusted_draws.append(apply_baseline_cv(delta, score, state))
         var_plain = np.var(np.stack(plain_draws), axis=0).sum()
         var_adj = np.var(np.stack(adjusted_draws), axis=0).sum()
         assert var_adj < var_plain
@@ -90,26 +94,27 @@ class TestBaselineCv:
 class TestScoreFunctionCv:
     def test_no_history_passes_through(self):
         state = ControlVariateState()
-        score = {"x": np.array([0.5, 1.5])}
+        score = np.array([0.5, 1.5])
         adjusted = apply_score_function_cv(-0.2, score, state)
-        assert np.array_equal(adjusted["x"], -0.2 * score["x"])
+        assert np.array_equal(adjusted, -0.2 * score)
+        assert np.array_equal(score, [0.5, 1.5])
 
     def test_chat_goes_to_one_when_s_equals_y(self, rng):
         state = ControlVariateState()
         for _ in range(50):
-            y = {"x": rng.normal(size=3)}
+            y = rng.normal(size=3)
             adjusted = apply_score_function_cv(1.0, y, state)
-        chat = state.chat("x", y["x"])
+        chat = state.chat(np.empty(3))
         assert np.allclose(chat, 1.0, atol=1e-10)
         assert max_abs(adjusted) < 1e-10
 
     def test_variance_floor_gives_zero_coefficient(self):
         state = ControlVariateState()
-        y = {"x": np.array([1.0, 1.0])}
+        y = np.array([1.0, 1.0])
         for _ in range(5):
             apply_score_function_cv(2.0, y, state)
         # y never varies, so Var(y)=0 and chat must fall back to zero
-        assert np.array_equal(state.chat("x", y["x"]), np.zeros(2))
+        assert np.array_equal(state.chat(np.empty(2)), np.zeros(2))
 
     def test_population_coefficient_reduces_variance(self, rng):
         # chat fitted on one sample, measured on a fresh one
@@ -118,8 +123,8 @@ class TestScoreFunctionCv:
         deltas = rng.uniform(-1.0, 0.0, size=n)
         state = ControlVariateState()
         for i in range(n):
-            apply_score_function_cv(deltas[i], {"x": y[i]}, state)
-        chat = state.chat("x", y[0])
+            apply_score_function_cv(deltas[i], y[i], state)
+        chat = state.chat(np.empty(4))
         y2 = rng.normal(size=(n, 4))
         d2 = rng.uniform(-1.0, 0.0, size=n)
         s2 = d2[:, None] * y2
@@ -145,16 +150,17 @@ class TestAntithetic:
         a_draws = rng.normal(size=(200, 3))
         b_draws = 0.3 * a_draws + rng.normal(size=(200, 3))
         for a, b in zip(a_draws, b_draws):
-            tracker.update({"x": a}, {"x": b})
+            tracker.update(a, b)
         expected = np.mean([np.cov(a_draws[:, j], b_draws[:, j], ddof=1)[0, 1]
                             for j in range(3)])
-        assert tracker.cov_mean() == pytest.approx(expected, rel=1e-9)
+        assert tracker.cov_mean(_one_tensor) == \
+            pytest.approx(expected, rel=1e-9)
 
     def test_tracker_startup(self):
         tracker = AntitheticTracker()
-        assert tracker.cov_mean() == 0.0
-        tracker.update({"x": np.ones(2)}, {"x": np.ones(2)})
-        assert tracker.cov_mean() == 0.0
+        assert tracker.cov_mean(_one_tensor) == 0.0
+        tracker.update(np.ones(2), np.ones(2))
+        assert tracker.cov_mean(_one_tensor) == 0.0
 
 
 class TestStateValidation:

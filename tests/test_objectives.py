@@ -52,13 +52,13 @@ class TestMleLossAndGrad:
         params = ModelParams(4, 3, 4, init="zeros")
         loss, grads = mle_loss_and_grad([3], [3, END], params)
         assert loss == pytest.approx(2 * math.log(4), abs=1e-12)
-        assert set(grads) == set(params.tensors)
+        assert grads.shape == params.vector.shape
 
     def test_peaked_model_near_zero_loss_and_gradient(self):
         params = ModelParams(6, 3, 4, init="zeros")
         bias = np.zeros(6)
         bias[4] = 50.0
-        params["out.b"].data = bias
+        params["out.b"].data[...] = bias
         loss, grads = mle_loss_and_grad([3], [4, 4], params)
         assert loss < 1e-8
         assert max_abs(grads) < 1e-8
@@ -95,8 +95,7 @@ class TestElGradient:
         score = el_gradient([3, 4], sample, params)
         pos = _feedback_times(1.0, score)
         neg = _feedback_times(-1.0, score)
-        for name in pos:
-            assert np.array_equal(pos[name], -neg[name])
+        assert np.array_equal(pos, -neg)
 
     def test_unbiased_for_exact_risk(self, rng):
         src = [3, 4]
@@ -106,13 +105,11 @@ class TestElGradient:
             table = {tuple(t): float(rng.uniform(-1.0, 0.0)) for t, _ in seqs}
             _, exact = exact_risk_and_grad(src, params,
                                            lambda t: table[tuple(t)], 2)
-            acc = {k: np.zeros_like(v) for k, v in exact.items()}
+            acc = np.zeros_like(exact)
             for tokens, lp in seqs:
                 sample = SampledSequence(list(tokens), lp)
                 score = el_gradient(src, sample, params)
-                p = np.exp(lp)
-                for k in acc:
-                    acc[k] += p * table[tuple(tokens)] * score[k]
+                acc += np.exp(lp) * table[tuple(tokens)] * score
             assert relative_gap(acc, exact) < 1e-5
 
 
@@ -174,8 +171,7 @@ class TestPrGradient:
                 == 0.0
             assert max_abs_diff(g_neg, tape.backward(lp_neg, params.tensors)) \
                 == 0.0
-            summed = {name: g_pos[name] + g_neg[name] for name in g_pos}
-            assert max_abs_diff(summed, score) <= 1e-12
+            assert max_abs_diff(g_pos + g_neg, score) <= 1e-12
 
     def test_pair_outcome_probabilities_sum_to_one(self):
         params = tiny_params(seed=26)
@@ -198,44 +194,56 @@ class TestPrGradient:
 
         _, exact = exact_pr_risk_and_grad(src, params, pair_delta, 2)
         outcomes = enumerate_pair_outcomes(src, params, 2)
-        acc = {k: np.zeros_like(v) for k, v in exact.items()}
+        acc = np.zeros_like(exact)
         for pair, prob in outcomes:
             fb = pair_delta(pair.tokens_pos, pair.tokens_neg)
             if fb == 0.0:
                 continue
-            score = pr_gradient(src, pair, params)
-            for k in acc:
-                acc[k] += prob * fb * score[k]
+            acc += prob * fb * pr_gradient(src, pair, params)
         assert relative_gap(acc, exact) < 1e-5
+
+
+def _norm(grads):
+    # a vector that holds one tensor
+    return grad_norm([grads])
 
 
 class TestClipGradient:
     def test_below_norm_unchanged(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        assert clip_gradient(grads, 1.0) is grads
+        grads = np.array([0.3, 0.4])
+        assert clip_gradient(grads, 1.0, _norm(grads)) is grads
 
     def test_scales_to_max_norm(self):
-        clipped = clip_gradient({"a": np.array([3.0, 4.0])}, 1.0)
-        assert np.allclose(clipped["a"], [0.6, 0.8])
+        grads = np.array([3.0, 4.0])
+        clipped = clip_gradient(grads, 1.0, _norm(grads))
+        assert np.allclose(clipped, [0.6, 0.8])
+        assert np.array_equal(grads, [3.0, 4.0])
 
     def test_post_clip_norm_bounded(self, rng):
+        params = tiny_params(seed=59)
         for _ in range(100):
-            grads = {"a": rng.normal(size=4, scale=5),
-                     "b": rng.normal(size=(2, 3), scale=5)}
-            clipped = clip_gradient(grads, 1.0)
-            assert grad_norm(clipped) <= 1.0 + 1e-12
+            grads = rng.normal(size=params.vector.size, scale=5)
+            norm = grad_norm(params.parts(grads))
+            clipped = clip_gradient(grads, 1.0, norm)
+            assert grad_norm(params.parts(clipped)) <= 1.0 + 1e-12
 
     def test_invalid_norm(self):
         with pytest.raises(ValueError):
-            clip_gradient({"a": np.zeros(1)}, 0.0)
+            clip_gradient(np.zeros(1), 0.0, 0.0)
 
     def test_given_norm_used(self, rng):
-        grads = {"a": rng.normal(size=4, scale=5),
-                 "b": rng.normal(size=(2, 3), scale=5)}
-        norm = grad_norm(grads)
-        assert clip_gradient(grads, 2 * norm, norm) is grads
-        assert max_abs_diff(clip_gradient(grads, 1.0, norm),
-                            clip_gradient(grads, 1.0)) == 0.0
+        # the clip reads the norm it is given, not one of its own
+        grads = rng.normal(size=4, scale=5)
+        assert clip_gradient(grads, 1.0, 0.5) is grads
+        assert np.array_equal(clip_gradient(grads, 1.0, 4.0), grads * 0.25)
+
+    def test_norm_sums_tensor_by_tensor(self, rng):
+        # the same squares summed per tensor and then over tensors
+        params = tiny_params(seed=61)
+        grads = rng.normal(size=params.vector.size, scale=5)
+        squares = [float(g.ravel() @ g.ravel())
+                   for g in params.views(grads).values()]
+        assert grad_norm(params.parts(grads)) == math.sqrt(sum(squares))
 
 
 class TestAdam:
@@ -245,18 +253,16 @@ class TestAdam:
 
     def test_zero_gradient_leaves_parameters(self):
         params, state = self._params()
-        before = params.copy_values()
-        zero = {k: np.zeros_like(v.data) for k, v in params.tensors.items()}
-        adam_update(params, zero, state)
-        for name, t in params.tensors.items():
-            assert np.array_equal(t.data, before[name])
+        before = params.vector.copy()
+        adam_update(params, np.zeros_like(params.vector), state)
+        assert np.array_equal(params.vector, before)
         assert state.t == 1
 
     def test_first_step_is_signed_alpha(self):
         params, state = self._params()
         before = params.copy_values()
-        grads = {k: np.zeros_like(v.data) for k, v in params.tensors.items()}
-        grads["out.b"] = np.full_like(params["out.b"].data, 0.7)
+        grads = np.zeros_like(params.vector)
+        params.views(grads)["out.b"][...] = 0.7
         adam_update(params, grads, state)
         moved = before["out.b"] - params["out.b"].data
         assert np.allclose(moved, 1e-3, rtol=1e-6)
@@ -265,20 +271,18 @@ class TestAdam:
         runs = []
         for _ in range(2):
             params, state = self._params()
-            grads = {k: np.full_like(v.data, 0.1)
-                     for k, v in params.tensors.items()}
+            grads = np.full_like(params.vector, 0.1)
             adam_update(params, grads, state)
             adam_update(params, grads, state)
-            runs.append(params.copy_values())
-        for name in runs[0]:
-            assert np.array_equal(runs[0][name], runs[1][name])
+            runs.append(params.vector.copy())
+        assert np.array_equal(runs[0], runs[1])
 
     def test_sgd_schedule(self):
         params = tiny_params(seed=28)
         state = SgdState(gamma0=0.1, decay=1.0)
         before = params["out.b"].data.copy()
-        grads = {k: np.zeros_like(v.data) for k, v in params.tensors.items()}
-        grads["out.b"] = np.ones_like(before)
+        grads = np.zeros_like(params.vector)
+        params.views(grads)["out.b"][...] = 1.0
         sgd_update(params, grads, state)
         assert np.allclose(before - params["out.b"].data, 0.1)
         sgd_update(params, grads, state)
@@ -288,13 +292,12 @@ class TestAdam:
         # with clip norm 1.0 an SGD step moves parameters by at most gamma
         params = tiny_params(seed=60)
         state = SgdState(gamma0=0.05)
-        before = params.copy_values()
-        grads = {k: rng.normal(size=v.data.shape, scale=3.0)
-                 for k, v in params.tensors.items()}
-        sgd_update(params, clip_gradient(grads, 1.0), state)
-        moved = math.sqrt(sum(
-            float(((params[k].data - before[k]) ** 2).sum()) for k in before))
-        assert moved <= 0.05 * 1.0 + 1e-12
+        before = params.vector.copy()
+        grads = rng.normal(size=params.vector.size, scale=3.0)
+        sgd_update(params, clip_gradient(grads, 1.0,
+                                         grad_norm(params.parts(grads))),
+                   state)
+        assert np.linalg.norm(params.vector - before) <= 0.05 * 1.0 + 1e-12
 
 
 class TestExactRisk:

@@ -210,7 +210,7 @@ class TestTrainMle:
             scored.append(1)
             loss, grads = loss_and_grad(*args, **kwargs)
             if len(scored) == 7:
-                grads = {name: g * np.nan for name, g in grads.items()}
+                grads *= np.nan
             return loss, grads
 
         monkeypatch.setattr(pipeline, "mle_loss_and_grad", poisoned)
@@ -347,12 +347,28 @@ class TestTrainingPinned:
     ])
     def test_bandit_train_loop(self, pinned_seed, objective, cv_mode,
                                digest):
-        cfg, corpora, vocab, params, _ = pinned_seed
-        cfg = replace(cfg, objective=objective, cv_mode=cv_mode)
-        outcome, best = pipeline._train_bandit_run(
-            cfg, vocab, params.copy_values(), corpora, 0)
-        assert _training_digest(best.copy_values(), outcome.rows,
-                                outcome.best_iteration) == digest
+        self._check_bandit_run(pinned_seed, digest, objective=objective,
+                               cv_mode=cv_mode)
+
+    @pytest.mark.parametrize("objective,cv_mode,includes_current,digest", [
+        ("el", "none", True,
+         "4839a22352e625712655e22a770f2268d89976881a357ac604bf48f3cdf2606d"),
+        ("el", "sf", True,
+         "c3adc2a5a0ffea7d4e7f4d54b79cbb47c5e77b08d5db961de4e7b654cfa49834"),
+        ("pr", "none", True,
+         "33381974ff29c5e073513a5c5b17a228a17bcad9a5c48a3fb4a0100a5e97e236"),
+        ("pr", "baseline", True,
+         "7d5cbb4f6f83adeff53a2657e11bc29fdd9a17ff7e55e45b1fe23c0f1cb7e54e"),
+        ("el", "baseline", False,
+         "1285527b47f5655e82c88e9c5c341548cbdb4546d73d4ecf9f3bfef2e536c38b"),
+    ])
+    def test_bandit_train_loop_other_modes(self, pinned_seed, objective,
+                                           cv_mode, includes_current, digest):
+        """The objective and control-variate pairs the test above does not
+        run, and the baseline that leaves the current feedback out."""
+        self._check_bandit_run(pinned_seed, digest, objective=objective,
+                               cv_mode=cv_mode,
+                               baseline_includes_current=includes_current)
 
     def test_train_mle_dropout_partial_batch(self, pinned_seed):
         """Dropout's draw order and a last minibatch of 4 of 60 sentences,
@@ -366,11 +382,16 @@ class TestTrainingPinned:
 
     def test_bandit_train_loop_sgd_clipped(self, pinned_seed):
         """The SGD step, its decay, and a clip that binds on every update."""
+        self._check_bandit_run(
+            pinned_seed,
+            "594f96bc710c2fd4a27a16a21bc9196be7778919651c8d2cf5a2e58fe49d2488",
+            objective="el", cv_mode="none", optimizer="sgd", sgd_decay=0.5,
+            adam_alpha=1.0, clip_norm=1e-3)
+
+    @staticmethod
+    def _check_bandit_run(pinned_seed, digest, **overrides):
         cfg, corpora, vocab, params, _ = pinned_seed
-        cfg = replace(cfg, objective="el", cv_mode="none", optimizer="sgd",
-                      sgd_decay=0.5, adam_alpha=1.0, clip_norm=1e-3)
         outcome, best = pipeline._train_bandit_run(
-            cfg, vocab, params.copy_values(), corpora, 0)
+            replace(cfg, **overrides), vocab, params.copy_values(), corpora, 0)
         assert _training_digest(best.copy_values(), outcome.rows,
-                                outcome.best_iteration) == \
-            "594f96bc710c2fd4a27a16a21bc9196be7778919651c8d2cf5a2e58fe49d2488"
+                                outcome.best_iteration) == digest
