@@ -88,8 +88,11 @@ def cmd_sample(args):
     params = ckpt.to_model()
     vocab = ckpt.vocab
     rng = np.random.default_rng(cfg.seed)
-    with open(args.input, encoding="utf-8") as fh:
-        sentences = [line.split() for line in fh if line.strip()]
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            sentences = [line.split() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.input}: not UTF-8 text ({exc})") from None
     for tokens in sentences:
         ids = vocab.encode(tokens)
         print("# " + " ".join(tokens))

@@ -47,15 +47,14 @@ class RunConfig:
     hidden_size: int = 64
     vocab_cutoff: int = 1
     max_len: int = 20
-    dropout: float = 0.0
+    dropout: float = 0.0             # 0 only: dropout was removed
     # optimization
     clip_norm: float = 1.0
     adam_alpha: float = 5e-4
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    optimizer: str = "adam"          # bandit stage only: MLE uses Adam
-    sgd_decay: float = 0.0
+    optimizer: str = "adam"          # adam only: SGD was removed
     mle_alpha: float = 1e-3
     mle_epochs: int = 2
     mle_batch: int = 8
@@ -115,7 +114,11 @@ class RunConfig:
         for key in ("adam_alpha", "adam_eps", "mle_alpha"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive")
-        for key in ("dropout", "adam_beta1", "adam_beta2", "ambiguity"):
+        if (self.dropout, self.optimizer) != (0, "adam"):
+            raise ConfigError(f"dropout {self.dropout!r}, optimizer "
+                              f"{self.optimizer!r}: dropout and SGD were "
+                              f"removed; only 0 and adam are accepted")
+        for key in ("adam_beta1", "adam_beta2", "ambiguity"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1)")
         if self.src_vocab_size < 2:
@@ -147,13 +150,11 @@ class RunConfig:
         """The bandit loop's settings from this config's keys; ``seed`` and
         ``epoch_size`` are the run's own."""
         return TrainingConfig(
-            objective=self.objective, pair_feedback=self.pair_feedback,
-            cv_mode=self.cv_mode, iters=self.iters,
+            objective=self.objective, cv_mode=self.cv_mode, iters=self.iters,
             valid_interval=self.valid_interval, clip_norm=self.clip_norm,
             seed=seed, alpha=self.adam_alpha, beta1=self.adam_beta1,
             beta2=self.adam_beta2, eps=self.adam_eps,
             baseline_includes_current=self.baseline_includes_current,
-            optimizer=self.optimizer, sgd_decay=self.sgd_decay,
             max_len=self.max_len, epoch_size=epoch_size)
 
     def stage_list(self):
@@ -204,8 +205,11 @@ def _convert(key, value, lineno):
 
 
 def load_config(path, overrides=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides=overrides)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read(), overrides=overrides)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def format_config(cfg):

@@ -252,18 +252,6 @@ class ModelParams:
             t.data[...] = arrays[name]
 
 
-def _mask(shape, dropout):
-    """Inverted-dropout mask, or None when dropout is off."""
-    if dropout is None or dropout[0] <= 0.0:
-        return None
-    rate, rng = dropout
-    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
-
-
-def _masked(x, mask):
-    return x if mask is None else x * mask
-
-
 def _check_ids(ids, vocab, what):
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
@@ -272,22 +260,21 @@ def _check_ids(ids, vocab, what):
                          f"{vocab}")
 
 
-def encode_full(sources, p, masks=None, record=None):
+def encode_full(sources, p, record=None):
     """Bidirectional encode of equal-length sources ``sources`` [n, L] with
     the parameter arrays ``p`` (:meth:`ModelParams.arrays`).
 
     Returns the encoder states [n, L, 2H], their attention projections
-    [n, L, A] and the decoder's initial states [n, H]. ``masks`` [L, E]
-    drops out source embeddings. A ``record`` list receives, per GRU step
-    in the order computed, ``(prefix, position, x, h, z, r, r*h, c)`` for
-    the reverse pass.
+    [n, L, A] and the decoder's initial states [n, H]. A ``record`` list
+    receives, per GRU step in the order computed, ``(prefix, position, x,
+    h, z, r, r*h, c)`` for the reverse pass.
     """
     ids = np.asarray(sources, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError("encode_full: sources must be equal-length and "
                          "non-empty")
     _check_ids(ids, len(p["src_emb"]), "source")
-    emb = _masked(p["src_emb"][ids], masks)
+    emb = p["src_emb"][ids]
     n, length = ids.shape
     h_dim = len(p["dec_init.b"])
     matrix = np.empty((n, length, 2 * h_dim))
@@ -306,7 +293,7 @@ def encode_full(sources, p, masks=None, record=None):
     return matrix, matrix @ p["att.U"], init
 
 
-def _step(prev, state, matrix, proj, p, emb_mask=None, out_mask=None):
+def _step(prev, state, matrix, proj, p):
     """One decoder step for every row: attention over the row's encoder
     states, the GRU on [previous-token embedding; context], then the
     output layer. Returns the logits [n, V], the new states and the values
@@ -314,11 +301,9 @@ def _step(prev, state, matrix, proj, p, emb_mask=None, out_mask=None):
     c, output-layer input)``."""
     alpha, energy = attention_values(state, proj, p["att.W"], p["att.v"])
     context = (alpha[..., None, :] @ matrix)[..., 0, :]
-    x = np.concatenate([_masked(p["tgt_emb"][prev], emb_mask), context],
-                       axis=-1)
+    x = np.concatenate([p["tgt_emb"][prev], context], axis=-1)
     new_state, z, r, rh, c = gru_values(x, state, *p["dec"])
-    pre_out = _masked(np.concatenate([new_state, context], axis=-1),
-                      out_mask)
+    pre_out = np.concatenate([new_state, context], axis=-1)
     logits = pre_out @ p["out.W"].T + p["out.b"]
     return logits, new_state, (alpha, energy, x, z, r, rh, c, pre_out)
 
@@ -326,18 +311,14 @@ def _step(prev, state, matrix, proj, p, emb_mask=None, out_mask=None):
 class Forward:
     """The values a roll-out of one source computed, kept for the reverse
     pass through time (:func:`_backprop`): the encoder's per-step values,
-    the decoder's initial state, the dropout masks and, per decoder step,
-    the token fed, the step's masks, its incoming state, its values and its
-    logits row. ``dropout`` is ``(rate, rng)``; masks are drawn for each
-    source position, the initial state, then per step the target embedding
-    and the output-layer input.
+    the decoder's initial state and, per decoder step, the token fed, its
+    incoming state, its values and its logits row.
 
     A record reads the live parameter arrays, so it is valid only until
     the parameters change: score a sample before the optimizer steps.
     """
 
-    def __init__(self, dropout=None):
-        self.dropout = dropout
+    def __init__(self):
         self.encoder = []
         self.steps = []
         self.logits = []
@@ -351,19 +332,13 @@ class Forward:
         if self.encoder:
             raise ValueError("a Forward records one roll-out only")
         self.params, self.p, self.source = params, p, source
-        self.src_masks = _mask((len(source), params.embed_size), self.dropout)
-        matrix, proj, self.init = encode_full([source], p, self.src_masks,
-                                              self.encoder)
+        matrix, proj, self.init = encode_full([source], p, self.encoder)
         self.matrix = matrix[0]
-        self.init_mask = _mask(params.hidden_size, self.dropout)
-        return matrix, proj, _masked(self.init, self.init_mask)
+        return matrix, proj, self.init
 
     def step(self, prev, state, matrix, proj, p):
-        emb_mask = _mask(self.params.embed_size, self.dropout)
-        out_mask = _mask(3 * self.params.hidden_size, self.dropout)
-        logits, new_state, values = _step(prev, state, matrix, proj, p,
-                                          emb_mask, out_mask)
-        self.steps.append((int(prev[0]), emb_mask, out_mask, state, *values))
+        logits, new_state, values = _step(prev, state, matrix, proj, p)
+        self.steps.append((int(prev[0]), state, *values))
         self.logits.append(logits)
         return logits, new_state, values[0]
 
@@ -375,20 +350,19 @@ def _logits_node(forward):
                 lambda g, out: _backprop(g, forward, out))
 
 
-def forced_logits(source, inputs, params, dropout=None):
+def forced_logits(source, inputs, params):
     """Logits [T, V] of the decoder fed the tokens ``inputs`` (START, then
     the tokens after it), as one node: a teacher-forcing policy over
     :func:`rollout` for a batch of one, its values kept (:class:`Forward`)
-    for the node's reverse rule, :func:`_backprop`. ``dropout`` is
-    ``(rate, rng)``; see :class:`Forward` for the order masks are drawn
-    in. The node is valid only until the parameters change."""
+    for the node's reverse rule, :func:`_backprop`. The node is valid only
+    until the parameters change."""
     if len(inputs) == 0:
         raise ValueError("forced_logits: inputs must be non-empty")
     if inputs[0] != START:
         raise ValueError(f"forced_logits: inputs must begin with START, "
                          f"got {inputs[0]}")
     _check_ids(inputs, params.vocab_size, "input")
-    forward = Forward(dropout)
+    forward = Forward()
     following = iter(list(inputs[1:]))
 
     def teacher(*_):
@@ -399,14 +373,12 @@ def forced_logits(source, inputs, params, dropout=None):
     return _logits_node(forward)
 
 
-def _kept_logits(source, inputs, params, dropout, forward):
+def _kept_logits(source, inputs, params, forward):
     """The logits of the decoder fed ``inputs``: read off the kept
     ``forward`` of the roll-out that fed them, or, with none, replayed
     teacher-forced (:func:`forced_logits`)."""
     if forward is None:
-        return forced_logits(source, inputs, params, dropout)
-    if dropout is not None:
-        raise ValueError("a kept forward has no dropout; replay instead")
+        return forced_logits(source, inputs, params)
     if forward.params is not params or \
             list(forward.source) != list(source) or forward.inputs != inputs:
         raise ValueError("the kept forward did not feed these tokens from "
@@ -440,15 +412,13 @@ def _backprop(d_logits, forward, out):
     last to first into zeros.
     """
     params, p, source = forward.params, forward.p, forward.source
-    matrix, init, init_mask = forward.matrix, forward.init, forward.init_mask
+    matrix, init = forward.matrix, forward.init
     h_dim, e_dim = params.hidden_size, params.embed_size
-    tokens, emb_masks, out_masks, *values = zip(*forward.steps)
+    tokens, *values = zip(*forward.steps)
     state, alpha, energy, x, z, r, rh, c, pre_out = (
         np.concatenate(v) for v in values)
     n_steps, length = alpha.shape
     d_pre = (d_logits[:, None, :] @ p["out.W"])[:, 0]
-    if out_masks[0] is not None:
-        d_pre *= np.stack(out_masks)
     out["tgt_emb"].fill(0.0)
     out["src_emb"].fill(0.0)
     step_sum(d_logits, out=out["out.b"])
@@ -463,7 +433,7 @@ def _backprop(d_logits, forward, out):
             else d_next + d_pre[t, :h_dim]
         d_state, d_x, deltas[:, t] = gru_grads(d_new, state[t], z[t], r[t],
                                                c[t], p["dec"])
-        out["tgt_emb"][tokens[t]] += _masked(d_x[:e_dim], emb_masks[t])
+        out["tgt_emb"][tokens[t]] += d_x[:e_dim]
         d_context[t] = d_pre[t, h_dim:] + d_x[e_dim:]
         d_v[t], d_proj[t], d_q[t], d_s = attention_grads(
             matrix @ d_context[t], alpha[t], energy[t], p["att.W"],
@@ -473,7 +443,7 @@ def _backprop(d_logits, forward, out):
     step_sum(d_v, out=out["att.v"])
     step_sum(d_q, state, out=out["att.W"])
 
-    d_init = _masked(d_next, init_mask) * (1.0 - init[0] * init[0])
+    d_init = d_next * (1.0 - init[0] * init[0])
     out["dec_init.b"][...] = d_init
     np.multiply(d_init[:, None], matrix[0, h_dim:], out=out["dec_init.W"])
     # the encoder states and their projections sum like parameters
@@ -500,12 +470,12 @@ def _backprop(d_logits, forward, out):
                 p[prefix])
         _gru_weight_grads(prefix, deltas, x, h, rh, out)
         d_src.append(d_x)
-    d_src = _masked(d_src[0] + d_src[1], forward.src_masks)
+    d_src = d_src[0] + d_src[1]
     for pos in reversed(range(len(source))):
         out["src_emb"][source[pos]] += d_src[pos]
 
 
-def sequence_log_prob(source, target, params, dropout=None, forward=None):
+def sequence_log_prob(source, target, params, forward=None):
     """Differentiable log-probability of ``target`` conditioned on its own
     prefix: sum over steps of log p(y_t | y_<t, x).
 
@@ -520,7 +490,7 @@ def sequence_log_prob(source, target, params, dropout=None, forward=None):
         raise ValueError("sequence_log_prob: target must be non-empty")
     inputs = [START] + list(target[:-1])
     return log_likelihood(
-        _kept_logits(source, inputs, params, dropout, forward), target)
+        _kept_logits(source, inputs, params, forward), target)
 
 
 def pair_log_prob(source, pair, params):
@@ -535,7 +505,7 @@ def pair_log_prob(source, pair, params):
     log-probability.
     """
     inputs = [START] + list(pair.greedy[: len(pair.tokens_pos) - 1])
-    logits = _kept_logits(source, inputs, params, None, pair.forward)
+    logits = _kept_logits(source, inputs, params, pair.forward)
     return (log_likelihood(logits, pair.tokens_pos),
             log_likelihood(logits, pair.tokens_neg, pair.position))
 

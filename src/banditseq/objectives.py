@@ -21,7 +21,7 @@ PR score's two halves (the antithetic variates) on a subset of updates.
 
 A gradient is one vector in the parameters' layout
 (:class:`~banditseq.model.ModelParams`). The control variates, the clip and
-the optimizer steps are a few in-place passes over whole vectors, with
+the Adam step are a few in-place passes over whole vectors, with
 their temporaries in three work vectors kept between updates. A sum that
 reduces a vector to a number (the gradient norm, the diagnostic means)
 runs tensor by tensor over its views, in the tensors' order: one sum over
@@ -53,8 +53,6 @@ __all__ = [
     "grad_norm",
     "OptimizerState",
     "adam_update",
-    "SgdState",
-    "sgd_update",
     "TrainingConfig",
     "BanditResult",
     "run_updates",
@@ -73,21 +71,21 @@ _WORK = []
 def _work(n):
     """Three vectors of length ``n`` for the temporaries of an update,
     kept between updates and shared by the moment updates, the clip and the
-    optimizer steps: a workspace, whose values no caller reads after the
-    call that wrote them. A step uses the first two and may read a clipped
+    Adam step: a workspace, whose values no caller reads after the call
+    that wrote them. A step uses the first two and may read a clipped
     gradient from the third; no other gradient is one of them."""
     if not _WORK or _WORK[0].size != n:
         _WORK[:] = [np.empty(n) for _ in range(3)]
     return _WORK
 
 
-def mle_loss_and_grad(source, reference, params, dropout=None, out=None):
+def mle_loss_and_grad(source, reference, params, out=None):
     """Negative log-likelihood of the reference and its gradient vector,
     written into ``out`` when given."""
     if len(reference) == 0:
         raise ValueError("mle_loss_and_grad: reference must be non-empty")
     with Tape() as tape:
-        lp = sequence_log_prob(source, reference, params, dropout=dropout)
+        lp = sequence_log_prob(source, reference, params)
         loss = neg(lp)
     return float(loss.data), tape.backward(loss, params.tensors, out)
 
@@ -322,22 +320,6 @@ def adam_update(params, grads, state):
     return params, state
 
 
-@dataclass
-class SgdState:
-    """Plain SGD with the step-size schedule gamma_k = gamma0 / (1 + decay*k)."""
-
-    gamma0: float
-    decay: float = 0.0
-    t: int = 0
-
-
-def sgd_update(params, grads, state):
-    gamma = state.gamma0 / (1.0 + state.decay * state.t)
-    state.t += 1
-    params.vector -= np.multiply(grads, gamma, out=_work(grads.size)[0])
-    return params, state
-
-
 class AntitheticTracker(CoMoments):
     """Streaming per-entry covariance between the two halves of the PR
     gradient (:func:`pr_halves`); its mean is reported as a diagnostic
@@ -362,10 +344,9 @@ class TrainingConfig:
 
     OBJECTIVES = ("el", "pr")
     CV_MODES = ("none", "baseline", "sf")
-    OPTIMIZERS = ("adam", "sgd")
 
     objective: str = "el"             # one of OBJECTIVES
-    pair_feedback: str = "continuous"  # "binary" | "continuous"
+    pair_feedback: str = "continuous"  # unread, kept for the benchmark
     cv_mode: str = "none"             # one of CV_MODES
     iters: int = 1000
     valid_interval: int = 100
@@ -376,30 +357,26 @@ class TrainingConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     baseline_includes_current: bool = True
-    optimizer: str = "adam"           # one of OPTIMIZERS
-    sgd_decay: float = 0.0
+    optimizer: str = "adam"           # unread, adam only: SGD was removed
+    sgd_decay: float = 0.0            # unread, 0 only: SGD was removed
     max_len: int = 20
     epoch_size: int = 0               # examples per epoch, for the log only
 
     def __post_init__(self):
-        if self.iters < 0:
-            raise ValueError("iters must be >= 0")
-        if self.valid_interval < 1:
-            raise ValueError("valid_interval must be >= 1")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        if self.epoch_size < 0:
-            raise ValueError("epoch_size must be >= 0")
+        for key, low in (("iters", 0), ("valid_interval", 1), ("max_len", 1),
+                         ("epoch_size", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
         for key in ("clip_norm", "alpha", "eps"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if self.sgd_decay < 0:
-            raise ValueError("sgd_decay must be >= 0")
+        if (self.optimizer, self.sgd_decay) != ("adam", 0):
+            raise ValueError(f"optimizer {self.optimizer!r}, sgd_decay "
+                             f"{self.sgd_decay!r}: SGD was removed")
         for key, allowed in (("objective", self.OBJECTIVES),
-                             ("cv_mode", self.CV_MODES),
-                             ("optimizer", self.OPTIMIZERS)):
+                             ("cv_mode", self.CV_MODES)):
             if getattr(self, key) not in allowed:
                 raise ValueError(f"{key} must be one of {allowed}, got "
                                  f"{getattr(self, key)!r}")
@@ -487,13 +464,8 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
     rng = np.random.default_rng(config.seed)
     cv_state = ControlVariateState(
         include_current=config.baseline_includes_current)
-    if config.optimizer == "adam":
-        opt_state = OptimizerState.for_params(
-            params, config.alpha, config.beta1, config.beta2, config.eps)
-        step = adam_update
-    else:
-        opt_state = SgdState(gamma0=config.alpha, decay=config.sgd_decay)
-        step = sgd_update
+    opt_state = OptimizerState.for_params(
+        params, config.alpha, config.beta1, config.beta2, config.eps)
     antithetic = AntitheticTracker() if config.objective == "pr" else None
     antithetic_every = max(1, config.valid_interval // 10)
     feedback = []  # of the current window
@@ -537,7 +509,8 @@ def bandit_train_loop(config, params, stream, feedback_fn, validate_fn=None):
                for k in range(1, config.iters + 1)
                if k % config.valid_interval == 0 or k == config.iters]
     return run_updates(
-        params, step, opt_state, config.clip_norm, windows, gradients(),
+        params, adam_update, opt_state, config.clip_norm, windows,
+        gradients(),
         lambda k: f"iteration {k} (objective={config.objective}, "
                   f"feedback={feedback[-1]!r})",
         window_rows, validate_fn, validate_first=True)

@@ -62,7 +62,6 @@ CSV_FIELDS = ("run", "iteration", "epoch", "split", "metric", "value")
 # Stage offsets under the master seed; runs add their index on top.
 _SEED_MODEL_INIT = 11
 _SEED_MLE_ORDER = 12
-_SEED_MLE_DROPOUT = 13
 _SEED_BANDIT_STREAM = 20
 _SEED_BANDIT_LOOP = 40
 
@@ -144,8 +143,6 @@ def train_mle(cfg, vocab, train_corpus, valid_corpus):
     examples = [(vocab.encode(src), vocab.encode(tgt) + [END])
                 for src, tgt in train_corpus.pairs]
     order_rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_MLE_ORDER))
-    dropout_rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_MLE_DROPOUT))
-    dropout = (cfg.dropout, dropout_rng) if cfg.dropout > 0 else None
     batches = len(range(0, len(examples), cfg.mle_batch))  # per epoch
     epoch, epoch_loss = 0, 0.0
     # a minibatch's sum and its next sentence's gradient, written in place
@@ -160,7 +157,7 @@ def train_mle(cfg, vocab, train_corpus, valid_corpus):
                 batch = order[start:start + cfg.mle_batch]
                 for i, idx in enumerate(batch):
                     src, ref = examples[int(idx)]
-                    loss, _ = mle_loss_and_grad(src, ref, params, dropout,
+                    loss, _ = mle_loss_and_grad(src, ref, params,
                                                 grads if i else acc)
                     epoch_loss += loss
                     if i:

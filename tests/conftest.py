@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from banditseq.model import ModelParams, _masked
+from banditseq.model import ModelParams
 
 
 @pytest.fixture
@@ -125,23 +125,22 @@ def reference_backprop(d_logits, forward, out):
     embedding rows last to first into zeros.
     """
     params, p, source = forward.params, forward.p, forward.source
-    matrix, init, init_mask = forward.matrix, forward.init, forward.init_mask
-    src_masks, steps = forward.src_masks, forward.steps
+    matrix, init, steps = forward.matrix, forward.init, forward.steps
     h_dim, e_dim = params.hidden_size, params.embed_size
     grads = {"tgt_emb": np.zeros_like(p["tgt_emb"])}
     sums = {prefix: {} for prefix in ("dec", "enc_bwd", "enc_fwd")}
     d_next = None
     for t in reversed(range(len(steps))):
-        tok, emb_mask, out_mask, *values = steps[t]
+        tok, *values = steps[t]
         state, alpha, energy, x, z, r, rh, c, pre_out = (v[0] for v in values)
         d_out = d_logits[t]
         add_into(grads, "out.b", d_out.copy())
         add_into(grads, "out.W", outer(d_out, pre_out))
-        d_pre = _masked(p["out.W"].T @ d_out, out_mask)
+        d_pre = p["out.W"].T @ d_out
         d_new = d_pre[:h_dim] if d_next is None else d_next + d_pre[:h_dim]
         d_state, d_x = gru_grads(d_new, x, state, z, r, rh, c, p["dec"],
                                  sums["dec"])
-        grads["tgt_emb"][tok] += _masked(d_x[:e_dim], emb_mask)
+        grads["tgt_emb"][tok] += d_x[:e_dim]
         d_context = d_pre[h_dim:] + d_x[e_dim:]
         # the encoder states and their projections sum like parameters
         add_into(grads, "matrix", outer(alpha, d_context))
@@ -152,7 +151,7 @@ def reference_backprop(d_logits, forward, out):
         add_into(grads, "att.W", d_w)
         d_next = d_state + d_s
 
-    d_init = _masked(d_next, init_mask) * (1.0 - init[0] * init[0])
+    d_init = d_next * (1.0 - init[0] * init[0])
     add_into(grads, "dec_init.b", d_init)
     add_into(grads, "dec_init.W", outer(d_init, matrix[0, h_dim:]))
     d_matrix, d_proj = grads.pop("matrix"), grads.pop("proj")
@@ -173,8 +172,7 @@ def reference_backprop(d_logits, forward, out):
         d_x[pos] = dx if d_x[pos] is None else d_x[pos] + dx
     grads["src_emb"] = np.zeros_like(p["src_emb"])
     for pos in reversed(range(len(source))):
-        grads["src_emb"][source[pos]] += _masked(
-            d_x[pos], None if src_masks is None else src_masks[pos])
+        grads["src_emb"][source[pos]] += d_x[pos]
     for prefix, weights in sums.items():
         for i, suffix in enumerate(ModelParams.GRU_SUFFIXES):
             grads[f"{prefix}.{suffix}"] = weights[i]

@@ -58,19 +58,6 @@ class Adam:
             value -= update
 
 
-class Sgd:
-    """SGD with the step size gamma0 / (1 + decay * k)."""
-
-    def __init__(self, gamma0, decay=0.0):
-        self.gamma0, self.decay, self.t = gamma0, decay, 0
-
-    def step(self, values, grads):
-        gamma = self.gamma0 / (1.0 + self.decay * self.t)
-        self.t += 1
-        for name, value in values.items():
-            value -= gamma * grads[name]
-
-
 class CoMoments:
     """Welford's per-entry means and co-moments, one tensor at a time."""
 

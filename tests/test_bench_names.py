@@ -2,10 +2,13 @@
 ``perfbench/spans.py`` (``PATCHES``); a renamed target would only show up
 there as a missing span. The first test resolves every one of them; the
 others check that the scoring calls, the EL and PR updates and the MLE
-steps still go through the rebound names, and that the names the program
-keeps only for the benchmark gain no caller in it."""
+steps still go through the rebound names, that the names the program
+keeps only for the benchmark gain no caller in it, and that the config
+fields it keeps only for the benchmark accept nothing but the value the
+benchmark passes."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -15,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 PACKAGE = ROOT / "src" / "banditseq"
 
 # Names the program defines or re-exports only because the benchmark
@@ -23,6 +27,22 @@ KEPT_FOR_BENCHMARK = (
     ("pipeline", "task_spec_from_config", sorted(PACKAGE.glob("*.py"))),
     ("pipeline", "clip_gradient", [PACKAGE / "pipeline.py"]),
 )
+
+# Config fields kept only because the benchmark's workloads pass them by
+# keyword, as (config class, field). Dropout and SGD were removed; each
+# field accepts only the value the benchmark passes, and the loop reads
+# none of the TrainingConfig ones.
+KEPT_FIELDS_FOR_BENCHMARK = (
+    ("RunConfig", "dropout"),
+    ("RunConfig", "optimizer"),
+    ("TrainingConfig", "optimizer"),
+    ("TrainingConfig", "sgd_decay"),
+    ("TrainingConfig", "pair_feedback"),
+)
+# values of the removed features, each rejected
+REMOVED_VALUES = {"dropout": (0.3, -0.1, 1.0, math.nan),
+                  "optimizer": ("sgd", "rmsprop", ""),
+                  "sgd_decay": (0.5, -1.0, math.nan)}
 
 
 def _patches():
@@ -177,3 +197,62 @@ def test_names_kept_for_the_benchmark_have_no_caller():
         assert callable(getattr(module, name, None)), name
         callers = [path.name for path in files if name in _called_names(path)]
         assert callers == [], (name, callers)
+
+
+def _config_class(name):
+    from banditseq.config import RunConfig
+    from banditseq.objectives import TrainingConfig
+
+    return {"RunConfig": RunConfig, "TrainingConfig": TrainingConfig}[name]
+
+
+def _benchmark_keywords(class_name):
+    """The constant keyword arguments the benchmark's workloads pass to
+    ``class_name``."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    keywords = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == class_name:
+            keywords.update((kw.arg, kw.value.value) for kw in node.keywords
+                            if isinstance(kw.value, ast.Constant))
+    return keywords
+
+
+@pytest.mark.parametrize("owner,name", KEPT_FIELDS_FOR_BENCHMARK)
+def test_kept_field_defaults_to_the_value_the_benchmark_passes(owner, name):
+    defaults = {f.name: f.default
+                for f in dataclasses.fields(_config_class(owner))}
+    assert _benchmark_keywords(owner)[name] == defaults[name]
+
+
+@pytest.mark.parametrize("owner,name", [
+    kept for kept in KEPT_FIELDS_FOR_BENCHMARK if kept[1] != "pair_feedback"])
+def test_kept_field_rejects_every_other_value(owner, name):
+    from banditseq.config import ConfigError
+
+    error = ConfigError if owner == "RunConfig" else ValueError
+    for value in REMOVED_VALUES[name]:
+        with pytest.raises(error, match=f"{name}.* removed"):
+            _config_class(owner)(**{name: value})
+
+
+def test_pair_feedback_is_not_passed_to_the_loop():
+    """The feedback oracle takes the run config's pair feedback; the loop's
+    field stays at its default."""
+    from banditseq.config import RunConfig
+    from banditseq.objectives import TrainingConfig
+
+    cfg = RunConfig(pair_feedback="bin")
+    assert cfg.pair_feedback == "binary"
+    assert cfg.training_config().pair_feedback == \
+        TrainingConfig.pair_feedback == "continuous"
+
+
+def test_removed_sgd_decay_key_is_unknown(tmp_path):
+    from banditseq.config import ConfigError, load_config
+
+    path = tmp_path / "old.cfg"
+    path.write_text("optimizer = adam\nsgd_decay = 0.0\n")
+    with pytest.raises(ConfigError, match="unknown key 'sgd_decay'"):
+        load_config(path)

@@ -91,7 +91,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("mle_batch", 0), ("max_len", 0), ("ggleu_max_n", 0),
         ("embedding_size", 0), ("hidden_size", -1), ("mle_epochs", -1),
-        ("dropout", 1.0), ("dropout", -0.1), ("sgd_decay", -1.0),
+        ("dropout", 1.0), ("dropout", -0.1),
         ("adam_alpha", 0.0), ("mle_alpha", -1e-3), ("adam_beta1", 1.0),
         ("adam_beta2", 1.0), ("adam_beta1", -0.1), ("adam_eps", 0.0),
         ("adam_alpha", float("nan")), ("iters", -1), ("valid_interval", 0),
@@ -125,17 +125,20 @@ class TestConfigParsing:
             parse_config(text + "\n")
 
     def test_training_config_maps_every_field(self):
-        cfg = RunConfig(objective="pr", pair_feedback="bin", cv_mode="sf",
+        cfg = RunConfig(objective="pr", cv_mode="sf",
                         iters=7, valid_interval=3, clip_norm=2.5,
                         adam_alpha=3e-4, adam_beta1=0.8, adam_beta2=0.99,
                         adam_eps=1e-7, baseline_includes_current=False,
-                        optimizer="sgd", sgd_decay=0.5, max_len=11)
+                        max_len=11)
         train_cfg = cfg.training_config(seed=5, epoch_size=9)
         assert (train_cfg.seed, train_cfg.epoch_size) == (5, 9)
         renamed = {"alpha": "adam_alpha", "beta1": "adam_beta1",
                    "beta2": "adam_beta2", "eps": "adam_eps"}
+        # the run's own, and the fields the loop never reads
+        # (tests/test_bench_names.py)
         for f in fields(TrainingConfig):
-            if f.name in ("seed", "epoch_size"):
+            if f.name in ("seed", "epoch_size", "pair_feedback", "optimizer",
+                          "sgd_decay"):
                 continue
             value = getattr(train_cfg, f.name)
             # a field left at its default may have been copied from nowhere
@@ -247,6 +250,29 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(gone) in err
+
+    @pytest.mark.parametrize("which", ["config", "input"])
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, which):
+        vocab = Vocabulary(["aa", "bb"])
+        ckpt, src_file = tmp_path / "m.bnsq", tmp_path / "in.txt"
+        save_checkpoint(ckpt, Checkpoint(
+            vocab=vocab, tensors=ModelParams(len(vocab), 3, 2).copy_values()))
+        src_file.write_text("aa bb\n")
+        bad = tmp_path / f"{which}.file"
+        bad.write_bytes(b"hidden_size = \xff\n" if which == "config"
+                        else b"aa \xff bb\n")
+        argv = {
+            "config": ["gen-data", "--config", str(bad),
+                       "--out", str(tmp_path / "out")],
+            "input": ["sample", "--checkpoint", str(ckpt),
+                      "--input", str(bad)],
+        }[which]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert f"{bad}: not UTF-8 text" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_train_bandit_without_corpora_writes_nothing(self, small_cfg_file,
                                                          tmp_path, capsys):

@@ -21,7 +21,6 @@ from banditseq.objectives import (
     AntitheticTracker,
     ControlVariateState,
     OptimizerState,
-    SgdState,
     TrainingConfig,
     adam_update,
     apply_baseline_cv,
@@ -33,7 +32,6 @@ from banditseq.objectives import (
     mle_loss_and_grad,
     pr_gradient,
     pr_halves,
-    sgd_update,
 )
 
 import reference_updates as ref
@@ -96,7 +94,7 @@ class TestParameterLayout:
         assert_views_of_vector(ckpt.to_model())
 
     @pytest.mark.parametrize("objective,optimizer", [("el", "adam"),
-                                                     ("pr", "sgd")])
+                                                     ("pr", "adam")])
     def test_after_bandit_training(self, objective, optimizer):
         params = tiny_params(seed=6)
         config = TrainingConfig(objective=objective, cv_mode="sf", iters=5,
@@ -139,20 +137,21 @@ class TestGradientLayout:
         given = [el_gradient([3, 4], sample, params, out[0]),
                  pr_gradient([3, 4], pair, params, out[1]),
                  *pr_halves([3, 4], pair, params, out[2:4]),
-                 mle_loss_and_grad([3, 4], [5, 1], params, None, out[4])[1]]
+                 mle_loss_and_grad([3, 4], [5, 1], params, out[4])[1]]
         for grad, into, want in zip(given, out, grads):
             assert grad.ctypes.data == into.ctypes.data
             assert np.array_equal(grad, want)
 
 
 # (objective, control variate, optimizer, baseline includes the current
-# feedback): every CV and both optimizers, both halves' moments for PR
+# feedback): every CV, and both halves' moments for PR; Adam is the only
+# optimizer
 FLAT_CASES = [
     ("el", "none", "adam", True),
     ("el", "baseline", "adam", True),
-    ("el", "baseline", "sgd", False),
+    ("el", "baseline", "adam", False),
     ("el", "sf", "adam", True),
-    ("pr", "sf", "sgd", True),
+    ("pr", "sf", "adam", True),
     ("pr", "baseline", "adam", True),
 ]
 
@@ -177,14 +176,11 @@ def test_flat_updates_equal_per_tensor_reference(rng, objective, cv_mode,
     binds on every other update; the source embedding rows of the reserved
     tokens are never used, so their scores stay zero and their entries sit
     at the score-function variate's variance floor."""
+    assert optimizer == "adam"
     params = tiny_params(seed=9)
     values = {name: t.data.copy() for name, t in params.tensors.items()}
-    if optimizer == "adam":
-        opt, step = OptimizerState.for_params(params, alpha=1e-2), adam_update
-        ref_opt = ref.Adam(values, alpha=1e-2)
-    else:
-        opt, step = SgdState(gamma0=0.1, decay=0.5), sgd_update
-        ref_opt = ref.Sgd(0.1, decay=0.5)
+    opt = OptimizerState.for_params(params, alpha=1e-2)
+    ref_opt = ref.Adam(values, alpha=1e-2)
     cv = ControlVariateState(include_current=includes_current)
     ref_cv = ref.ControlVariates(include_current=includes_current)
     tracker, ref_tracker = AntitheticTracker(), ref.CoMoments()
@@ -223,7 +219,7 @@ def test_flat_updates_equal_per_tensor_reference(rng, objective, cv_mode,
         ref_grads = ref.clip_gradient(ref_grads, max_norm, norm)
         clipped += k % 2 and norm > 0
         _assert_equal(params, grads, ref_grads)
-        step(params, grads, opt)
+        adam_update(params, grads, opt)
         ref_opt.step(values, ref_grads)
         _assert_equal(params, params.vector, values)
     assert clipped >= 20

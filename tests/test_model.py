@@ -300,40 +300,12 @@ class TestSequenceLogProb:
             params.tensors, step=1e-5, tolerance=1e-4)
         assert report.passed, report.max_rel_error
 
-    def test_gradient_under_dropout_matches_finite_differences(self):
-        # a fresh generator per evaluation draws the same masks each time,
-        # so the masked function is deterministic and differentiable
-        params = tiny_params(seed=13)
 
-        def log_prob(p):
-            dropout = (0.3, np.random.default_rng(8))
-            return sequence_log_prob([3, 4, 5], [4, 3, 1], params,
-                                     dropout=dropout)
-
-        with Tape():
-            masked = float(log_prob(params).data)
-            plain = float(sequence_log_prob([3, 4, 5], [4, 3, 1],
-                                            params).data)
-        assert masked != plain
-        report = finite_difference_check(log_prob, params.tensors, step=1e-5,
-                                         tolerance=1e-4)
-        assert report.passed, report.max_rel_error
-
-
-def _reference_log_prob(source, inputs, tokens, params, negated_step=0,
-                        dropout=None):
+def _reference_log_prob(source, inputs, tokens, params, negated_step=0):
     """The model written once more as a tape graph of elementary ops, one
-    node per product and nonlinearity; masks are drawn in the model's
-    order (source positions, initial state, then per step the target
-    embedding and the output-layer input)."""
+    node per product and nonlinearity."""
     w = params.tensors
-    e_dim, h_dim = params.embed_size, params.hidden_size
-
-    def drop(x, size):
-        if dropout is None or dropout[0] <= 0.0:
-            return x
-        rate, gen = dropout
-        return mul(x, constant((gen.random(size) >= rate) / (1.0 - rate)))
+    h_dim = params.hidden_size
 
     def gru(prefix, x, h):
         def gate(g, hh, act):
@@ -345,8 +317,7 @@ def _reference_log_prob(source, inputs, tokens, params, negated_step=0,
         cand = gate("h", mul(gate("r", h, sigmoid), h), tanh)
         return add(mul(add(neg(z), 1.0), h), mul(z, cand))
 
-    embs = [drop(embedding_lookup(w["src_emb"], tok), e_dim)
-            for tok in source]
+    embs = [embedding_lookup(w["src_emb"], tok) for tok in source]
     fwd, bwd = [], []
     for prefix, steps, out in (("enc_fwd", embs, fwd),
                                ("enc_bwd", embs[::-1], bwd)):
@@ -357,8 +328,7 @@ def _reference_log_prob(source, inputs, tokens, params, negated_step=0,
     bwd.reverse()
     states = [concat([f, b]) for f, b in zip(fwd, bwd)]
     proj = matmul(stack_rows(states), w["att.U"])
-    state = drop(tanh(add(matvec(w["dec_init.W"], bwd[0]), w["dec_init.b"])),
-                 h_dim)
+    state = tanh(add(matvec(w["dec_init.W"], bwd[0]), w["dec_init.b"]))
     total = None
     for t, (prev, tok) in enumerate(zip(inputs, tokens)):
         q = matvec(w["att.W"], state)
@@ -368,10 +338,9 @@ def _reference_log_prob(source, inputs, tokens, params, negated_step=0,
         context = mul(pick(alpha, 0), states[0])
         for i in range(1, len(source)):
             context = add(context, mul(pick(alpha, i), states[i]))
-        x = concat([drop(embedding_lookup(w["tgt_emb"], prev), e_dim),
-                    context])
+        x = concat([embedding_lookup(w["tgt_emb"], prev), context])
         state = gru("dec", x, state)
-        pre_out = drop(concat([state, context]), 3 * h_dim)
+        pre_out = concat([state, context])
         logits = add(matvec(w["out.W"], pre_out), w["out.b"])
         if negated_step == t + 1:
             logits = neg(logits)
@@ -405,15 +374,10 @@ class TestReverseAgainstReference:
             length = int(rng.integers(1, 7))
             target = [int(t) for t in rng.integers(vocab, size=length)]
             inputs = [START] + target[:-1]
-            for rate in (0.0, 0.3):
-                self._check(
-                    lambda: sequence_log_prob(
-                        source, target, params,
-                        (rate, np.random.default_rng(seed))),
-                    lambda: _reference_log_prob(
-                        source, inputs, target, params,
-                        dropout=(rate, np.random.default_rng(seed))),
-                    params)
+            self._check(
+                lambda: sequence_log_prob(source, target, params),
+                lambda: _reference_log_prob(source, inputs, target, params),
+                params)
             greedy = [int(t) for t in rng.integers(vocab, size=length)]
             pair = SampledPair(
                 tokens_pos=target,
@@ -797,10 +761,6 @@ class TestKeptForward:
             pr_halves([3, 4], replace(pair, greedy=changed), params)
         with pytest.raises(ValueError):
             el_gradient([3, 4], sample, tiny_params(seed=13))
-        with pytest.raises(ValueError):
-            sequence_log_prob([3, 4], sample.tokens, params,
-                              dropout=(0.5, np.random.default_rng(0)),
-                              forward=sample.forward)
 
     def test_record_needs_one_source(self):
         params = tiny_params(seed=13)
@@ -822,18 +782,17 @@ class TestKeptForward:
             assert "forward" not in repr(a)
 
 
-def _scores_by_both_passes(monkeypatch, src, sample, pair, reference, seed,
+def _scores_by_both_passes(monkeypatch, src, sample, pair, reference,
                            params):
     """The EL score, the PR score (one reverse pass over the pair's joint
-    log-probability) and its two halves, and an MLE gradient under dropout
-    0.3, computed with the model's reverse pass and again with the per-step
-    order oracle (``conftest.reference_backprop``) on the same forwards."""
+    log-probability) and its two halves, and an MLE gradient, computed with
+    the model's reverse pass and again with the per-step order oracle
+    (``conftest.reference_backprop``) on the same forwards."""
     def scores():
         return (el_gradient(src, sample, params),
                 pr_gradient(src, pair, params),
                 *pr_halves(src, pair, params),
-                mle_loss_and_grad(src, reference, params,
-                                  (0.3, np.random.default_rng(seed)))[1])
+                mle_loss_and_grad(src, reference, params)[1])
 
     ours = scores()
     with monkeypatch.context() as patched:
@@ -859,7 +818,7 @@ class TestReverseOrder:
                 params.vocab_size, size=int(rng.integers(1, 9)))]
             lengths.add(len(sample.tokens))
             ours, oracle = _scores_by_both_passes(
-                monkeypatch, src, sample, pair, reference, seed, params)
+                monkeypatch, src, sample, pair, reference, params)
             for got, want in zip(ours, oracle):
                 _assert_same_gradients(got, want)
         assert len(lengths) >= 4, lengths
@@ -874,6 +833,6 @@ class TestReverseOrder:
         assert len(pair.greedy) == 20
         reference = [int(t) for t in rng.integers(3, 195, size=20)]
         ours, oracle = _scores_by_both_passes(
-            monkeypatch, src, sample, pair, reference, 1, params)
+            monkeypatch, src, sample, pair, reference, params)
         for got, want in zip(ours, oracle):
             _assert_same_gradients(got, want)

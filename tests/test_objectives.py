@@ -21,7 +21,6 @@ from banditseq.model import (
 from banditseq.objectives import (
     ControlVariateState,
     OptimizerState,
-    SgdState,
     TrainingConfig,
     TrainingDiverged,
     adam_update,
@@ -33,7 +32,6 @@ from banditseq.objectives import (
     mle_loss_and_grad,
     pr_gradient,
     pr_halves,
-    sgd_update,
 )
 
 from conftest import max_abs, max_abs_diff, relative_gap, tiny_params
@@ -276,28 +274,6 @@ class TestAdam:
             adam_update(params, grads, state)
             runs.append(params.vector.copy())
         assert np.array_equal(runs[0], runs[1])
-
-    def test_sgd_schedule(self):
-        params = tiny_params(seed=28)
-        state = SgdState(gamma0=0.1, decay=1.0)
-        before = params["out.b"].data.copy()
-        grads = np.zeros_like(params.vector)
-        params.views(grads)["out.b"][...] = 1.0
-        sgd_update(params, grads, state)
-        assert np.allclose(before - params["out.b"].data, 0.1)
-        sgd_update(params, grads, state)
-        assert np.allclose(before - params["out.b"].data, 0.1 + 0.05)
-
-    def test_clipping_bounds_sgd_parameter_change(self, rng):
-        # with clip norm 1.0 an SGD step moves parameters by at most gamma
-        params = tiny_params(seed=60)
-        state = SgdState(gamma0=0.05)
-        before = params.vector.copy()
-        grads = rng.normal(size=params.vector.size, scale=3.0)
-        sgd_update(params, clip_gradient(grads, 1.0,
-                                         grad_norm(params.parts(grads))),
-                   state)
-        assert np.linalg.norm(params.vector - before) <= 0.05 * 1.0 + 1e-12
 
 
 class TestExactRisk:
@@ -554,14 +530,6 @@ class TestBanditTrainLoop:
         bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
                           lambda sid, toks: -0.5)
         assert len(calls) == 6
-
-    def test_sgd_fallback(self):
-        params, cfg = self._setup(iters=3, optimizer="sgd")
-        before = params.copy_values()
-        bandit_train_loop(cfg, params, _toy_stream([[3, 4]]),
-                          lambda sid, toks: -0.5)
-        assert any(not np.array_equal(params[n].data, before[n])
-                   for n in before)
 
     def test_bad_objective_rejected(self):
         with pytest.raises(ValueError):
