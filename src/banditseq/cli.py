@@ -23,6 +23,7 @@ import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config, parse_config
+from .data import read_sentences
 from .model import sample_pair, sample_sequence
 from .objectives import TrainingConfig, TrainingDiverged
 from . import pipeline as pl
@@ -89,10 +90,9 @@ def cmd_sample(args):
     vocab = ckpt.vocab
     rng = np.random.default_rng(cfg.seed)
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            sentences = [line.split() for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{args.input}: not UTF-8 text ({exc})") from None
+        sentences = [tokens for tokens in read_sentences(args.input) if tokens]
+    except ValueError as exc:  # not UTF-8
+        raise ConfigError(str(exc)) from None
     for tokens in sentences:
         ids = vocab.encode(tokens)
         print("# " + " ".join(tokens))

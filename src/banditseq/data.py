@@ -38,6 +38,7 @@ __all__ = [
     "atomic_open",
     "write_parallel",
     "write_corpus",
+    "read_sentences",
     "read_parallel",
     "corpus_paths",
 ]
@@ -195,11 +196,16 @@ def write_corpus(corpus, data_dir):
     return src_path, tgt_path
 
 
+def read_sentences(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.split() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_parallel(src_path, tgt_path, domain="", split=""):
-    with open(src_path, encoding="utf-8") as fh:
-        src_lines = [line.split() for line in fh]
-    with open(tgt_path, encoding="utf-8") as fh:
-        tgt_lines = [line.split() for line in fh]
+    src_lines, tgt_lines = read_sentences(src_path), read_sentences(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise ValueError(
             f"parallel files differ in length: {src_path} has {len(src_lines)} "

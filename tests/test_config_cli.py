@@ -274,6 +274,20 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_non_utf8_corpus_exits_2_naming_it(self, small_cfg_file,
+                                               tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(small_cfg_file),
+                     "--out", str(out)]) == 0
+        bad = out / "data" / "a.train.tgt"
+        bad.write_bytes(bad.read_bytes() + b"t01 \xff\n")
+        capsys.readouterr()
+        assert main(["train-mle", "--config", str(small_cfg_file),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{bad}: not UTF-8 text" in err
+
     def test_train_bandit_without_corpora_writes_nothing(self, small_cfg_file,
                                                          tmp_path, capsys):
         out = tmp_path / "out"
@@ -446,7 +460,7 @@ class TestCli:
         assert main(["train-mle", "--config", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == \
             f"seed checkpoint written to {seed}"
-        assert seed.read_bytes().startswith(b"BNSQ")
+        assert seed.read_bytes().startswith(b"PK\x03\x04")
         assert sorted(p.name for p in seed.parent.iterdir()) == ["seed.bnsq"]
 
     def test_seed_checkpoint_same_staged_or_whole(self, small_cfg_file,
