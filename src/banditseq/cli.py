@@ -7,7 +7,7 @@ Subcommands map onto pipeline stages plus one inspection tool:
     train-bandit adaptation from weak feedback
     evaluate     score a checkpoint on both test sets
     sample       print sampled outputs (or pairs) from a checkpoint
-    pipeline     run all configured stages in one go
+    pipeline     run all four stages in one go
 
 Common flags: --config <path> and --seed <int>, --out <dir> on the stage
 commands and pipeline. Flags override config keys.
@@ -39,7 +39,7 @@ def _add_common(parser, out=True):
 
 def _load_cfg(args):
     """The config file's run config, overridden by every flag whose
-    destination is a config key (a stage command's ``stages`` among them)."""
+    destination is a config key."""
     keys = {f.name for f in fields(RunConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in keys}
     if args.config:
@@ -58,12 +58,12 @@ _positive_int.__name__ = "int"  # argparse names it in "invalid int value"
 
 
 def cmd_train_mle(args):
-    result = pl.run_pipeline(_load_cfg(args))
+    result = pl.run_pipeline(_load_cfg(args), args.stages)
     print(f"seed checkpoint written to {result.seed_checkpoint_path}")
 
 
 def cmd_train_bandit(args):
-    result = pl.run_pipeline(_load_cfg(args))
+    result = pl.run_pipeline(_load_cfg(args), args.stages)
     for outcome in result.runs:
         scores = outcome.test_scores.get("test_b", {})
         print(f"run {outcome.run}: best iteration {outcome.best_iteration}, "
@@ -75,7 +75,7 @@ def cmd_evaluate(args):
     cfg = _load_cfg(args)
     if not cfg.seed_checkpoint:
         raise ConfigError("evaluate needs --checkpoint or seed_checkpoint")
-    result = pl.run_pipeline(cfg)
+    result = pl.run_pipeline(cfg, args.stages)
     for split in sorted(result.seed_test_scores):
         scores = result.seed_test_scores[split]
         line = ", ".join(f"{m}={scores[m]:.4f}" for m in sorted(scores))
@@ -109,7 +109,7 @@ def cmd_sample(args):
 
 
 def cmd_pipeline(args):
-    result = pl.run_pipeline(_load_cfg(args))
+    result = pl.run_pipeline(_load_cfg(args), args.stages)
     if result.metrics_path:
         print(f"metrics written to {result.metrics_path}")
 
@@ -121,12 +121,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each stage command runs its own stages, whatever the config file says
     commands = {
-        "gen-data": (cmd_pipeline, "gen-data"),
-        "train-mle": (cmd_train_mle, "train-mle"),
-        "evaluate": (cmd_evaluate, "evaluate"),
-        "pipeline": (cmd_pipeline, None),
+        "gen-data": (cmd_pipeline, ("gen-data",)),
+        "train-mle": (cmd_train_mle, ("train-mle",)),
+        "evaluate": (cmd_evaluate, ("evaluate",)),
+        "pipeline": (cmd_pipeline, pl.STAGES),
     }
     for name, (fn, stages) in commands.items():
         p = sub.add_parser(name)
@@ -144,7 +143,7 @@ def build_parser():
                    choices=["bin", "cont"])
     p.add_argument("--iters", type=int)
     p.add_argument("--alpha", dest="adam_alpha", metavar="ALPHA", type=float)
-    p.set_defaults(fn=cmd_train_bandit, stages="train-bandit,evaluate")
+    p.set_defaults(fn=cmd_train_bandit, stages=("train-bandit", "evaluate"))
 
     p = sub.add_parser("sample")
     _add_common(p, out=False)

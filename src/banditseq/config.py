@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .objectives import TrainingConfig
 
-__all__ = ["ConfigError", "RunConfig", "STAGES", "parse_config", "load_config",
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
            "format_config"]
 
 
@@ -31,16 +31,15 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# run_pipeline runs the stages in this order, whatever order ``stages`` gives
-STAGES = ("gen-data", "train-mle", "train-bandit", "evaluate")
-
 _PAIR_KINDS = {"bin": "binary", "binary": "binary",
                "cont": "continuous", "continuous": "continuous"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of a pipeline run. Field names are the config keys."""
+    """All knobs of a pipeline run. Field names are the config keys. Its
+    defaults are the only ones of the bandit loop's settings:
+    ``TrainingConfig`` keeps none of its own."""
 
     # model
     embedding_size: int = 32
@@ -68,7 +67,6 @@ class RunConfig:
     # experiment
     seed: int = 13
     runs: int = 2
-    stages: str = ",".join(STAGES)
     data_dir: str = ""
     out_dir: str = "out"
     seed_checkpoint: str = ""
@@ -96,12 +94,6 @@ class RunConfig:
                               f"got {self.pair_feedback!r}")
         object.__setattr__(self, "pair_feedback",
                            _PAIR_KINDS[self.pair_feedback])
-        stages = self.stage_list()
-        if not stages:
-            raise ConfigError("stages names no stage")
-        unknown = set(stages) - set(STAGES)
-        if unknown:
-            raise ConfigError(f"unknown stages: {sorted(unknown)}")
         for key in ("embedding_size", "hidden_size", "vocab_cutoff",
                     "mle_batch", "ggleu_max_n", "runs", "min_sent_len",
                     "train_a", "valid_a", "test_a", "train_b", "valid_b",
@@ -156,9 +148,6 @@ class RunConfig:
             beta2=self.adam_beta2, eps=self.adam_eps,
             baseline_includes_current=self.baseline_includes_current,
             max_len=self.max_len, epoch_size=epoch_size)
-
-    def stage_list(self):
-        return [s.strip() for s in self.stages.split(",") if s.strip()]
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -310,9 +310,12 @@ def _step(prev, state, matrix, proj, p):
 
 class Forward:
     """The values a roll-out of one source computed, kept for the reverse
-    pass through time (:func:`_backprop`): the encoder's per-step values,
-    the decoder's initial state and, per decoder step, the token fed, its
-    incoming state, its values and its logits row.
+    pass through time (:func:`_backprop`); :func:`rollout` writes them:
+    the parameters and their arrays ``p``, the ``source``, the encoder's
+    per-step values (``encoder``), its states (``matrix``), the decoder's
+    initial state (``init``) and, per decoder step, the token fed, its
+    incoming state and its values (``steps``) and its logits row
+    (``logits``).
 
     A record reads the live parameter arrays, so it is valid only until
     the parameters change: score a sample before the optimizer steps.
@@ -327,20 +330,6 @@ class Forward:
     def inputs(self):
         """The tokens fed to the decoder, one per step."""
         return [step[0] for step in self.steps]
-
-    def encode(self, source, params, p):
-        if self.encoder:
-            raise ValueError("a Forward records one roll-out only")
-        self.params, self.p, self.source = params, p, source
-        matrix, proj, self.init = encode_full([source], p, self.encoder)
-        self.matrix = matrix[0]
-        return matrix, proj, self.init
-
-    def step(self, prev, state, matrix, proj, p):
-        logits, new_state, values = _step(prev, state, matrix, proj, p)
-        self.steps.append((int(prev[0]), state, *values))
-        self.logits.append(logits)
-        return logits, new_state, values[0]
 
 
 def _logits_node(forward):
@@ -567,27 +556,33 @@ def rollout(sources, params, max_len, policy, record=None):
     keeps every value the roll-out computes for the reverse pass; it is
     valid until the parameters change. Without one nothing is kept.
     """
-    if record is not None and len(sources) != 1:
-        raise ValueError(f"rollout: a record keeps the forward of one "
-                         f"source, got {len(sources)}")
+    if record is not None:
+        if len(sources) != 1:
+            raise ValueError(f"rollout: a record keeps the forward of one "
+                             f"source, got {len(sources)}")
+        if record.encoder:
+            raise ValueError("a Forward records one roll-out only")
     p = params.arrays()
     by_length = {}
     for i, source in enumerate(sources):
         by_length.setdefault(len(source), []).append(i)
     for rows in by_length.values():
         rows = np.array(rows)
-        if record is None:
-            matrix, proj, state = encode_full([sources[i] for i in rows], p)
-        else:
-            matrix, proj, state = record.encode(sources[0], params, p)
+        matrix, proj, state = encode_full(
+            [sources[i] for i in rows], p,
+            None if record is None else record.encoder)
+        if record is not None:
+            record.params, record.p, record.source = params, p, sources[0]
+            record.matrix, record.init = matrix[0], state
         prev = np.full(len(rows), START)
         for _ in range(max_len):
-            if record is None:
-                logits, state, (alpha, *_) = _step(prev, state, matrix,
-                                                   proj, p)
-            else:
-                logits, state, alpha = record.step(prev, state, matrix,
-                                                   proj, p)
+            logits, new_state, values = _step(prev, state, matrix, proj, p)
+            if record is not None:
+                record.steps.append((int(prev[0]), state, *values))
+                record.logits.append(logits)
+            state, alpha = new_state, values[0]
+            # free a corpus batch's step values before the next step
+            del new_state, values
             prev, keep = policy(rows, logits, alpha)
             prev = np.asarray(prev)
             keep = np.asarray(keep, dtype=bool)

@@ -285,7 +285,7 @@ class OptimizerState:
     eps: float
 
     @classmethod
-    def for_params(cls, params, alpha=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, params, alpha, beta1, beta2, eps):
         return cls(m=np.zeros_like(params.vector),
                    v=np.zeros_like(params.vector), t=0, alpha=alpha,
                    beta1=beta1, beta2=beta2, eps=eps)
@@ -336,35 +336,37 @@ class AntitheticTracker(CoMoments):
         return total / self.co_xy.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainingConfig:
     """Knobs of the bandit update loop. Its checks are the only ones of the
     bandit keys: ``RunConfig.training_config`` builds one when a run config
-    is parsed."""
+    is parsed. The settings a run config also holds have no default here,
+    so a loop's settings come from that method or are written out in
+    full."""
 
     OBJECTIVES = ("el", "pr")
     CV_MODES = ("none", "baseline", "sf")
 
-    objective: str = "el"             # one of OBJECTIVES
+    objective: str                    # one of OBJECTIVES
     pair_feedback: str = "continuous"  # unread, kept for the benchmark
-    cv_mode: str = "none"             # one of CV_MODES
-    iters: int = 1000
-    valid_interval: int = 100
-    clip_norm: float = 1.0
+    cv_mode: str                      # one of CV_MODES
+    iters: int
+    valid_interval: int
+    clip_norm: float
     seed: int = 0
-    alpha: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    baseline_includes_current: bool = True
+    alpha: float
+    beta1: float
+    beta2: float
+    eps: float
+    baseline_includes_current: bool
     optimizer: str = "adam"           # unread, adam only: SGD was removed
     sgd_decay: float = 0.0            # unread, 0 only: SGD was removed
-    max_len: int = 20
+    max_len: int
     epoch_size: int = 0               # examples per epoch, for the log only
 
     def __post_init__(self):
         for key, low in (("iters", 0), ("valid_interval", 1), ("max_len", 1),
-                         ("epoch_size", 0)):
+                         ("epoch_size", 0), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
         for key in ("clip_norm", "alpha", "eps"):

@@ -1,6 +1,6 @@
 """The pretrain -> adapt -> evaluate experiment pipeline.
 
-Stages (selected by the ``stages`` config key):
+Stages, in this order (``STAGES``; a command picks which of them run):
 
 * ``gen-data``     write synthetic corpora for both domains
 * ``train-mle``    supervised pretraining on domain A (the seed model), in
@@ -30,8 +30,7 @@ import csv
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .objectives import OptimizerState, adam_update, bandit_train_loop, \
 from .objectives import clip_gradient  # noqa: F401  for perfbench/spans.py
 
 __all__ = [
+    "STAGES",
     "derive_seed",
     "unk_replace",
     "evaluate_on_corpus",
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 CSV_FIELDS = ("run", "iteration", "epoch", "split", "metric", "value")
+
+# run_pipeline runs the stages it is given in this order
+STAGES = ("gen-data", "train-mle", "train-bandit", "evaluate")
 
 # Stage offsets under the master seed; runs add their index on top.
 _SEED_MODEL_INIT = 11
@@ -273,19 +276,17 @@ def task_spec_from_config(cfg):
 
 def config_hash(cfg):
     """Digest of the settings that shape the experiment. Where files are
-    read and written and which stages run are left out, so a model trained
-    in one go or stage by stage, into any directory, hashes the same."""
-    # a namespace, not a RunConfig, since a config must name a stage
-    settings = SimpleNamespace(**{**vars(cfg), "out_dir": "", "data_dir": "",
-                                  "seed_checkpoint": "", "stages": ""})
+    read and written is left out, so a model trained in one go or stage by
+    stage, into any directory, hashes the same."""
+    settings = replace(cfg, out_dir="", data_dir="", seed_checkpoint="")
     return hashlib.sha256(format_config(settings).encode("utf-8")).hexdigest()
 
 
-def run_pipeline(cfg):
-    """Execute the configured stages; returns a PipelineResult."""
+def run_pipeline(cfg, stages=STAGES):
+    """Execute the named ``stages`` of :data:`STAGES`, in that order;
+    returns a PipelineResult."""
     out_dir = cfg.out_dir
     data_dir = cfg.data_dir or os.path.join(out_dir, "data")
-    stages = cfg.stage_list()
     result = PipelineResult()
     chash = config_hash(cfg)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from banditseq.model import ModelParams
+from banditseq.objectives import TrainingConfig
 
 
 @pytest.fixture
@@ -17,6 +18,20 @@ def tiny_params(vocab_size=6, embed_size=3, hidden_size=4, seed=0):
     finite differences and exhaustive enumeration."""
     return ModelParams(vocab_size, embed_size=embed_size,
                        hidden_size=hidden_size, seed=seed)
+
+
+# the loop settings of the tests that run bandit_train_loop on a tiny model,
+# written out here so that a new run-config default moves none of them
+LOOP_SETTINGS = dict(
+    objective="el", cv_mode="none", iters=1000, valid_interval=100,
+    clip_norm=1.0, alpha=1e-4, beta1=0.9, beta2=0.999, eps=1e-8,
+    baseline_includes_current=True, max_len=20)
+
+
+def loop_config(**settings):
+    """A ``TrainingConfig`` of :data:`LOOP_SETTINGS`, with ``settings``
+    in their place."""
+    return TrainingConfig(**{**LOOP_SETTINGS, **settings})
 
 
 def random_source(rng, vocab_size=6, length=3):

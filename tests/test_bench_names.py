@@ -118,17 +118,17 @@ def test_el_spans_fire_once_per_update(monkeypatch, cv_mode):
     """Every EL-path name the traced run rebinds is called once per update
     through that name: a step taken through a local alias would show there
     only as a missing span."""
-    from banditseq.objectives import TrainingConfig, bandit_train_loop
+    from banditseq.objectives import bandit_train_loop
 
-    from conftest import tiny_params
+    from conftest import loop_config, tiny_params
 
     spans = {"model.sample_sequence", "model.sequence_log_prob",
              "objectives.el_gradient", "autodiff.backward", "objectives.cv",
              "objectives.optimizer", "objectives.clip"}
     calls = _count_calls(monkeypatch, spans)
     iters = 7
-    config = TrainingConfig(objective="el", cv_mode=cv_mode, iters=iters,
-                            valid_interval=3, seed=1, max_len=3)
+    config = loop_config(objective="el", cv_mode=cv_mode, iters=iters,
+                         valid_interval=3, seed=1, max_len=3)
     bandit_train_loop(config, tiny_params(seed=3), _one_source_stream(),
                       lambda sid, tokens: -0.1 * len(tokens))
     assert calls == {span: iters for span in spans}
@@ -138,15 +138,15 @@ def test_pr_spans_fire_when_the_antithetic_diagnostic_is_sampled(monkeypatch):
     """With ``valid_interval`` >= 20 the PR loop takes the halves of the
     score on a subset of updates only; every PR-path name the traced run
     rebinds must still be called, on every update or on that subset."""
-    from banditseq.objectives import TrainingConfig, bandit_train_loop
+    from banditseq.objectives import bandit_train_loop
 
-    from conftest import tiny_params
+    from conftest import loop_config, tiny_params
 
     calls = _count_calls(monkeypatch, {
         "model.pair_log_prob", "objectives.pr_gradient", "autodiff.backward",
         "objectives.antithetic_update"})
-    config = TrainingConfig(objective="pr", iters=20, valid_interval=20,
-                            seed=1, max_len=3)
+    config = loop_config(objective="pr", iters=20, valid_interval=20,
+                         seed=1, max_len=3)
     bandit_train_loop(config, tiny_params(seed=3), _one_source_stream(),
                       lambda sid, pos, neg: -0.5)
     assert calls == {"objectives.pr_gradient": 20,
@@ -229,12 +229,15 @@ def test_kept_field_defaults_to_the_value_the_benchmark_passes(owner, name):
 @pytest.mark.parametrize("owner,name", [
     kept for kept in KEPT_FIELDS_FOR_BENCHMARK if kept[1] != "pair_feedback"])
 def test_kept_field_rejects_every_other_value(owner, name):
-    from banditseq.config import ConfigError
+    from banditseq.config import ConfigError, RunConfig
 
-    error = ConfigError if owner == "RunConfig" else ValueError
+    from conftest import loop_config
+
+    error, build = (ConfigError, RunConfig) if owner == "RunConfig" \
+        else (ValueError, loop_config)
     for value in REMOVED_VALUES[name]:
         with pytest.raises(error, match=f"{name}.* removed"):
-            _config_class(owner)(**{name: value})
+            build(**{name: value})
 
 
 def test_pair_feedback_is_not_passed_to_the_loop():

@@ -1,10 +1,11 @@
 import argparse
 import ast
+import inspect
 import os
 import re
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import MISSING, FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,10 @@ import banditseq
 from banditseq import cli, pipeline
 from banditseq.checkpoint import Checkpoint, save_checkpoint
 from banditseq.cli import build_parser, main
-from banditseq.config import STAGES, ConfigError, RunConfig, \
-    format_config, load_config, parse_config
+from banditseq.config import ConfigError, RunConfig, format_config, \
+    load_config, parse_config
 from banditseq.model import ModelParams, Vocabulary
-from banditseq.objectives import TrainingConfig
+from banditseq.objectives import OptimizerState, TrainingConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -62,7 +63,7 @@ class TestConfigParsing:
 
     def test_built_configs_are_frozen(self):
         cfg = parse_config("")
-        for obj, key, value in ((cfg, "stages", "evaluate"),
+        for obj, key, value in ((cfg, "objective", "pr"),
                                 (cfg, "seed_checkpoint", "m.bnsq"),
                                 (cfg.training_config(), "iters", 5)):
             with pytest.raises(FrozenInstanceError):
@@ -106,7 +107,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("text", ["stages =\n", "stages = ,\n"])
     def test_empty_stages_rejected(self, text):
-        with pytest.raises(ConfigError, match="stages names no stage"):
+        # the command picks the stages; no config key does
+        with pytest.raises(ConfigError, match="unknown key 'stages'"):
             parse_config(text)
 
     @pytest.mark.parametrize("text,key", [
@@ -145,6 +147,19 @@ class TestConfigParsing:
             assert value != f.default, f.name
             assert value == getattr(cfg, renamed.get(f.name, f.name)), f.name
 
+    def test_loop_settings_have_their_defaults_in_run_config_only(self):
+        # a loop built by hand names every setting a run config holds;
+        # only the run's own and the benchmark-only fields have defaults
+        defaulted = {f.name for f in fields(TrainingConfig)
+                     if f.default is not MISSING}
+        assert defaulted == {"pair_feedback", "seed", "optimizer",
+                             "sgd_decay", "epoch_size"}
+        with pytest.raises(TypeError, match="11 required keyword-only"):
+            TrainingConfig()
+        signature = inspect.signature(OptimizerState.for_params)
+        assert [p.default for p in signature.parameters.values()] == \
+            [inspect.Parameter.empty] * 5
+
     def test_overrides_win(self):
         cfg = parse_config("seed = 1\n", overrides={"seed": 5})
         assert cfg.seed == 5
@@ -164,7 +179,7 @@ class TestConfigParsing:
         section = re.search(r"^## Config format\n(.*?)^## ", text,
                             re.S | re.M).group(1)
         listed = set(re.findall(r"`([a-z0-9_-]+)`", section))
-        names = [f.name for f in fields(RunConfig)] + list(STAGES)
+        names = [f.name for f in fields(RunConfig)]
         missing = [name for name in names if name not in listed]
         assert not missing, f"README config section lacks {missing}"
 
@@ -303,7 +318,7 @@ class TestCli:
                        + "stages = gen-data,fly-to-moon\n")
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
-        assert "fly-to-moon" in capsys.readouterr().err
+        assert "unknown key 'stages'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["stages =", "stages = ,"])
@@ -313,7 +328,7 @@ class TestCli:
         bad.write_text(small_cfg_file.read_text() + line + "\n")
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
-        assert "stages names no stage" in capsys.readouterr().err
+        assert "unknown key 'stages'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exits_2_before_writing(self, small_cfg_file,
@@ -465,8 +480,7 @@ class TestCli:
 
     def test_seed_checkpoint_same_staged_or_whole(self, small_cfg_file,
                                                   tmp_path):
-        # the config hash covers the settings, not where files go or which
-        # stages one invocation runs
+        # the config hash covers the settings, not where files go
         cfg = str(small_cfg_file)
         staged, whole = tmp_path / "staged", tmp_path / "whole"
         assert main(["gen-data", "--config", cfg, "--out", str(staged)]) == 0

@@ -5,14 +5,13 @@ from banditseq.model import SampledSequence, sample_sequence
 from banditseq.objectives import (
     AntitheticTracker,
     ControlVariateState,
-    TrainingConfig,
     apply_baseline_cv,
     apply_score_function_cv,
     el_gradient,
 )
 
-from conftest import antithetic_variance_identity, max_abs, relative_gap, \
-    tiny_params
+from conftest import antithetic_variance_identity, loop_config, max_abs, \
+    relative_gap, tiny_params
 from oracles import enumerate_sequences
 
 
@@ -166,7 +165,7 @@ class TestAntithetic:
 class TestStateValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="cv_mode"):
-            TrainingConfig(cv_mode="antithetic")
+            loop_config(cv_mode="antithetic")
 
     def test_average_feedback(self):
         state = ControlVariateState()

@@ -21,7 +21,6 @@ from banditseq.objectives import (
     AntitheticTracker,
     ControlVariateState,
     OptimizerState,
-    TrainingConfig,
     adam_update,
     apply_baseline_cv,
     apply_score_function_cv,
@@ -35,7 +34,7 @@ from banditseq.objectives import (
 )
 
 import reference_updates as ref
-from conftest import tiny_params
+from conftest import loop_config, tiny_params
 
 
 def assert_views_of_vector(params):
@@ -97,9 +96,9 @@ class TestParameterLayout:
                                                      ("pr", "adam")])
     def test_after_bandit_training(self, objective, optimizer):
         params = tiny_params(seed=6)
-        config = TrainingConfig(objective=objective, cv_mode="sf", iters=5,
-                                valid_interval=2, seed=1, max_len=3,
-                                optimizer=optimizer, alpha=1e-2)
+        config = loop_config(objective=objective, cv_mode="sf", iters=5,
+                             valid_interval=2, seed=1, max_len=3,
+                             optimizer=optimizer, alpha=1e-2)
         before = params.vector.copy()
 
         def stream():
@@ -179,7 +178,8 @@ def test_flat_updates_equal_per_tensor_reference(rng, objective, cv_mode,
     assert optimizer == "adam"
     params = tiny_params(seed=9)
     values = {name: t.data.copy() for name, t in params.tensors.items()}
-    opt = OptimizerState.for_params(params, alpha=1e-2)
+    opt = OptimizerState.for_params(params, alpha=1e-2, beta1=0.9,
+                                    beta2=0.999, eps=1e-8)
     ref_opt = ref.Adam(values, alpha=1e-2)
     cv = ControlVariateState(include_current=includes_current)
     ref_cv = ref.ControlVariates(include_current=includes_current)

@@ -770,6 +770,14 @@ class TestKeptForward:
                                                  [True] * len(rows)),
                     Forward())
 
+    def test_record_keeps_one_rollout(self):
+        params = tiny_params(seed=13)
+        sample = sample_sequence([3, 4], params, 3, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="one roll-out only"):
+            rollout([[3, 4]], params, 3,
+                    lambda rows, logits, alpha: ([START], [True]),
+                    sample.forward)
+
     def test_same_seed_samples_compare_equal(self):
         params = tiny_params(seed=13)
         draws = [(sample_sequence([3, 4], params, 5, np.random.default_rng(7)),

@@ -21,7 +21,6 @@ from banditseq.model import (
 from banditseq.objectives import (
     ControlVariateState,
     OptimizerState,
-    TrainingConfig,
     TrainingDiverged,
     adam_update,
     apply_score_function_cv,
@@ -34,7 +33,8 @@ from banditseq.objectives import (
     pr_halves,
 )
 
-from conftest import max_abs, max_abs_diff, relative_gap, tiny_params
+from conftest import loop_config, max_abs, max_abs_diff, relative_gap, \
+    tiny_params
 from oracles import (
     enumerate_pair_outcomes,
     enumerate_sequences,
@@ -247,7 +247,9 @@ class TestClipGradient:
 class TestAdam:
     def _params(self):
         params = tiny_params(seed=27)
-        return params, OptimizerState.for_params(params, alpha=1e-3)
+        return params, OptimizerState.for_params(params, alpha=1e-3,
+                                                 beta1=0.9, beta2=0.999,
+                                                 eps=1e-8)
 
     def test_zero_gradient_leaves_parameters(self):
         params, state = self._params()
@@ -331,9 +333,9 @@ def _toy_stream(sources):
 class TestBanditTrainLoop:
     def _setup(self, objective="el", cv="none", iters=8, **kwargs):
         params = tiny_params(seed=33)
-        cfg = TrainingConfig(objective=objective, cv_mode=cv, iters=iters,
-                             valid_interval=4, seed=5, alpha=1e-3, max_len=3,
-                             **kwargs)
+        cfg = loop_config(objective=objective, cv_mode=cv, iters=iters,
+                          valid_interval=4, seed=5, alpha=1e-3, max_len=3,
+                          **kwargs)
         return params, cfg
 
     def test_zero_iterations_returns_initial(self):
@@ -415,9 +417,9 @@ class TestBanditTrainLoop:
             seen.clear()
             pulled.clear()
             params = tiny_params(seed=33)
-            cfg = TrainingConfig(objective="pr", cv_mode="sf", iters=40,
-                                 valid_interval=20, seed=5, alpha=1e-3,
-                                 max_len=3)
+            cfg = loop_config(objective="pr", cv_mode="sf", iters=40,
+                              valid_interval=20, seed=5, alpha=1e-3,
+                              max_len=3)
             result = bandit_train_loop(
                 cfg, params, stream(),
                 lambda sid, pos, neg: -0.1 * len(pos) + 0.2 * (neg != pos))
@@ -533,14 +535,14 @@ class TestBanditTrainLoop:
 
     def test_bad_objective_rejected(self):
         with pytest.raises(ValueError):
-            TrainingConfig(objective="mle")
+            loop_config(objective="mle")
 
     @pytest.mark.parametrize("key,value", [
         ("iters", -1), ("valid_interval", 0), ("max_len", 0),
         ("clip_norm", 0.0), ("optimizer", "rmsprop"), ("sgd_decay", -1.0),
         ("alpha", 0.0), ("alpha", -1e-4), ("beta1", 1.0), ("beta2", 1.0),
-        ("beta2", -0.5), ("eps", 0.0), ("epoch_size", -3),
+        ("beta2", -0.5), ("eps", 0.0), ("epoch_size", -3), ("seed", -1),
     ])
     def test_out_of_range_setting_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
-            TrainingConfig(**{key: value})
+            loop_config(**{key: value})
