@@ -153,9 +153,9 @@ class ModelParams:
     ordered and that order is part of the checkpoint contract; the vector
     holds the tensors' entries in that order. A gradient is a vector of the
     same layout, and :meth:`views` names the parts of any such vector. The
-    update arithmetic runs on whole vectors, while every reduction (norm,
-    means) sums tensor by tensor over the views: one sum over the whole
-    vector would add in another order and change the last bits.
+    Adam and score-function variate passes run block by block, while every
+    reduction (norm, means) sums tensor by tensor over the views: one sum
+    over the whole vector would add in another order and change the bits.
     """
 
     GRU_SUFFIXES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")

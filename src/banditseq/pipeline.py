@@ -283,8 +283,10 @@ def config_hash(cfg):
 
 
 def run_pipeline(cfg, stages=STAGES):
-    """Execute the named ``stages`` of :data:`STAGES`, in that order;
-    returns a PipelineResult."""
+    """Execute the named ``stages`` (each one of :data:`STAGES`, else
+    ValueError before any file is read) in order; returns a PipelineResult."""
+    if unknown := sorted(set(stages) - set(STAGES)):
+        raise ValueError(f"unknown stages {unknown}; STAGES are {STAGES}")
     out_dir = cfg.out_dir
     data_dir = cfg.data_dir or os.path.join(out_dir, "data")
     result = PipelineResult()

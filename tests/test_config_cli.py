@@ -192,6 +192,14 @@ class TestConfigParsing:
         params = namespace["params"]
         assert namespace["grads"].shape == params.vector.shape
         assert namespace["named"].keys() == params.tensors.keys()
+        # every name the example imports is used in it
+        tree = ast.parse(example)
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert imported and imported <= used, imported - used
 
 
 @pytest.fixture

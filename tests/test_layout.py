@@ -2,16 +2,20 @@
 
 Each named tensor of a :class:`~banditseq.model.ModelParams` is a view of
 its ``vector``, however the model was made or loaded and after training;
-every gradient is one vector in the same layout. The updates run on whole
-vectors and must equal the per-tensor arithmetic of
-``tests/reference_updates.py`` bit for bit, with the clip binding and
-with entries at the score-function variate's variance floor.
+every gradient is one vector in the same layout. The updates run on those
+vectors block by block and must equal the per-tensor arithmetic of
+``tests/reference_updates.py`` bit for bit, with the clip binding, with
+entries at the score-function variate's variance floor, and with sweeps
+that cross blocks; at the default model size they must equal the
+whole-vector arithmetic.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from banditseq import pipeline
+from banditseq import objectives, pipeline
 from banditseq.checkpoint import Checkpoint
 from banditseq.config import RunConfig
 from banditseq.data import Corpus
@@ -163,20 +167,29 @@ def _assert_equal(params, vector, named):
     views = params.views(vector)
     assert list(views) == list(named)
     for name, value in named.items():
-        assert np.array_equal(views[name], value), name
+        assert views[name].tobytes() == value.tobytes(), name
 
 
-@pytest.mark.parametrize("objective,cv_mode,optimizer,includes_current",
-                         FLAT_CASES)
-def test_flat_updates_equal_per_tensor_reference(rng, objective, cv_mode,
-                                                 optimizer, includes_current):
+# Each case at the real block size, and at a small odd one that splits the
+# tiny model's vectors into many blocks and a partial last one.
+@pytest.mark.parametrize(
+    "objective,cv_mode,optimizer,includes_current,block",
+    [pytest.param(*case, block, id="-".join(map(str, case)) + suffix)
+     for block, suffix in ((None, ""), (37, "-block37"))
+     for case in FLAT_CASES])
+def test_flat_updates_equal_per_tensor_reference(rng, monkeypatch, objective,
+                                                 cv_mode, optimizer,
+                                                 includes_current, block):
     """50 updates of real scores from a tiny model, each CV, norm, clip and
-    step on the whole vector against the per-tensor reference. The clip
-    binds on every other update; the source embedding rows of the reserved
-    tokens are never used, so their scores stay zero and their entries sit
-    at the score-function variate's variance floor."""
+    step on the parameter-layout vectors against the per-tensor reference.
+    The clip binds on every other update; the source embedding rows of the
+    reserved tokens are never used, so their scores stay zero and their
+    entries sit at the score-function variate's variance floor."""
     assert optimizer == "adam"
     params = tiny_params(seed=9)
+    if block:
+        monkeypatch.setattr(objectives, "_BLOCK", block)
+        assert params.vector.size // block > 10 and params.vector.size % block
     values = {name: t.data.copy() for name, t in params.tensors.items()}
     opt = OptimizerState.for_params(params, alpha=1e-2, beta1=0.9,
                                     beta2=0.999, eps=1e-8)
@@ -227,3 +240,53 @@ def test_flat_updates_equal_per_tensor_reference(rng, objective, cv_mode,
         m2 = cv.sf_moments.m2_y
         assert (m2 <= cv.VAR_FLOOR).any() and (m2 > cv.VAR_FLOOR).any()
         assert not params.views(m2)["src_emb"][:3].any()
+
+
+def test_blocked_updates_equal_whole_vector_arithmetic_at_default_size():
+    """At the default model size (147,075 entries: 8 blocks of 16,384 and
+    one of 16,003), three score-function draws and one Adam step equal the
+    whole-vector expressions bit for bit. The third draw is the first whose
+    coefficient is not zero; a tenth of the score entries are exactly zero,
+    so their entries sit at the variance floor."""
+    params = ModelParams(195, 32, 64, seed=0)
+    n = params.vector.size
+    assert (n, n // objectives._BLOCK, n % objectives._BLOCK) == \
+        (147_075, 8, 16_003)
+    rng = np.random.default_rng(5)
+    state = ControlVariateState()
+    mean_x, mean_y, co_xy, m2_y = (np.zeros(n) for _ in range(4))
+    for k, feedback in enumerate((-0.3, -0.7, -0.1), 1):
+        score = rng.standard_normal(n) * (rng.random(n) < 0.9)
+        chat = np.zeros(n)
+        np.divide(co_xy, m2_y, out=chat, where=m2_y > state.VAR_FLOOR)
+        grads = score * feedback
+        want = grads - chat * score
+        dx = grads - mean_x
+        mean_x += dx / k
+        dy = score - mean_y
+        mean_y += dy / k
+        co_xy += dx * (score - mean_y)
+        m2_y += dy * (score - mean_y)
+        got = apply_score_function_cv(feedback, score, state)
+        assert got.tobytes() == want.tobytes()
+        assert (k < 3) == (not chat.any())
+    moments = state.sf_moments
+    for got, want in ((moments.mean_x, mean_x), (moments.mean_y, mean_y),
+                      (moments.co_xy, co_xy), (moments.m2_y, m2_y)):
+        assert got.tobytes() == want.tobytes()
+    assert (m2_y <= state.VAR_FLOOR).any()
+
+    opt = OptimizerState.for_params(params, alpha=1e-3, beta1=0.9,
+                                    beta2=0.999, eps=1e-8)
+    opt.m[:], opt.v[:], opt.t = rng.standard_normal(n), rng.random(n), 3
+    theta, m, v = params.vector.copy(), opt.m * 0.9, opt.v * 0.999
+    grads = rng.standard_normal(n)
+    m += grads * (1.0 - 0.9)
+    v += (grads * grads) * (1.0 - 0.999)
+    sqrt_bc2 = math.sqrt(1.0 - 0.999 ** 4)
+    update = m / (np.sqrt(v) + 1e-8 * sqrt_bc2)
+    update *= 1e-3 * sqrt_bc2 / (1.0 - 0.9 ** 4)
+    theta -= update
+    adam_update(params, grads, opt)
+    for got, want in ((params.vector, theta), (opt.m, m), (opt.v, v)):
+        assert got.tobytes() == want.tobytes()

@@ -277,6 +277,19 @@ class TestRunPipeline:
             with pytest.raises(ConfigError, match="unknown key 'stages'"):
                 parse_config(f"stages = {names}\n")
 
+    def test_unknown_stage_name_raises_before_any_file(self, tmp_path,
+                                                       monkeypatch):
+        # a library caller's typo fails before a corpus is read or written
+        cfg = tiny_run_config(tmp_path / "out")
+        monkeypatch.setattr(pipeline, "_load_corpora", None)
+        for stages, unknown in ((("train_mle",), "train_mle"),
+                                (("gen-data", "fly"), "fly")):
+            with pytest.raises(ValueError) as info:
+                run_pipeline(cfg, stages)
+            assert f"unknown stages ['{unknown}']" in str(info.value)
+            assert str(pipeline.STAGES) in str(info.value)
+        assert not (tmp_path / "out").exists()
+
     def test_gen_data_only_writes_corpora(self, tmp_path):
         cfg = tiny_run_config(tmp_path / "out")
         result = run_pipeline(cfg, ("gen-data",))
