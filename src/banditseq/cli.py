@@ -24,7 +24,8 @@ import numpy as np
 from .checkpoint import CheckpointFormatError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .data import read_sentences
-from .model import sample_pair, sample_sequence
+from .model import pair_log_prob, sample_pair, sample_sequence, \
+    sequence_log_prob
 from .objectives import TrainingConfig, TrainingDiverged
 from . import pipeline as pl
 
@@ -99,13 +100,15 @@ def cmd_sample(args):
         for _ in range(args.n):
             if args.pairs:
                 pair = sample_pair(ids, params, cfg.max_len, rng)
+                lp = sum(t.data for t in pair_log_prob(ids, pair, params))
                 pos = " ".join(vocab.decode(pair.tokens_pos))
                 neg = " ".join(vocab.decode(pair.tokens_neg))
-                print(f"{pair.log_prob:.4f}\t{pos}\t|\t{neg} (i={pair.position})")
+                print(f"{lp:.4f}\t{pos}\t|\t{neg} (i={pair.position})")
             else:
                 sample = sample_sequence(ids, params, cfg.max_len, rng)
-                print(f"{sample.log_prob:.4f}\t"
-                      + " ".join(vocab.decode(sample.tokens)))
+                lp = sequence_log_prob(ids, sample.tokens, params,
+                                       forward=sample.forward).data
+                print(f"{lp:.4f}\t" + " ".join(vocab.decode(sample.tokens)))
 
 
 def cmd_pipeline(args):

@@ -490,7 +490,7 @@ def pair_log_prob(source, pair, params):
     position. The halves are scored on the pair's kept forward
     (:attr:`SampledPair.forward`), valid until the parameters change, or
     replayed teacher-forced on the greedy prefix when it has none. Returns
-    ``(lp_pos, lp_perturbed)`` whose sum reproduces the pair's accumulated
+    ``(lp_pos, lp_perturbed)``, whose sum is the pair's joint
     log-probability.
     """
     inputs = [START] + list(pair.greedy[: len(pair.tokens_pos) - 1])
@@ -501,12 +501,12 @@ def pair_log_prob(source, pair, params):
 
 @dataclass
 class SampledSequence:
-    """A sequence drawn token-by-token from the model, with its log-prob
-    and the kept forward of the roll-out that drew it (None when built by
-    hand); the forward takes no part in comparisons."""
+    """A sequence drawn token-by-token from the model, with the kept
+    forward of the roll-out that drew it (None when built by hand); the
+    forward takes no part in comparisons. Its log-probability is
+    :func:`sequence_log_prob` on that forward."""
 
     tokens: list
-    log_prob: float
     forward: Forward = field(default=None, compare=False, repr=False)
 
 
@@ -514,13 +514,13 @@ class SampledSequence:
 class SampledPair:
     """A positive sample and a one-position perturbation, both conditioned
     on the same greedy prefix, with the kept forward of the roll-out that
-    fed that prefix."""
+    fed that prefix. Its joint log-probability is the sum of
+    :func:`pair_log_prob`'s halves."""
 
     tokens_pos: list
     tokens_neg: list
     greedy: list
     position: int      # 1-based step at which the perturbation was drawn
-    log_prob: float
     forward: Forward = field(default=None, compare=False, repr=False)
 
 
@@ -622,26 +622,22 @@ def greedy_decode(sources, params, max_len, return_attention=False):
 
 def sample_sequence(source, params, max_len, rng):
     """Draw one sequence from the positive distribution, conditioning each
-    step on the tokens already drawn; accumulates the log-probability and
-    stops after END or ``max_len`` tokens. The roll-out's values are kept
-    on the sample (``forward``) for scoring it before the parameters
-    change."""
+    step on the tokens already drawn; stops after END or ``max_len``
+    tokens. The roll-out's values are kept on the sample (``forward``) for
+    scoring it before the parameters change."""
     if max_len < 1:
         raise ValueError("sample_sequence: max_len must be >= 1")
     tokens = []
-    log_prob = 0.0
 
     def draw(_, logits, __):
-        nonlocal log_prob
         log_p = output_log_probs(logits[0])
         tok = _draw(np.exp(log_p), rng)
-        log_prob += float(log_p[tok])
         tokens.append(tok)
         return (tok,), (tok != END,)
 
     forward = Forward()
     rollout([source], params, max_len, draw, forward)
-    return SampledSequence(tokens=tokens, log_prob=log_prob, forward=forward)
+    return SampledSequence(tokens=tokens, forward=forward)
 
 
 def greedy_rollout(source, params, max_len):
@@ -670,10 +666,9 @@ def sample_pair(source, params, max_len, rng):
     perturbed member's token — from the negative distribution at step i,
     from the positive one elsewhere — both conditioned on the greedy
     prefix. All ``max_len`` steps are taken; END does not stop the roll-out
-    here, feedback simply ignores anything an END precedes. The joint
-    log-probability accumulates every factor. The roll-out's values are
-    kept on the pair (``forward``) for scoring it before the parameters
-    change.
+    here, feedback simply ignores anything an END precedes. The roll-out's
+    values are kept on the pair (``forward``) for scoring it before the
+    parameters change.
     """
     if max_len < 1:
         raise ValueError("sample_pair: max_len must be >= 1")
@@ -681,21 +676,16 @@ def sample_pair(source, params, max_len, rng):
     position = int(rng.integers(1, max_len + 1))
     tokens_pos = []
     tokens_neg = []
-    log_prob = 0.0
     for step, (logits,) in enumerate(forward.logits, start=1):
         log_p_pos = output_log_probs(logits)
         p_pos = np.exp(log_p_pos)
         w = _draw(p_pos, rng)
-        log_prob += float(log_p_pos[w])
         if step == position:
             log_p_neg = output_log_probs(logits, negated=True)
             w_prime = _draw(np.exp(log_p_neg), rng)
-            log_prob += float(log_p_neg[w_prime])
         else:
             w_prime = _draw(p_pos, rng)
-            log_prob += float(log_p_pos[w_prime])
         tokens_pos.append(w)
         tokens_neg.append(w_prime)
     return SampledPair(tokens_pos=tokens_pos, tokens_neg=tokens_neg,
-                       greedy=greedy, position=position, log_prob=log_prob,
-                       forward=forward)
+                       greedy=greedy, position=position, forward=forward)

@@ -301,7 +301,10 @@ def run_pipeline(cfg, stages=STAGES):
 
     seed_path = cfg.seed_checkpoint or os.path.join(out_dir, "checkpoints",
                                                     "mle.bnsq")
-    # named so that no invocation replaces the outputs another one wrote
+    # outputs are named by the stages run (an evaluate alone by its
+    # checkpoint), the objective and the CV only, so two invocations that
+    # differ only in another setting (say adam_alpha, iters or
+    # pair_feedback) replace each other's outputs in one out_dir
     run_prefix = f"{cfg.objective}-{cfg.cv_mode}"
     seed_tag, metrics_name = "seed", "metrics.csv"
     if set(stages) == {"evaluate"}:
@@ -312,6 +315,11 @@ def run_pipeline(cfg, stages=STAGES):
     params = None
     if "train-mle" in stages:
         train_a = corpora["a", "train"]
+        for path, sentences in zip(corpus_paths(data_dir, "a", "train"),
+                                   (train_a.sources, train_a.targets)):
+            if clash := set(Vocabulary.RESERVED) & set().union(*sentences):
+                raise ConfigError(f"{path}: corpus token collides with "
+                                  f"reserved token {min(clash)!r}")
         vocab = Vocabulary.from_corpus(train_a.sources + train_a.targets,
                                        cutoff=cfg.vocab_cutoff)
         params, mle_rows = train_mle(cfg, vocab, train_a,

@@ -120,8 +120,7 @@ def enumerate_pair_outcomes(source, params, t_y, guard=1_000_000):
     its probability, as ``(SampledPair, probability)`` tuples."""
     greedy, outcomes = _pair_outcomes(source, params, t_y, guard)
     return [(SampledPair(tokens_pos=w, tokens_neg=w_prime,
-                         greedy=list(greedy), position=position,
-                         log_prob=float(lp.data)),
+                         greedy=list(greedy), position=position),
              math.exp(lp.data) / t_y)
             for position, w, w_prime, lp in outcomes]
 

@@ -92,7 +92,7 @@ class TestCriterion2ElUnbiasedness:
                                            lambda t: table[tuple(t)], 2)
             acc = np.zeros_like(exact)
             for tokens, lp in seqs:
-                score = el_gradient(source, SampledSequence(list(tokens), lp),
+                score = el_gradient(source, SampledSequence(list(tokens)),
                                     params)
                 acc += np.exp(lp) * table[tuple(tokens)] * score
             gap = relative_gap(acc, exact)
@@ -113,7 +113,7 @@ class TestCriterion3ScoreFunctionZeroMean:
             source = [int(t) for t in rng.integers(3, 6, size=2)]
             acc = np.zeros_like(params.vector)
             for tokens, lp in enumerate_sequences(source, params, 2):
-                score = el_gradient(source, SampledSequence(list(tokens), lp),
+                score = el_gradient(source, SampledSequence(list(tokens)),
                                     params)
                 acc += np.exp(lp) * score
             peak = float(np.max(np.abs(acc)))

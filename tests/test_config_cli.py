@@ -311,6 +311,26 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert f"{bad}: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("name, token", [("a.train.src", "<unk>"),
+                                             ("a.train.tgt", "</s>")])
+    def test_reserved_token_in_training_corpus_exits_2_naming_it(
+            self, small_cfg_file, tmp_path, capsys, name, token):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(small_cfg_file),
+                     "--out", str(out)]) == 0
+        bad = out / "data" / name
+        bad.write_text(f"{token} " + bad.read_text(encoding="utf-8"),
+                       encoding="utf-8")
+        written = sorted(out.rglob("*"))
+        capsys.readouterr()
+        assert main(["train-mle", "--config", str(small_cfg_file),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{bad}: corpus token collides with reserved token " \
+            f"{token!r}" in err
+        assert sorted(out.rglob("*")) == written
+
     def test_train_bandit_without_corpora_writes_nothing(self, small_cfg_file,
                                                          tmp_path, capsys):
         out = tmp_path / "out"

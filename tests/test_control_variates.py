@@ -61,7 +61,7 @@ class TestBaselineCv:
         shifted = None
         for tokens, lp in seqs:
             p = np.exp(lp)
-            sample = SampledSequence(list(tokens), lp)
+            sample = SampledSequence(list(tokens))
             delta = table[tuple(tokens)]
             score = el_gradient(src, sample, params)
             if plain is None:

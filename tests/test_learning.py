@@ -13,8 +13,13 @@ The threshold was fixed before any run: after 400 EL updates at step size
 0.02, with a clip that never binds, the exact risk averaged over sources
 and loop seeds 1-4 lies at least 0.1 below its value before training, for
 each control variate. A set-up like this one measured drops of 0.51-0.73.
+The second claim was fixed before any run too: averaged over the same
+loop seeds, the exact risk after training with the ``baseline`` CV is no
+higher than with ``none``, and neither is the one with ``sf``. Each CV's
+runs are made once and shared by both claims.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -55,8 +60,11 @@ def _cycle(sources):
         yield from enumerate(sources)
 
 
-@pytest.mark.parametrize("cv_mode", ["none", "baseline", "sf"])
-def test_el_lowers_the_exact_risk(cv_mode):
+@functools.cache
+def _el_risks(cv_mode):
+    """The exact risk before training, the mean over loop seeds of the
+    exact risk after EL training with ``cv_mode``, each seed's value, and
+    the seconds it took."""
     start = time.time()
     sources, oracle = _task()
     before = _exact_risk(tiny_params(seed=7), sources, oracle)
@@ -68,6 +76,17 @@ def test_el_lowers_the_exact_risk(cv_mode):
                              alpha=0.02, max_len=MAX_LEN, seed=seed)
         bandit_train_loop(config, params, _cycle(sources), oracle)
         after.append(_exact_risk(params, sources, oracle))
-    mean_after = sum(after) / len(after)
+    return before, sum(after) / len(after), after, time.time() - start
+
+
+@pytest.mark.parametrize("cv_mode", ["none", "baseline", "sf"])
+def test_el_lowers_the_exact_risk(cv_mode):
+    before, mean_after, after, seconds = _el_risks(cv_mode)
     assert mean_after <= before - REQUIRED_DROP, (before, after)
-    assert time.time() - start < 30.0
+    assert seconds < 30.0
+
+
+@pytest.mark.parametrize("cv_mode", ["baseline", "sf"])
+def test_control_variate_ends_no_higher_than_none(cv_mode):
+    with_cv, without = _el_risks(cv_mode)[1], _el_risks("none")[1]
+    assert with_cv <= without, (cv_mode, with_cv, without)

@@ -105,7 +105,7 @@ class TestElGradient:
                                            lambda t: table[tuple(t)], 2)
             acc = np.zeros_like(exact)
             for tokens, lp in seqs:
-                sample = SampledSequence(list(tokens), lp)
+                sample = SampledSequence(list(tokens))
                 score = el_gradient(src, sample, params)
                 acc += np.exp(lp) * table[tuple(tokens)] * score
             assert relative_gap(acc, exact) < 1e-5
